@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AnalysisError, GridMismatchError, ResolutionError
+from .errors import AnalysisError, ConfigError, GridMismatchError, ResolutionError
 from .fields import (
     Field,
     Grid,
@@ -57,7 +57,10 @@ def max_threads():
     """Sweep parallelism cap: PFNL_THREADS env var, else CPU count."""
     env = os.environ.get("PFNL_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"PFNL_THREADS must be an integer, got {env!r}") from None
     return max(1, os.cpu_count() or 1)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -40,7 +39,7 @@ from .errors import (  # noqa: F401 (GridMismatchError caught below)
     ResolutionError,
     SolverError,
 )
-from .fields import read_field, write_field
+from .fields import atomic_write, read_field, write_field
 from .integrator import CSV_COLUMNS, record_csv_row, solve_trajectory
 from .kernels import moment_check
 from .operators import build_nonlocal_operator
@@ -48,13 +47,6 @@ from .physics import build_initial_data
 
 CONFIG_EXIT = 2
 FAILURE_EXIT = 1
-
-
-def atomic_write(path, text):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _write_manifest(outdir, cfg, command, started, extra=None):
@@ -281,10 +273,12 @@ def cmd_energy_report(cfg, run_dir):
             lines = [l.strip() for l in fh if l.strip()]
     except OSError as err:
         raise ConfigError([f"cannot read {path!r}: {err}"]) from err
-    header = lines[0].split(",")
+    header = lines[0].split(",") if lines else []
     idx = {name: k for k, name in enumerate(header)}
     if "residual_a1" not in idx:
         raise ConfigError([f"{path!r} does not look like an energy record file"])
+    if len(lines) < 2:
+        raise ConfigError([f"{path!r} holds no energy records"])
     residuals, totals = [], []
     for line in lines[1:]:
         parts = line.split(",")
@@ -293,8 +287,8 @@ def cmd_energy_report(cfg, run_dir):
     summary = {
         "steps": len(residuals) - 1,
         "max_residual": max(residuals),
-        "mean_residual": sum(residuals) / max(len(residuals), 1),
-        "final_energy_phi": totals[-1] if totals else math.nan,
+        "mean_residual": sum(residuals) / len(residuals),
+        "final_energy_phi": totals[-1],
     }
     outdir = _prepare_outdir(cfg)
     atomic_write(

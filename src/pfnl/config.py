@@ -126,7 +126,6 @@ class RunConfig:
         return SchemeConfig(
             dt=self.time_dt,
             T=self.time_T,
-            theta_solver_tol=self.cg_tol,
             phi_solver_tol=self.cg_tol,
             newton_max_iter=self.newton_max_iter,
             newton_tol=self.newton_tol,

@@ -7,6 +7,10 @@ faces so that ``(-lap(u), w)_H == (grad u, grad w)_H`` holds to machine
 precision; that exact integration-by-parts is what makes the energy
 identities downstream hold at the discrete level.
 
+Every ``(a I - b lap_N)`` solve goes through :func:`neumann_solve`: the
+orthonormal DCT-II diagonalizes the reflected-ghost-cell Laplacian exactly,
+so the solve is a transform pair and one division, in 1D and 2D alike.
+
 Dual-space machinery: the pivot identification of L2 with its dual turns
 the H1 Riesz map into the SPD operator ``F = I - lap_N``.  ``dual_norm``
 evaluates ``sqrt((u, F^{-1} u)_H)``.
@@ -14,14 +18,18 @@ evaluates ``sqrt((u, F^{-1} u)_H)``.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solveh_banded
-from scipy.sparse.linalg import LinearOperator, cg
+from scipy.fft import dctn, idctn
+# Unused here; kept bound because bench/child.py's trace mode wraps ``fields.cg``.
+from scipy.sparse.linalg import cg  # noqa: F401
 
-from .errors import GridMismatchError, SolverError
+from .errors import ConfigError, GridMismatchError, SolverError
 
 
 @dataclass(frozen=True)
@@ -89,6 +97,19 @@ class Grid:
     def meshgrid(self):
         axes = [self.axis_centers(k) for k in range(self.dimension)]
         return np.meshgrid(*axes, indexing="ij")
+
+    @cached_property
+    def neumann_symbol(self):
+        """Eigenvalues of ``-lap_N`` in the orthonormal DCT-II basis.
+
+        Per axis ``(4/h^2) sin^2(pi k / 2n)``, summed over the axes.  Cached
+        on the instance; the cache takes no part in equality or hashing.
+        """
+        per_axis = [
+            (4.0 / (h * h)) * np.sin(np.pi * np.arange(m) / (2.0 * m)) ** 2
+            for m, h in zip(self.n, self.spacing)
+        ]
+        return sum(np.ix_(*per_axis))
 
 
 @dataclass
@@ -227,44 +248,23 @@ def riesz_apply(u):
     return Field(u.grid, u.data - neumann_laplacian(u).data)
 
 
-def riesz_inverse(u, tol=1e-12):
-    """Solve ``(I - lap_N) w = u``.
+def neumann_solve(grid, rhs, a, b):
+    """Solve ``(a I - b lap_N) w = rhs`` exactly for ``a > 0, b >= 0``.
 
-    Direct symmetric-banded solve in 1D; matrix-free conjugate gradients
-    (relative tolerance ``tol``) in 2D.  The operator is SPD, so failure
-    to converge raises :class:`SolverError`.
+    ``rhs`` is an array of the grid's shape.  The orthonormal DCT-II
+    diagonalizes ``lap_N``, so ``w`` is the inverse transform of the
+    transformed ``rhs`` divided by ``a + b * grid.neumann_symbol``.  The
+    constant mode is divided by ``a`` alone, which makes
+    ``sum(w) == sum(rhs) / a`` up to roundoff.
     """
-    grid = u.grid
-    if grid.dimension == 1:
-        return Field(grid, _riesz_solve_1d(grid, u.data))
-
-    def matvec(x):
-        f = Field(grid, x.reshape(grid.shape))
-        return riesz_apply(f).data.ravel()
-
-    op = LinearOperator(
-        (grid.num_cells, grid.num_cells), matvec=matvec, dtype=np.float64
-    )
-    sol, info = cg(op, u.data.ravel(), rtol=tol, atol=0.0, maxiter=20 * grid.num_cells)
-    if info != 0:
-        raise SolverError(f"CG for the Riesz solve did not converge (info={info})")
-    return Field(grid, sol.reshape(grid.shape))
+    coeffs = dctn(rhs, type=2, norm="ortho")
+    coeffs /= a + b * grid.neumann_symbol
+    return idctn(coeffs, type=2, norm="ortho")
 
 
-def _riesz_banded(grid):
-    (n,) = grid.n
-    (h,) = grid.spacing
-    a = 1.0 / (h * h)
-    diag = np.full(n, 1.0 + 2.0 * a)
-    diag[0] -= a
-    diag[-1] -= a
-    upper = np.full(n, -a)
-    upper[0] = 0.0
-    return np.vstack([upper, diag])
-
-
-def _riesz_solve_1d(grid, rhs):
-    return solveh_banded(_riesz_banded(grid), rhs, lower=False)
+def riesz_inverse(u):
+    """Solve ``(I - lap_N) w = u`` exactly (see :func:`neumann_solve`)."""
+    return Field(u.grid, neumann_solve(u.grid, u.data, 1.0, 1.0))
 
 
 def dual_norm(u):
@@ -307,36 +307,100 @@ def restrict(u, coarse):
     return Field(coarse, data)
 
 
+def atomic_write(path, payload):
+    """Write ``payload`` (str or bytes) to a temp file, then rename it to
+    ``path``, so an interrupted write never leaves a partial file there."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    mode = "wb" if isinstance(payload, bytes) else "w"
+    try:
+        with open(tmp, mode) as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def write_field(u, path, fmt="csv"):
-    """Serialize a field: CSV rows of index coordinates then value, or
-    raw little-endian float64 in row-major order."""
+    """Serialize a field atomically: CSV rows of index coordinates then
+    value, or raw little-endian float64 in row-major order."""
     if fmt == "csv":
         lines = []
         for idx in np.ndindex(u.grid.shape):
             coords = ",".join(str(i) for i in idx)
             lines.append(f"{coords},{u.data[idx]:.17g}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        atomic_write(path, "\n".join(lines) + "\n")
     elif fmt == "binary":
-        u.data.astype("<f8").tofile(path)
+        atomic_write(path, u.data.astype("<f8").tobytes())
     else:
         raise ValueError(f"unknown field format {fmt!r}")
 
 
 def read_field(grid, path, fmt="csv"):
-    """Read a field snapshot written by :func:`write_field`."""
-    if fmt == "csv":
-        data = np.zeros(grid.shape)
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
+    """Read a field snapshot written by :func:`write_field`.
+
+    Every cell must be given exactly once: a missing, repeated or
+    out-of-range cell, a malformed CSV row, a binary file of the wrong
+    size or a non-finite value raises :class:`ConfigError` naming the
+    path and the first bad cell.
+    """
+    readers = {"csv": _read_csv_cells, "binary": _read_binary_cells}
+    if fmt not in readers:
+        raise ValueError(f"unknown field format {fmt!r}")
+    try:
+        data = readers[fmt](grid, path)
+    except OSError as err:
+        raise ConfigError(f"cannot read field file {path!r}: {err}") from err
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        raise ConfigError(
+            f"field file {path!r}: non-finite value at cell {_cell(bad[0])}"
+        )
+    return Field(grid, data)
+
+
+def _cell(index):
+    return tuple(int(i) for i in index)
+
+
+def _read_binary_cells(grid, path):
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    expected = 8 * grid.num_cells
+    if len(raw) != expected:
+        raise ConfigError(
+            f"field file {path!r} holds {len(raw)} bytes, expected {expected} "
+            f"for {grid.num_cells} float64 cells"
+        )
+    return np.frombuffer(raw, dtype="<f8").reshape(grid.shape).astype(np.float64)
+
+
+def _read_csv_cells(grid, path):
+    data = np.zeros(grid.shape)
+    seen = np.zeros(grid.shape, dtype=bool)
+    ncols = grid.dimension + 1
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"field file {path!r} line {lineno}"
+            parts = line.split(",")
+            if len(parts) != ncols:
+                raise ConfigError(f"{where}: expected {ncols} columns, got {len(parts)}")
+            try:
                 idx = tuple(int(p) for p in parts[:-1])
-                data[idx] = float(parts[-1])
-        return Field(grid, data)
-    if fmt == "binary":
-        data = np.fromfile(path, dtype="<f8")
-        return Field(grid, data.reshape(grid.shape))
-    raise ValueError(f"unknown field format {fmt!r}")
+                value = float(parts[-1])
+            except ValueError as err:
+                raise ConfigError(f"{where}: cannot parse {line!r}") from err
+            if any(not 0 <= i < m for i, m in zip(idx, grid.shape)):
+                raise ConfigError(f"{where}: cell {idx} outside the grid {grid.shape}")
+            if seen[idx]:
+                raise ConfigError(f"{where}: cell {idx} repeated")
+            seen[idx] = True
+            data[idx] = value
+    missing = np.argwhere(~seen)
+    if missing.size:
+        raise ConfigError(f"field file {path!r}: cell {_cell(missing[0])} missing")
+    return data

@@ -10,7 +10,8 @@ Neumann Laplacian.  The phase subsystem is solved first, implicitly in
 ``B`` and ``beta`` (Newton with matrix-free CG; the Jacobian
 ``(1/dt^2 + 1/dt) I + B + beta'`` is SPD because ``beta`` is monotone),
 with ``pi`` and the temperature taken explicitly.  The temperature
-subsystem then sees the fresh phase velocity and is a single SPD solve.
+subsystem then sees the fresh phase velocity and is one exact
+``(I - dt lap_N)`` solve by the DCT (:func:`pfnl.fields.neumann_solve`).
 
 Implicit treatment of ``B`` matters: the nonlocal operator norm grows
 like ``1/eps^2``, so an explicit coupling would put a dt ceiling
@@ -35,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solveh_banded
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import SolverError
@@ -44,6 +44,7 @@ from .fields import (
     grad_inner,
     inner_product,
     neumann_laplacian,
+    neumann_solve,
     norm,
     zeros,
 )
@@ -64,16 +65,17 @@ class State:
 class SchemeConfig:
     dt: float
     T: float
-    theta_solver_tol: float = 1e-12
     phi_solver_tol: float = 1e-12
     newton_max_iter: int = 25
     newton_tol: float = 1e-10
     snapshots: int = 20
 
     def __post_init__(self):
-        if not 0.0 < self.dt <= self.T and self.T > 0.0:
-            raise ValueError(f"need 0 < dt <= T, got dt={self.dt}, T={self.T}")
-        for tol in (self.theta_solver_tol, self.phi_solver_tol, self.newton_tol):
+        if not self.dt > 0.0 or (self.T > 0.0 and self.dt > self.T):
+            raise ValueError(
+                f"need dt > 0, and dt <= T when T > 0; got dt={self.dt}, T={self.T}"
+            )
+        for tol in (self.phi_solver_tol, self.newton_tol):
             if not 0.0 < tol <= 1e-6:
                 raise ValueError(f"solver tolerances must lie in (0, 1e-6], got {tol}")
 
@@ -239,40 +241,12 @@ def _phi_update(state, apply_B, potential, cfg):
     return phi_new, v_new, iters
 
 
-def _theta_banded(grid, dt):
-    (n,) = grid.n
-    (h,) = grid.spacing
-    a = dt / (h * h)
-    diag = np.full(n, 1.0 + 2.0 * a)
-    diag[0] -= a
-    diag[-1] -= a
-    upper = np.full(n, -a)
-    upper[0] = 0.0
-    return np.vstack([upper, diag])
-
-
 def _theta_update(state, v_new, f_next, cfg):
-    """Linear SPD solve ``(I - dt lap) theta = theta^n + dt (f - v^{n+1})``."""
+    """Exact SPD solve ``(I - dt lap) theta = theta^n + dt (f - v^{n+1})``."""
     dt = cfg.dt
     grid = state.theta.grid
     rhs = state.theta.data + dt * (f_next.data - v_new.data)
-    if grid.dimension == 1:
-        return Field(grid, solveh_banded(_theta_banded(grid, dt), rhs, lower=False))
-
-    def matvec(x):
-        xf = Field(grid, x.reshape(grid.shape))
-        return x - dt * neumann_laplacian(xf).data.ravel()
-
-    op = LinearOperator(
-        (grid.num_cells, grid.num_cells), matvec=matvec, dtype=np.float64
-    )
-    sol, info = cg(
-        op, rhs.ravel(), rtol=cfg.theta_solver_tol, atol=0.0,
-        maxiter=20 * grid.num_cells,
-    )
-    if info != 0:
-        raise SolverError(f"temperature CG did not converge (info={info})")
-    return Field(grid, sol.reshape(grid.shape))
+    return Field(grid, neumann_solve(grid, rhs, 1.0, dt))
 
 
 def step_nonlocal(state, op, potential, f_next, cfg):

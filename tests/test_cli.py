@@ -6,6 +6,8 @@ import pytest
 from pfnl import cli
 from pfnl.config import default_config, parse_config_text
 from pfnl.errors import ConfigError
+from pfnl.fields import Grid, write_field, zeros
+from pfnl.integrator import CSV_COLUMNS
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -152,6 +154,34 @@ class TestSimulate:
         assert summary["max_residual"] >= 0.0
         assert (tmp_path / "out" / "energy_report.json").exists()
 
+    def test_energy_report_without_records_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL_SIM.format(out=tmp_path / "out"))
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "energy.csv").write_text(",".join(CSV_COLUMNS) + "\n")
+        code = cli.main(["energy-report", "--config", cfg, "--run", str(run)])
+        assert code == 2
+        assert "holds no energy records" in capsys.readouterr().err
+
+    def test_truncated_custom_initial_exits_2(self, tmp_path, capsys):
+        grid = Grid.line(64)
+        paths = {}
+        for name in ("theta", "phi", "v"):
+            paths[name] = tmp_path / f"{name}0.csv"
+            write_field(zeros(grid), paths[name])
+        rows = paths["phi"].read_text().splitlines()
+        paths["phi"].write_text("\n".join(rows[:40]) + "\n")
+        cfg = write_config(
+            tmp_path,
+            SMALL_SIM.format(out=tmp_path / "out")
+            + "initial.kind = custom\n"
+            + "".join(f"initial.{k}_file = {p}\n" for k, p in paths.items()),
+        )
+        code = cli.main(["simulate", "--config", cfg, "--local"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(paths["phi"]) in err and "cell (40,) missing" in err
+
 
 SMALL_SWEEP = """
 time.T = 0.2
@@ -172,6 +202,12 @@ class TestConverge:
         assert len(report) == 4  # header + one row per width
         estimates = (tmp_path / "out" / "estimates.csv").read_text()
         assert estimates.startswith("eps,")
+
+    def test_bad_thread_count_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PFNL_THREADS", "abc")
+        cfg = write_config(tmp_path, SMALL_SWEEP.format(out=tmp_path / "out"))
+        assert cli.main(["converge", "--config", cfg]) == 2
+        assert "PFNL_THREADS" in capsys.readouterr().err
 
     def test_deterministic_reports(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

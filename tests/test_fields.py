@@ -1,10 +1,15 @@
 import math
+import os
+import tempfile
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rough_field, smooth_field
-from pfnl.errors import GridMismatchError
+from pfnl.errors import ConfigError, GridMismatchError
 from pfnl.fields import (
     Field,
     Grid,
@@ -13,6 +18,7 @@ from pfnl.fields import (
     grad_inner,
     inner_product,
     neumann_laplacian,
+    neumann_solve,
     norm,
     ones,
     read_field,
@@ -135,6 +141,31 @@ class TestLaplacian:
             assert inner_product("H", neumann_laplacian(u), u) <= 1e-12
 
 
+def dense_laplacian(grid):
+    """``lap_N`` assembled column by column from :func:`neumann_laplacian`."""
+    cols = []
+    for j in range(grid.num_cells):
+        e = np.zeros(grid.num_cells)
+        e[j] = 1.0
+        cols.append(neumann_laplacian(Field(grid, e.reshape(grid.shape))).data.ravel())
+    return np.column_stack(cols)
+
+
+class TestNeumannSolve:
+    @pytest.mark.parametrize(
+        "grid", [Grid.line(5), Grid.line(7), Grid((1.0, 2.5), (5, 7))]
+    )
+    @pytest.mark.parametrize("a,b", [(1.0, 1.0), (1.0, 1e-3)])
+    def test_matches_dense_solve(self, grid, a, b, rng):
+        matrix = a * np.eye(grid.num_cells) - b * dense_laplacian(grid)
+        rhs = rng.normal(size=grid.shape)
+        w = neumann_solve(grid, rhs, a, b)
+        ref = np.linalg.solve(matrix, rhs.ravel()).reshape(grid.shape)
+        assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # the constant mode sees only ``a``: mass is conserved exactly
+        assert np.sum(w) == pytest.approx(np.sum(rhs) / a, rel=0.0, abs=1e-13)
+
+
 class TestRiesz:
     def test_constant_fixed_point(self):
         g = Grid.line(32)
@@ -230,10 +261,84 @@ class TestRestrictionAndIO:
             restrict(ones(Grid.line(8, 2.0)), Grid.line(4, 1.0))
 
     @pytest.mark.parametrize("fmt", ["csv", "binary"])
-    def test_io_round_trip(self, tmp_path, rng, fmt):
-        for grid in [Grid.line(16), Grid.box(5)]:
-            u = rough_field(grid, rng)
-            path = tmp_path / f"field-{grid.dimension}.{fmt}"
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_io_round_trip(self, fmt, data):
+        n = data.draw(st.lists(st.integers(4, 9), min_size=1, max_size=2))
+        grid = Grid(tuple(1.0 for _ in n), tuple(n))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        values = data.draw(hnp.arrays(np.float64, grid.shape, elements=finite))
+        u = Field(grid, values)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, f"field.{fmt}")
             write_field(u, path, fmt=fmt)
             back = read_field(grid, path, fmt=fmt)
-            assert np.array_equal(back.data, u.data)
+            assert os.listdir(tmp) == [f"field.{fmt}"]
+        assert np.array_equal(back.data, u.data)
+
+    def test_write_is_atomic(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("simulated rename failure")
+
+        monkeypatch.setattr(os, "replace", fail)
+        path = tmp_path / "phi.csv"
+        with pytest.raises(OSError):
+            write_field(ones(Grid.line(8)), path)
+        assert not path.exists()
+        assert os.listdir(tmp_path) == []
+
+
+def _csv_rows(grid, tmp_path):
+    path = tmp_path / "u.csv"
+    write_field(Field(grid, np.arange(1.0, grid.num_cells + 1).reshape(grid.shape)), path)
+    return path, path.read_text().splitlines()
+
+
+class TestReadFieldRejects:
+    def _rejects(self, grid, path, *fragments, fmt="csv"):
+        with pytest.raises(ConfigError) as err:
+            read_field(grid, path, fmt=fmt)
+        msg = str(err.value)
+        assert str(path) in msg
+        for fragment in fragments:
+            assert fragment in msg
+
+    def test_missing_cell(self, tmp_path):
+        grid = Grid.line(8)
+        path, rows = _csv_rows(grid, tmp_path)
+        path.write_text("\n".join(rows[:5]) + "\n")
+        self._rejects(grid, path, "cell (5,) missing")
+
+    def test_repeated_cell(self, tmp_path):
+        grid = Grid.box(4)
+        path, rows = _csv_rows(grid, tmp_path)
+        path.write_text("\n".join(rows + [rows[3]]) + "\n")
+        self._rejects(grid, path, "line 17", "cell (0, 3) repeated")
+
+    def test_index_out_of_range(self, tmp_path):
+        grid = Grid.line(8)
+        path, rows = _csv_rows(grid, tmp_path)
+        rows[2] = "8,3.0"
+        path.write_text("\n".join(rows) + "\n")
+        self._rejects(grid, path, "line 3", "cell (8,) outside")
+
+    def test_wrong_column_count(self, tmp_path):
+        grid = Grid.line(8)
+        path, rows = _csv_rows(grid, tmp_path)
+        rows[4] = "4,0,5.0"
+        path.write_text("\n".join(rows) + "\n")
+        self._rejects(grid, path, "line 5", "expected 2 columns, got 3")
+
+    def test_binary_wrong_size(self, tmp_path):
+        grid = Grid.line(8)
+        path = tmp_path / "u.bin"
+        write_field(ones(grid), path, fmt="binary")
+        path.write_bytes(path.read_bytes()[:-8])
+        self._rejects(grid, path, "56 bytes, expected 64", fmt="binary")
+
+    def test_non_finite_value(self, tmp_path):
+        grid = Grid.line(8)
+        path, rows = _csv_rows(grid, tmp_path)
+        rows[6] = "6,nan"
+        path.write_text("\n".join(rows) + "\n")
+        self._rejects(grid, path, "non-finite value at cell (6,)")

@@ -273,6 +273,11 @@ class TestSchemeConfig:
         with pytest.raises(ValueError):
             SchemeConfig(dt=1e-3, T=1.0, newton_tol=1e-3)
 
+    @pytest.mark.parametrize("dt", [0.0, -1.0])
+    def test_nonpositive_dt_rejected_without_steps(self, dt):
+        with pytest.raises(ValueError):
+            SchemeConfig(dt=dt, T=0.0)
+
     def test_num_steps(self):
         assert SchemeConfig(dt=1e-3, T=0.5).num_steps == 500
         assert SchemeConfig(dt=1e-3, T=0.0).num_steps == 0
