@@ -69,7 +69,14 @@ def _write_manifest(outdir, cfg, command, started, extra=None):
 
 
 def _prepare_outdir(cfg):
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    """Create the output directory; every command calls this before its
+    work, so an unusable ``output.dir`` fails fast as a config error."""
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(
+            [f"cannot create output.dir {cfg.output_dir!r}: {err}"]
+        ) from err
     return cfg.output_dir
 
 
@@ -97,6 +104,7 @@ def cmd_simulate(cfg, eps=None, local=False):
         raise ConfigError(["simulate needs --eps <real> or --local"])
     if eps is not None and not 0.0 < eps <= 1.0:
         raise ConfigError([f"--eps must lie in (0, 1], got {eps}"])
+    outdir = _prepare_outdir(cfg)
 
     if eps is not None:
         eps_list = [eps]
@@ -130,7 +138,6 @@ def cmd_simulate(cfg, eps=None, local=False):
             "nonlocal", data, potential, scheme, op=op, source=source
         )
 
-    outdir = _prepare_outdir(cfg)
     lines = [",".join(CSV_COLUMNS)]
     lines.extend(record_csv_row(r) for r in traj.records)
     atomic_write(os.path.join(outdir, "energy.csv"), "\n".join(lines) + "\n")
@@ -166,6 +173,7 @@ def cmd_simulate(cfg, eps=None, local=False):
 def cmd_converge(cfg):
     """Run the width sweep against the local reference."""
     started = time.time()
+    outdir = _prepare_outdir(cfg)
     sweep = SweepConfig(
         family=cfg.make_family(),
         potential=cfg.make_potential(),
@@ -179,7 +187,6 @@ def cmd_converge(cfg):
         reference=cfg.sweep_reference,
     )
     report = nonlocal_to_local_study(sweep)
-    outdir = _prepare_outdir(cfg)
     atomic_write(os.path.join(outdir, "report.csv"), report_csv(report))
     atomic_write(os.path.join(outdir, "estimates.csv"), estimates_csv(report))
     _write_manifest(
@@ -201,13 +208,13 @@ def cmd_converge(cfg):
 def cmd_verify_kernel(cfg):
     """Print the kernel normalization constants and moment residual."""
     started = time.time()
+    outdir = _prepare_outdir(cfg)
     family = cfg.make_family()
     residual = moment_check(family)
     csv = "c_d,normalization,moment_residual\n" + (
         f"{family.c_d:.17g},{family.normalization:.17g},{residual:.17g}\n"
     )
     print(csv, end="")
-    outdir = _prepare_outdir(cfg)
     atomic_write(os.path.join(outdir, "kernel.csv"), csv)
     _write_manifest(outdir, cfg, "verify-kernel", started)
     return 0 if residual <= 1e-10 else FAILURE_EXIT
@@ -216,6 +223,7 @@ def cmd_verify_kernel(cfg):
 def cmd_verify_lemmas(cfg):
     """Run the analytic verification suites and emit pass/fail JSON."""
     started = time.time()
+    outdir = _prepare_outdir(cfg)
     family = cfg.make_family()
     dim = cfg.grid_dimension
     results = {}
@@ -254,7 +262,6 @@ def cmd_verify_lemmas(cfg):
         "max_fd_relative_residual": frechet["max_fd_relative_residual"],
     }
 
-    outdir = _prepare_outdir(cfg)
     atomic_write(
         os.path.join(outdir, "lemmas.json"), json.dumps(results, indent=2) + "\n"
     )
@@ -267,6 +274,7 @@ def cmd_verify_lemmas(cfg):
 def cmd_energy_report(cfg, run_dir):
     """Summarize the energy records of a previous simulate run."""
     started = time.time()
+    outdir = _prepare_outdir(cfg)
     path = os.path.join(run_dir, "energy.csv")
     try:
         with open(path) as fh:
@@ -290,7 +298,6 @@ def cmd_energy_report(cfg, run_dir):
         "mean_residual": sum(residuals) / len(residuals),
         "final_energy_phi": totals[-1],
     }
-    outdir = _prepare_outdir(cfg)
     atomic_write(
         os.path.join(outdir, "energy_report.json"), json.dumps(summary, indent=2) + "\n"
     )

@@ -19,6 +19,7 @@ evaluates ``sqrt((u, F^{-1} u)_H)``.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -323,14 +324,14 @@ def atomic_write(path, payload):
 
 
 def write_field(u, path, fmt="csv"):
-    """Serialize a field atomically: CSV rows of index coordinates then
-    value, or raw little-endian float64 in row-major order."""
+    """Serialize a field atomically: CSV rows ``"{coords},{value:.17g}"``
+    (comma-joined cell indices, row-major order), or raw little-endian
+    float64 in row-major order."""
     if fmt == "csv":
-        lines = []
-        for idx in np.ndindex(u.grid.shape):
-            coords = ",".join(str(i) for i in idx)
-            lines.append(f"{coords},{u.data[idx]:.17g}")
-        atomic_write(path, "\n".join(lines) + "\n")
+        # row-major "i,j" prefixes, last axis fastest like ``u.data.ravel()``
+        coords = itertools.product(*([str(i) for i in range(m)] for m in u.grid.shape))
+        rows = zip(map(",".join, coords), u.data.ravel().tolist())
+        atomic_write(path, "".join(f"{c},{v:.17g}\n" for c, v in rows))
     elif fmt == "binary":
         atomic_write(path, u.data.astype("<f8").tobytes())
     else:

@@ -398,11 +398,14 @@ def w11_integrals(family, eps):
 
 @dataclass(frozen=True)
 class EvaluatedKernel:
-    """Kernel values tabulated on the grid-offset lattice.
+    """Kernel values tabulated on the offsets of its compact support.
 
-    ``values[o + n - 1]`` (per axis) holds ``J_eps`` at offset vector
-    ``o * h``; the origin cell stores the cell-average of the kernel so
-    that singular kernels stay summable.  Immutable and shareable.
+    ``J_eps`` vanishes beyond ``w = ceil(eps R / h)`` cells per axis
+    (clipped to ``n - 1``, the largest in-box offset), so only the
+    ``(2w+1)^d`` window is stored: ``values[o + w]`` (per axis) holds
+    ``J_eps`` at offset vector ``o * h``.  The origin cell stores the
+    cell-average of the kernel so that singular kernels stay summable.
+    Immutable and shareable.
     """
 
     family: KernelFamily
@@ -412,19 +415,19 @@ class EvaluatedKernel:
 
     @property
     def halfwidth(self):
-        """Support halfwidth in cells per axis."""
-        return tuple(
-            int(math.ceil(self.eps * self.family.profile.support_radius / h))
-            for h in self.grid.spacing
-        )
+        """Support halfwidth ``w`` in cells per axis."""
+        return tuple((m - 1) // 2 for m in self.values.shape)
 
     def value_at(self, offset):
-        idx = tuple(o + m - 1 for o, m in zip(offset, self.grid.n))
-        return float(self.values[idx])
+        """``J_eps`` at an integer offset; 0 outside the stored window."""
+        w = self.halfwidth
+        if any(abs(o) > k for o, k in zip(offset, w)):
+            return 0.0
+        return float(self.values[tuple(o + k for o, k in zip(offset, w))])
 
 
 def tabulate_kernel(family, eps, grid):
-    """Evaluate ``J_eps`` at every grid offset, enforcing ``eps >= 4h``.
+    """Evaluate ``J_eps`` on its support window, enforcing ``eps >= 4h``.
 
     Under-resolved kernels degenerate to a scaled identity and silently
     break the local-limit diagnostics, hence the hard resolution gate.
@@ -443,16 +446,16 @@ def tabulate_kernel(family, eps, grid):
             f"need eps >= 4h = {4.0 * hmax}"
         )
 
-    offsets = [np.arange(-(m - 1), m) * h for m, h in zip(grid.n, grid.spacing)]
+    reach = eps * family.profile.support_radius
+    w = tuple(min(math.ceil(reach / h), m - 1) for m, h in zip(grid.n, grid.spacing))
+    offsets = [np.arange(-k, k + 1) * h for k, h in zip(w, grid.spacing)]
     if grid.dimension == 1:
         radii = np.abs(offsets[0])
     else:
         radii = np.sqrt(offsets[0][:, None] ** 2 + offsets[1][None, :] ** 2)
 
     values = _radial_values(family, eps, np.where(radii == 0.0, 1.0, radii))
-    values[radii == 0.0] = 0.0
-    center = tuple(m - 1 for m in grid.n)
-    values[center] = _origin_cell_average(family, eps, grid.spacing)
+    values[w] = _origin_cell_average(family, eps, grid.spacing)
     return EvaluatedKernel(family, eps, grid, values)
 
 

@@ -4,7 +4,11 @@ counterparts.
 The domain-restricted convolution ``(J_eps * u)(x) = int_D J_eps(x-y) u(y) dy``
 is computed by zero-extending ``u`` and performing a linear (padded) FFT
 convolution; since the integrand vanishes outside the box this is exact
-for the restricted integral up to the shared midpoint quadrature.  One
+for the restricted integral up to the shared midpoint quadrature.  The
+kernel is stored and padded by its compact support, not by the box: the
+``(2w+1)^d`` window is wrapped onto a lattice of ``n + w`` cells per axis
+(rounded up to a fast FFT size), so the cost of an application depends
+on ``n + w`` rather than ``2n - 1``.  One
 quadrature (cell centers, with the origin cell of the kernel carrying its
 cell average) is used for everything, so the discrete identity
 
@@ -44,25 +48,28 @@ class ConvolutionPlan:
 
     def apply(self, data):
         """Circular convolution on the padded lattice, truncated to the box."""
-        padded = np.zeros(self.padded_shape)
-        padded[tuple(slice(0, m) for m in self.grid.n)] = data
-        out = sfft.irfftn(sfft.rfftn(padded) * self.kernel_hat, s=self.padded_shape)
+        out = sfft.irfftn(
+            sfft.rfftn(data, s=self.padded_shape) * self.kernel_hat, s=self.padded_shape
+        )
         return out[tuple(slice(0, m) for m in self.grid.n)]
 
 
 def build_plan(kernel):
-    """Wrap the tabulated kernel onto a padded lattice and cache its FFT.
+    """Wrap the kernel's support window onto a padded lattice and cache its FFT.
 
-    Padding to at least ``2n - 1`` per axis keeps the circular product
-    equal to the linear convolution for every in-box offset.
+    With support halfwidth ``w``, padding to at least ``n + w`` per axis
+    keeps the circular product equal to the linear convolution for every
+    in-box pair: an in-box offset ``o`` satisfies ``|o| <= n - 1``, so no
+    stored offset ``|o'| <= w`` aliases onto it.
     """
     grid = kernel.grid
-    padded_shape = tuple(sfft.next_fast_len(2 * m - 1) for m in grid.n)
+    w = kernel.halfwidth
+    padded_shape = tuple(sfft.next_fast_len(m + k) for m, k in zip(grid.n, w))
     wrapped = np.zeros(padded_shape)
-    sl = tuple(slice(0, 2 * m - 1) for m in grid.n)
-    wrapped[sl] = kernel.values
-    # move offset 0 (stored at index n-1) to lattice index 0
-    wrapped = np.roll(wrapped, shift=tuple(-(m - 1) for m in grid.n), axis=tuple(range(grid.dimension)))
+    # offset o (stored at index o + w) goes to lattice index o mod padded size
+    wrapped[np.ix_(*(np.arange(-k, k + 1) % p for k, p in zip(w, padded_shape)))] = (
+        kernel.values
+    )
     return ConvolutionPlan(grid, kernel, padded_shape, sfft.rfftn(wrapped))
 
 
@@ -108,16 +115,15 @@ def energy_nonlocal(op, u):
 
 def pairwise_kernel_matrix(op):
     """Dense matrix ``J_eps(x_i - x_j)`` over all cell pairs (small grids)."""
-    grid = op.grid
-    values = op.plan.kernel.values
-    if grid.dimension == 1:
-        idx = np.arange(grid.n[0])
-        return values[idx[:, None] - idx[None, :] + grid.n[0] - 1]
-    i1, i2 = np.meshgrid(np.arange(grid.n[0]), np.arange(grid.n[1]), indexing="ij")
-    i1, i2 = i1.ravel(), i2.ravel()
-    o1 = i1[:, None] - i1[None, :] + grid.n[0] - 1
-    o2 = i2[:, None] - i2[None, :] + grid.n[1] - 1
-    return values[o1, o2]
+    kernel = op.plan.kernel
+    # a ring of zeros around the window: offsets beyond the support read 0
+    ringed = np.pad(kernel.values, 1)
+    cells = np.indices(op.grid.shape).reshape(op.grid.dimension, -1)
+    idx = tuple(
+        np.clip(c[:, None] - c[None, :] + k + 1, 0, 2 * k + 2)
+        for c, k in zip(cells, kernel.halfwidth)
+    )
+    return ringed[idx]
 
 
 def energy_double_sum(op, u):

@@ -10,6 +10,10 @@ from pfnl.fields import Grid, write_field, zeros
 from pfnl.integrator import CSV_COLUMNS
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the command started work before checking output.dir")
+
+
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -163,6 +167,15 @@ class TestSimulate:
         assert code == 2
         assert "holds no energy records" in capsys.readouterr().err
 
+    def test_unusable_output_dir_exits_2(self, tmp_path, capsys, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = write_config(tmp_path, SMALL_SIM.format(out=blocker / "out"))
+        monkeypatch.setattr(cli, "solve_trajectory", _must_not_run)
+        code = cli.main(["simulate", "--config", cfg, "--eps", "0.25"])
+        assert code == 2
+        assert str(blocker / "out") in capsys.readouterr().err
+
     def test_truncated_custom_initial_exits_2(self, tmp_path, capsys):
         grid = Grid.line(64)
         paths = {}
@@ -208,6 +221,14 @@ class TestConverge:
         cfg = write_config(tmp_path, SMALL_SWEEP.format(out=tmp_path / "out"))
         assert cli.main(["converge", "--config", cfg]) == 2
         assert "PFNL_THREADS" in capsys.readouterr().err
+
+    def test_unusable_output_dir_exits_2(self, tmp_path, capsys, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = write_config(tmp_path, SMALL_SWEEP.format(out=blocker / "out"))
+        monkeypatch.setattr(cli, "nonlocal_to_local_study", _must_not_run)
+        assert cli.main(["converge", "--config", cfg]) == 2
+        assert str(blocker / "out") in capsys.readouterr().err
 
     def test_deterministic_reports(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -276,6 +276,18 @@ class TestRestrictionAndIO:
             assert os.listdir(tmp) == [f"field.{fmt}"]
         assert np.array_equal(back.data, u.data)
 
+    def test_csv_bytes_follow_documented_format(self, tmp_path, rng):
+        for grid in (Grid.line(7), Grid((1.0, 2.0), (4, 6))):
+            scales = 10.0 ** rng.integers(-30, 30, grid.shape)
+            u = Field(grid, rng.normal(size=grid.shape) * scales)
+            path = tmp_path / "u.csv"
+            write_field(u, path)
+            expected = "".join(
+                ",".join(str(i) for i in idx) + f",{float(u.data[idx]):.17g}\n"
+                for idx in np.ndindex(grid.shape)
+            )
+            assert path.read_bytes() == expected.encode()
+
     def test_write_is_atomic(self, tmp_path, monkeypatch):
         def fail(src, dst):
             raise OSError("simulated rename failure")

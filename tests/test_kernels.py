@@ -190,14 +190,25 @@ class TestTabulation:
         assert np.array_equal(ker.values, ker.values[:, ::-1])
 
     def test_nonnegative_and_compact(self):
-        fam = bump_family(1, 0.0)
-        grid = Grid.line(64)
-        eps = 0.25
-        ker = tabulate_kernel(fam, eps, grid)
-        assert np.min(ker.values) >= 0.0
-        offsets = np.arange(-(grid.n[0] - 1), grid.n[0]) * grid.spacing[0]
-        outside = np.abs(offsets) >= eps * fam.profile.support_radius
-        assert np.max(ker.values[outside]) == 0.0
+        # only the (2w+1)^d support window is stored
+        for grid, eps in [(Grid.line(64), 0.25), (Grid((1.0, 2.5), (16, 20)), 0.5)]:
+            fam = bump_family(grid.dimension, 0.0)
+            ker = tabulate_kernel(fam, eps, grid)
+            reach = eps * fam.profile.support_radius
+            w = ker.halfwidth
+            assert w == tuple(math.ceil(reach / h) for h in grid.spacing)
+            assert ker.values.shape == tuple(2 * k + 1 for k in w)
+            assert np.min(ker.values) >= 0.0
+            axes = np.meshgrid(
+                *(np.arange(-k, k + 1) * h for k, h in zip(w, grid.spacing)),
+                indexing="ij",
+            )
+            outside = np.sqrt(sum(a * a for a in axes)) >= reach
+            assert outside.any() and np.max(ker.values[outside]) == 0.0
+            for axis, k in enumerate(w):
+                for o in (k + 1, -(k + 1), grid.n[axis] - 1):
+                    offset = tuple(o if a == axis else 0 for a in range(grid.dimension))
+                    assert ker.value_at(offset) == 0.0
 
     def test_origin_cell_average_1d_oracle(self):
         fam = bump_family(1, 0.0)
