@@ -415,6 +415,7 @@ REPORT_COLUMNS = (
 
 
 def _solve_for_eps(sweep, eps, grid):
+    op = build_nonlocal_operator(sweep.family, eps, grid)
     data = build_initial_data(
         "smooth-default",
         grid,
@@ -424,8 +425,8 @@ def _solve_for_eps(sweep, eps, grid):
         c1_bound=sweep.c1_bound,
         rule=sweep.rule,
         strict=False,
+        operators={eps: op},
     )
-    op = build_nonlocal_operator(sweep.family, eps, grid)
     traj = solve_trajectory(
         "nonlocal", data, sweep.potential, sweep.scheme, op=op, source=sweep.source
     )

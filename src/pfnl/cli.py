@@ -120,6 +120,7 @@ def cmd_simulate(cfg, eps=None, local=False):
     custom = (
         _load_custom_initial(cfg, grid) if cfg.initial_kind == "custom" else None
     )
+    op = None if local else build_nonlocal_operator(family, eps, grid)
     data = build_initial_data(
         cfg.initial_kind,
         grid,
@@ -128,12 +129,12 @@ def cmd_simulate(cfg, eps=None, local=False):
         potential,
         c1_bound=cfg.initial_c1,
         custom=custom,
+        operators=None if local else {eps: op},
     )
 
     if local:
         traj = solve_trajectory("local", data, potential, scheme, source=source)
     else:
-        op = build_nonlocal_operator(family, eps, grid)
         traj = solve_trajectory(
             "nonlocal", data, potential, scheme, op=op, source=source
         )

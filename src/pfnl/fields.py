@@ -75,7 +75,7 @@ class Grid:
     def dimension(self):
         return len(self.n)
 
-    @property
+    @cached_property
     def spacing(self):
         return tuple(L / m for L, m in zip(self.lengths, self.n))
 
@@ -83,11 +83,11 @@ class Grid:
     def shape(self):
         return self.n
 
-    @property
+    @cached_property
     def cell_volume(self):
         return math.prod(self.spacing)
 
-    @property
+    @cached_property
     def num_cells(self):
         return math.prod(self.n)
 
@@ -126,7 +126,7 @@ class Field:
             raise ValueError(
                 f"data shape {self.data.shape} does not match grid {self.grid.shape}"
             )
-        if not np.all(np.isfinite(self.data)):
+        if not np.isfinite(self.data).all():
             raise ValueError("field contains non-finite entries")
 
     def copy(self):
@@ -220,28 +220,23 @@ def norm(u, space="H"):
 def neumann_laplacian(u):
     """Second-difference Laplacian with reflected (Neumann) ghost cells.
 
-    The stencil is conservative: the output sums to zero exactly, and
-    ``(-lap u, w)_H == (grad u, grad w)_H`` to machine precision.
+    Each interior face flux ``(u_{i+1} - u_i)/h^2`` is added to the cell
+    below the face and subtracted from the cell above it; boundary faces
+    carry no flux.  The stencil is therefore conservative: the output sums
+    to zero up to roundoff, and ``(-lap u, w)_H == (grad u, grad w)_H`` to
+    machine precision.
     """
     out = np.zeros_like(u.data)
+    below = [slice(None)] * u.data.ndim
+    above = [slice(None)] * u.data.ndim
     for axis, h in enumerate(u.grid.spacing):
-        padded = np.pad(u.data, _axis_pad(u.grid.dimension, axis), mode="edge")
-        out += (
-            _shift_slice(padded, axis, 2)
-            - 2.0 * u.data
-            + _shift_slice(padded, axis, 0)
-        ) / (h * h)
+        below[axis], above[axis] = slice(None, -1), slice(1, None)
+        lo, hi = tuple(below), tuple(above)
+        flux = (u.data[hi] - u.data[lo]) / (h * h)
+        out[lo] += flux
+        out[hi] -= flux
+        below[axis] = above[axis] = slice(None)
     return Field(u.grid, out)
-
-
-def _axis_pad(dim, axis):
-    return tuple((1, 1) if k == axis else (0, 0) for k in range(dim))
-
-
-def _shift_slice(padded, axis, start):
-    idx = [slice(None)] * padded.ndim
-    idx[axis] = slice(start, padded.shape[axis] - 2 + start)
-    return padded[tuple(idx)]
 
 
 def riesz_apply(u):

@@ -28,6 +28,13 @@ Each step also evaluates the discrete energy balance: the change of
 
 plus the dissipation ``dt (|grad theta|^2 + |v|^2)`` must match the work
 ``dt ((f, theta) + (phi - pi(phi), v))`` up to O(dt^2) per step.
+:func:`solve_trajectory` evaluates every term of the balance once per step,
+in one pass over the new state, and carries the previous step's total
+forward.  For the kernel operator, ``E(phi) = 1/2 (B phi, phi)_H`` reuses
+the ``B phi`` of the phase Newton's final residual, so the records cost no
+extra application of ``B``.  :func:`total_energy` and
+:func:`energy_balance_residual` recompute the same quantities from two
+states alone.
 """
 
 from __future__ import annotations
@@ -45,20 +52,30 @@ from .fields import (
     inner_product,
     neumann_laplacian,
     neumann_solve,
-    norm,
     zeros,
 )
-from .operators import apply_B_eps, apply_B_local, energy_local, energy_nonlocal
+from .operators import (
+    apply_B_eps,
+    apply_B_local,
+    energy_from_applied,
+    energy_local,
+    energy_nonlocal,
+)
 
 
 @dataclass
 class State:
-    """Solution triple at one time instant (``v`` is the phase velocity)."""
+    """Solution triple at one time instant (``v`` is the phase velocity).
+
+    ``B_phi`` is ``B phi`` as the nonlocal step computed it, or ``None``;
+    :func:`solve_trajectory` reads it for the energy record, then drops it.
+    """
 
     t: float
     theta: Field
     phi: Field
     v: Field
+    B_phi: np.ndarray = None
 
 
 @dataclass(frozen=True)
@@ -96,8 +113,6 @@ class EnergyRecord:
     energy_phi: float
     int_beta_hat: float
     total_energy: float
-    dissipation_accum: float
-    work_accum: float
     residual: float
 
 
@@ -152,27 +167,37 @@ def _phi_update(state, apply_B, potential, cfg):
     Solves ``(1+dt) phi + dt^2 (B phi + beta(phi)) = b`` with
     ``b = (1+dt) phi^n + dt v^n + dt^2 (theta^n - pi(phi^n))`` by Newton;
     the scaling keeps the residual comparable to the field itself, so the
-    H-norm tolerance is meaningful at small dt.
+    H-norm tolerance is meaningful at small dt.  Returns ``(phi, v,
+    iterations, B_phi)``, where ``B_phi`` is the array ``B phi`` of the
+    accepted iterate, taken from its residual.
     """
     dt = cfg.dt
     grid = state.phi.grid
+    vol = grid.cell_volume
     pi_term = np.asarray(potential.pi(state.phi.data), dtype=np.float64)
     b = (
         (1.0 + dt) * state.phi.data
         + dt * state.v.data
         + dt * dt * (state.theta.data - pi_term)
     )
-    b_scale = 1.0 + math.sqrt(grid.cell_volume * float(np.sum(b * b)))
+    b_scale = 1.0 + math.sqrt(vol * float(np.sum(b * b)))
 
     def residual(phi_data):
         Bphi = apply_B(Field(grid, phi_data)).data
         beta_term = np.asarray(potential.beta(phi_data), dtype=np.float64)
-        return (1.0 + dt) * phi_data + dt * dt * (Bphi + beta_term) - b
+        res = (1.0 + dt) * phi_data + dt * dt * (Bphi + beta_term) - b
+        return res, math.sqrt(vol * float(np.sum(res * res))), Bphi
 
     # explicit predictor as the Newton seed
     phi_data = state.phi.data + dt * state.v.data
-    res = residual(phi_data)
-    res_norm = math.sqrt(grid.cell_volume * float(np.sum(res * res)))
+    res, res_norm, Bphi = residual(phi_data)
+    # an overflowed norm would make every tolerance test below False and
+    # return the predictor as if it had converged
+    if not (math.isfinite(b_scale) and math.isfinite(res_norm)):
+        raise SolverError(
+            f"phase Newton norms overflowed (|b| {b_scale:.3e}, "
+            f"residual {res_norm:.3e} at t={state.t:.6g})"
+        )
 
     # Exit once the predictor residual has been beaten down by newton_tol
     # (anchored at dt^2 so the velocity update stays accurate), or once
@@ -191,14 +216,11 @@ def _phi_update(state, apply_B, potential, cfg):
             )
         beta_slope = np.maximum(
             np.asarray(potential.beta_derivative(phi_data), dtype=np.float64), 0.0
-        )
+        ).ravel()
 
         def matvec(x):
             xf = Field(grid, x.reshape(grid.shape))
-            return (
-                (1.0 + dt) * x
-                + dt * dt * (apply_B(xf).data.ravel() + beta_slope.ravel() * x)
-            )
+            return (1.0 + dt) * x + dt * dt * (apply_B(xf).data.ravel() + beta_slope * x)
 
         op = LinearOperator(
             (grid.num_cells, grid.num_cells), matvec=matvec, dtype=np.float64
@@ -216,12 +238,9 @@ def _phi_update(state, apply_B, potential, cfg):
         improved = False
         for _ in range(8):
             trial = phi_data + step * delta
-            trial_res = residual(trial)
-            trial_norm = math.sqrt(
-                grid.cell_volume * float(np.sum(trial_res * trial_res))
-            )
+            trial_res, trial_norm, trial_Bphi = residual(trial)
             if trial_norm < res_norm:
-                phi_data, res, res_norm = trial, trial_res, trial_norm
+                phi_data, res, res_norm, Bphi = trial, trial_res, trial_norm, trial_Bphi
                 improved = True
                 break
             step *= 0.5
@@ -238,7 +257,7 @@ def _phi_update(state, apply_B, potential, cfg):
 
     phi_new = Field(grid, phi_data)
     v_new = Field(grid, (phi_data - state.phi.data) / dt)
-    return phi_new, v_new, iters
+    return phi_new, v_new, iters, Bphi
 
 
 def _theta_update(state, v_new, f_next, cfg):
@@ -250,17 +269,18 @@ def _theta_update(state, v_new, f_next, cfg):
 
 
 def step_nonlocal(state, op, potential, f_next, cfg):
-    """One semi-implicit step of the kernel-operator system."""
-    phi_new, v_new, _ = _phi_update(
+    """One semi-implicit step of the kernel-operator system; the new state
+    carries ``B_eps phi`` for its energy record."""
+    phi_new, v_new, _, B_phi = _phi_update(
         state, lambda u: apply_B_eps(op, u), potential, cfg
     )
     theta_new = _theta_update(state, v_new, f_next, cfg)
-    return State(state.t + cfg.dt, theta_new, phi_new, v_new)
+    return State(state.t + cfg.dt, theta_new, phi_new, v_new, B_phi)
 
 
 def step_local(state, potential, f_next, cfg):
     """One semi-implicit step of the Laplacian system (same scheme)."""
-    phi_new, v_new, _ = _phi_update(state, apply_B_local, potential, cfg)
+    phi_new, v_new = _phi_update(state, apply_B_local, potential, cfg)[:2]
     theta_new = _theta_update(state, v_new, f_next, cfg)
     return State(state.t + cfg.dt, theta_new, phi_new, v_new)
 
@@ -268,19 +288,14 @@ def step_local(state, potential, f_next, cfg):
 # --- energy bookkeeping ---------------------------------------------------------
 
 
-def _int_beta_hat(potential, phi):
-    return phi.grid.cell_volume * float(
-        np.sum(np.asarray(potential.beta_hat(phi.data), dtype=np.float64))
-    )
-
-
 def total_energy(state, energy_fn, potential):
+    beta_hat = np.asarray(potential.beta_hat(state.phi.data), dtype=np.float64)
     return (
         0.5 * inner_product("H", state.theta, state.theta)
         + 0.5 * inner_product("H", state.phi, state.phi)
         + 0.5 * inner_product("H", state.v, state.v)
         + energy_fn(state.phi)
-        + _int_beta_hat(potential, state.phi)
+        + state.phi.grid.cell_volume * float(np.sum(beta_hat))
     )
 
 
@@ -302,20 +317,40 @@ def energy_balance_residual(prev, nxt, energy_fn, potential, f_next, dt):
     return abs(delta + dt * diss - dt * work)
 
 
-def _make_record(state, energy_fn, potential, diss_accum, work_accum, residual):
-    return EnergyRecord(
-        t=state.t,
-        norm_theta_H=norm(state.theta, "H"),
-        norm_grad_theta_H=math.sqrt(max(grad_inner(state.theta, state.theta), 0.0)),
-        norm_phi_H=norm(state.phi, "H"),
-        norm_v_H=norm(state.v, "H"),
-        energy_phi=energy_fn(state.phi),
-        int_beta_hat=_int_beta_hat(potential, state.phi),
-        total_energy=total_energy(state, energy_fn, potential),
-        dissipation_accum=diss_accum,
-        work_accum=work_accum,
+def _record(t, state, energy_phi, potential, f_next=None, dt=None, prev_total=None):
+    """Energy record of ``state`` with each balance term evaluated once, by
+    the arithmetic of :func:`total_energy` and :func:`energy_balance_residual`
+    given ``energy_phi = E(phi)`` and the previous record's ``prev_total``
+    (residual 0 without one).  Also returns ``|grad theta|^2`` and ``|v|^2``."""
+    vol = state.phi.grid.cell_volume
+    theta, phi, v = state.theta.data, state.phi.data, state.v.data
+    theta_sq = vol * float(np.sum(theta * theta))
+    grad_sq = grad_inner(state.theta, state.theta)
+    phi_sq = vol * float(np.sum(phi * phi))
+    v_sq = vol * float(np.sum(v * v))
+    int_beta_hat = vol * float(
+        np.sum(np.asarray(potential.beta_hat(phi), dtype=np.float64))
+    )
+    total = 0.5 * theta_sq + 0.5 * phi_sq + 0.5 * v_sq + energy_phi + int_beta_hat
+    residual = 0.0
+    if prev_total is not None:
+        pi_term = np.asarray(potential.pi(phi), dtype=np.float64)
+        work = vol * float(np.sum(f_next.data * theta)) + vol * float(
+            np.sum((phi - pi_term) * v)
+        )
+        residual = abs(total - prev_total + dt * (grad_sq + v_sq) - dt * work)
+    record = EnergyRecord(
+        t=t,
+        norm_theta_H=math.sqrt(max(theta_sq, 0.0)),
+        norm_grad_theta_H=math.sqrt(max(grad_sq, 0.0)),
+        norm_phi_H=math.sqrt(max(phi_sq, 0.0)),
+        norm_v_H=math.sqrt(max(v_sq, 0.0)),
+        energy_phi=energy_phi,
+        int_beta_hat=int_beta_hat,
+        total_energy=total,
         residual=residual,
     )
+    return record, grad_sq, v_sq
 
 
 # --- trajectory driver -----------------------------------------------------------
@@ -337,23 +372,28 @@ def solve_trajectory(problem, data, potential, cfg, op=None, source=None):
         triple = data.per_eps[eps]
         apply_step = lambda s, f: step_nonlocal(s, op, potential, f, cfg)
         energy_fn = lambda u: energy_nonlocal(op, u)
+        step_energy = lambda s: energy_from_applied(op, s.phi, s.B_phi)
     elif problem == "local":
         eps = None
         triple = (data.theta0, data.phi0, data.v0)
         apply_step = lambda s, f: step_local(s, potential, f, cfg)
         energy_fn = energy_local
+        step_energy = lambda s: energy_local(s.phi)
     else:
         raise ValueError(f"unknown problem kind {problem!r}")
 
     grid = data.grid
+    vol = grid.cell_volume
+    dt = cfg.dt
     state = State(0.0, triple[0].copy(), triple[1].copy(), triple[2].copy())
     n_steps = cfg.num_steps
     stride = max(1, n_steps // max(cfg.snapshots, 1)) if n_steps else 1
 
+    mass = float(np.sum(state.theta.data + state.phi.data))
     times = [0.0]
     states = [State(0.0, state.theta.copy(), state.phi.copy(), state.v.copy())]
     phi_tt_snaps = [None]
-    records = [_make_record(state, energy_fn, potential, 0.0, 0.0, 0.0)]
+    records = [_record(0.0, state, energy_fn(state.phi), potential)[0]]
     aux = {
         "int_thetat_sq": 0.0,
         "int_laptheta_sq": 0.0,
@@ -365,7 +405,7 @@ def solve_trajectory(problem, data, potential, cfg, op=None, source=None):
 
     zero = zeros(grid)
     for k in range(1, n_steps + 1):
-        t_next = k * cfg.dt
+        t_next = k * dt
         f_next = source(grid, t_next) if source is not None else zero
         try:
             prev = state
@@ -374,42 +414,25 @@ def solve_trajectory(problem, data, potential, cfg, op=None, source=None):
         except SolverError as err:
             raise SolverError(f"step {k} (t={t_next:.6g}): {err}") from err
 
-        residual = energy_balance_residual(
-            prev, state, energy_fn, potential, f_next, cfg.dt
+        record, grad_sq, v_sq = _record(
+            t_next, state, step_energy(state), potential, f_next, dt,
+            records[-1].total_energy,
         )
-        diss_inc = cfg.dt * (
-            grad_inner(state.theta, state.theta) + inner_product("H", state.v, state.v)
-        )
-        pi_term = Field(grid, np.asarray(potential.pi(state.phi.data), dtype=np.float64))
-        work_inc = cfg.dt * (
-            inner_product("H", f_next, state.theta)
-            + inner_product("H", state.phi - pi_term, state.v)
-        )
-        records.append(
-            _make_record(
-                state,
-                energy_fn,
-                potential,
-                records[-1].dissipation_accum + diss_inc,
-                records[-1].work_accum + work_inc,
-                residual,
-            )
-        )
+        state.B_phi = None
+        records.append(record)
 
-        thetat = (state.theta.data - prev.theta.data) / cfg.dt
-        aux["int_thetat_sq"] += cfg.dt * grid.cell_volume * float(np.sum(thetat**2))
-        lap = neumann_laplacian(state.theta)
-        aux["int_laptheta_sq"] += cfg.dt * inner_product("H", lap, lap)
-        aux["int_gradtheta_sq"] += cfg.dt * grad_inner(state.theta, state.theta)
-        aux["int_v_sq"] += cfg.dt * inner_product("H", state.v, state.v)
-        aux["max_step_residual"] = max(aux["max_step_residual"], residual)
-        mass_rate = (
-            np.sum(state.theta.data + state.phi.data)
-            - np.sum(prev.theta.data + prev.phi.data)
-        ) * grid.cell_volume / cfg.dt
+        thetat = (state.theta.data - prev.theta.data) / dt
+        lap = neumann_laplacian(state.theta).data
+        aux["int_thetat_sq"] += dt * vol * float(np.sum(thetat * thetat))
+        aux["int_laptheta_sq"] += dt * (vol * float(np.sum(lap * lap)))
+        aux["int_gradtheta_sq"] += dt * grad_sq
+        aux["int_v_sq"] += dt * v_sq
+        aux["max_step_residual"] = max(aux["max_step_residual"], record.residual)
+        prev_mass, mass = mass, float(np.sum(state.theta.data + state.phi.data))
+        mass_rate = (mass - prev_mass) * vol / dt
         aux["max_mass_residual"] = max(
             aux["max_mass_residual"],
-            abs(mass_rate - grid.cell_volume * float(np.sum(f_next.data))),
+            abs(mass_rate - vol * float(np.sum(f_next.data))),
         )
 
         if k % stride == 0 or k == n_steps:
@@ -417,7 +440,7 @@ def solve_trajectory(problem, data, potential, cfg, op=None, source=None):
             states.append(
                 State(t_next, state.theta.copy(), state.phi.copy(), state.v.copy())
             )
-            phi_tt_snaps.append(Field(grid, (state.v.data - prev.v.data) / cfg.dt))
+            phi_tt_snaps.append(Field(grid, (state.v.data - prev.v.data) / dt))
 
     return Trajectory(
         problem=problem,

@@ -102,12 +102,19 @@ def build_nonlocal_operator(family, eps, grid):
 
 def apply_B_eps(op, u):
     """Apply the nonlocal operator; annihilates constants exactly."""
-    return Field(u.grid, op.a_eps.data * u.data - convolve(op.plan, u).data)
+    conv = op.plan.apply(u.data) * u.grid.cell_volume
+    return Field(u.grid, op.a_eps.data * u.data - conv)
 
 
 def energy_nonlocal(op, u):
     """Nonlocal energy through the quadratic form ``1/2 (B_eps u, u)_H``."""
-    val = 0.5 * inner_product("H", apply_B_eps(op, u), u)
+    return energy_from_applied(op, u, apply_B_eps(op, u).data)
+
+
+def energy_from_applied(op, u, Bu):
+    """``1/2 (B_eps u, u)_H`` from the array ``Bu = B_eps u`` already at hand;
+    negative roundoff is clamped, a larger negative value raises."""
+    val = 0.5 * u.grid.cell_volume * float(np.sum(Bu * u.data))
     if val < -1e-14 * max(1.0, float(np.max(op.a_eps.data))):
         raise DegenerateFieldError(f"nonlocal energy came out negative: {val}")
     return max(val, 0.0)
@@ -164,7 +171,9 @@ def frechet_fd_residual(op, u, v, delta=1e-6):
 
 def apply_B_local(u):
     """Strong Neumann form of the local operator (minus the Laplacian)."""
-    return Field(u.grid, -neumann_laplacian(u).data)
+    out = neumann_laplacian(u)
+    np.negative(out.data, out=out.data)
+    return out
 
 
 def energy_local(u):

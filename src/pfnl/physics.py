@@ -59,13 +59,13 @@ def make_double_well():
     pointwise, and meets the dimensional floor q >= 6/5.
     """
     return PotentialSpec(
-        beta=lambda r: r**3,
-        beta_hat=lambda r: 0.25 * r**4,
+        beta=lambda r: r * r * r,
+        beta_hat=lambda r: 0.25 * ((r * r) * (r * r)),
         pi=lambda r: -r,
         q=4.0 / 3.0,
         c_beta=4.0,
         pi_lipschitz=1.0,
-        beta_prime=lambda r: 3.0 * r**2,
+        beta_prime=lambda r: 3.0 * (r * r),
     )
 
 
@@ -219,6 +219,7 @@ def build_initial_data(
     rule=None,
     custom=None,
     strict=True,
+    operators=None,
 ):
     """Construct initial data and evaluate the per-eps uniform bound.
 
@@ -227,7 +228,8 @@ def build_initial_data(
     takes explicit fields via ``custom={"theta0": ..., "phi0": ...,
     "v0": ..., "per_eps": {eps: (t, p, v), ...}}``.  With ``strict`` a
     monitor value above ``c1_bound`` raises; otherwise the violation is
-    recorded in ``flags``.
+    recorded in ``flags``.  ``operators`` maps a width to its already
+    built kernel operator; widths it lacks get one built here.
     """
     if kind == "smooth-default":
         rule = rule or smooth_default_rule()
@@ -248,7 +250,7 @@ def build_initial_data(
 
     a5_values, a5_terms, gaps, flags = {}, {}, {}, []
     for eps in eps_list:
-        op = build_nonlocal_operator(family, eps, grid)
+        op = (operators or {}).get(eps) or build_nonlocal_operator(family, eps, grid)
         te, pe, ve = per_eps[eps]
         terms = _a5_terms(te, pe, ve, op, potential)
         a5_terms[eps] = terms

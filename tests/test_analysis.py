@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pfnl import analysis, physics
 from pfnl.errors import ResolutionError
 from pfnl.fields import Grid, field_from_function
 from pfnl.integrator import SchemeConfig, solve_trajectory
@@ -278,6 +279,27 @@ class TestStudy:
         )
         rep = nonlocal_to_local_study(sweep)
         assert len(rep.eps_list) == 2
+
+    def test_one_operator_build_per_width(self, family, monkeypatch):
+        # each width's operator serves both its a5 monitor and its solve;
+        # the local reference builds one more for its monitor
+        built = []
+        real = analysis.build_nonlocal_operator
+
+        def counting(family, eps, grid):
+            built.append(eps)
+            return real(family, eps, grid)
+
+        monkeypatch.setattr(analysis, "build_nonlocal_operator", counting)
+        monkeypatch.setattr(physics, "build_nonlocal_operator", counting)
+        sweep = SweepConfig(
+            family=family,
+            potential=make_double_well(),
+            scheme=SchemeConfig(dt=4e-3, T=0.02, snapshots=5),
+            eps_list=(0.2, 0.1),
+        )
+        nonlocal_to_local_study(sweep)
+        assert sorted(built) == [0.1, 0.2, 0.2]
 
     def test_theta_error_stable_under_dt_halving(self, family):
         # the measured width gap dominates the time-stepping error

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from pfnl import cli
+from pfnl import cli, physics
 from pfnl.config import default_config, parse_config_text
 from pfnl.errors import ConfigError
 from pfnl.fields import Grid, write_field, zeros
@@ -124,6 +124,20 @@ class TestSimulate:
         assert manifest["command"] == "simulate"
         assert "config_sha256" in manifest
 
+    def test_nonlocal_run_builds_operator_once(self, tmp_path, monkeypatch):
+        built = []
+        real = cli.build_nonlocal_operator
+
+        def counting(family, eps, grid):
+            built.append(eps)
+            return real(family, eps, grid)
+
+        monkeypatch.setattr(cli, "build_nonlocal_operator", counting)
+        monkeypatch.setattr(physics, "build_nonlocal_operator", counting)
+        cfg = write_config(tmp_path, SMALL_SIM.format(out=tmp_path / "out"))
+        assert cli.main(["simulate", "--config", cfg, "--eps", "0.25"]) == 0
+        assert built == [0.25]
+
     def test_local_run(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_SIM.format(out=tmp_path / "out"))
         assert cli.main(["simulate", "--config", cfg, "--local"]) == 0
@@ -137,6 +151,24 @@ class TestSimulate:
     def test_needs_problem_choice(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_SIM.format(out=tmp_path / "out"))
         assert cli.main(["simulate", "--config", cfg]) == 2
+
+    def test_overflowing_newton_exits_1(self, tmp_path, capsys):
+        # pi(phi) ~ 1e300 overflows the Newton norms on the first step; the
+        # run must fail, not march on with the unsolved predictor
+        cfg = write_config(
+            tmp_path,
+            "grid.n = 64\n"
+            "time.dt = 0.1\n"
+            "potential.kind = custom-polynomial\n"
+            "potential.pi_slope = -1e300\n"
+            f"output.dir = {tmp_path / 'out'}\n",
+        )
+        code = cli.main(["simulate", "--config", cfg, "--eps", "0.1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "step 1" in err and "overflowed" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "energy.csv").exists()
 
     def test_no_partial_output_on_failure(self, tmp_path):
         out = tmp_path / "out"

@@ -141,6 +141,24 @@ class TestLaplacian:
             assert inner_product("H", neumann_laplacian(u), u) <= 1e-12
 
 
+    @pytest.mark.parametrize(
+        "grid", [Grid.line(33), Grid((1.0, 2.5), (12, 20))], ids=["1d", "2d"]
+    )
+    def test_matches_ghost_cell_stencil(self, grid, rng):
+        # reference: (u[i+1] - 2 u[i] + u[i-1]) / h^2 on edge-padded data
+        u = rough_field(grid, rng)
+        ref = np.zeros(grid.shape)
+        for axis, h in enumerate(grid.spacing):
+            pad = [(1, 1) if k == axis else (0, 0) for k in range(grid.dimension)]
+            padded = np.pad(u.data, pad, mode="edge")
+            m = grid.n[axis]
+            up = np.take(padded, np.arange(2, m + 2), axis=axis)
+            down = np.take(padded, np.arange(0, m), axis=axis)
+            ref += (up - 2.0 * u.data + down) / (h * h)
+        lap = neumann_laplacian(u).data
+        assert np.max(np.abs(lap - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def dense_laplacian(grid):
     """``lap_N`` assembled column by column from :func:`neumann_laplacian`."""
     cols = []

@@ -5,21 +5,39 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import rough_field
-from pfnl.fields import Field, Grid, field_from_function, norm, zeros
+from pfnl.errors import SolverError
+from pfnl.fields import (
+    Field,
+    Grid,
+    field_from_function,
+    grad_inner,
+    inner_product,
+    neumann_laplacian,
+    norm,
+    zeros,
+)
 from pfnl.kernels import build_kernel_family, make_profile
-from pfnl.operators import build_nonlocal_operator, energy_local
+from pfnl.operators import (
+    apply_B_local,
+    build_nonlocal_operator,
+    energy_local,
+    energy_nonlocal,
+)
 from pfnl.physics import (
     InitialDataRule,
     build_initial_data,
     make_double_well,
     make_linear_potential,
+    make_source,
 )
 from pfnl.integrator import (
     SchemeConfig,
     State,
+    _phi_update,
     energy_balance_residual,
     solve_trajectory,
     step_local,
+    total_energy,
 )
 
 ODE_MATRIX = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [1.0, 0.0, -1.0]])
@@ -264,6 +282,86 @@ class TestEnergyBalance:
         assert (
             energy_balance_residual(st, st, energy_local, pot, zero, 1e-3) == 0.0
         )
+
+
+class TestSinglePassRecords:
+    """The once-per-step records and ``aux`` sums of a trajectory equal the
+    standalone formulas recomputed from consecutive stored states."""
+
+    @pytest.mark.parametrize("problem", ["nonlocal", "local"])
+    def test_records_match_standalone_formulas(self, family, problem):
+        pot = make_double_well()
+        source = make_source("cosine-decay", 1.0)
+        grid = Grid.line(40)
+        dt = 1e-3
+        cfg = SchemeConfig(dt=dt, T=0.04, snapshots=40)
+        data = build_initial_data("smooth-default", grid, [0.2], family, pot)
+        if problem == "nonlocal":
+            op = build_nonlocal_operator(family, 0.2, grid)
+            energy_fn = lambda u: energy_nonlocal(op, u)
+        else:
+            op = None
+            energy_fn = energy_local
+        traj = solve_trajectory(problem, data, pot, cfg, op=op, source=source)
+        states = traj.states
+        # snapshots = num_steps keeps every state
+        assert len(states) == len(traj.records) == cfg.num_steps + 1
+        assert all(st.B_phi is None for st in states)
+
+        close = lambda a, b: a == pytest.approx(b, rel=1e-12, abs=0.0)
+        vol = grid.cell_volume
+        residuals = [0.0]
+        for k, (st, rec) in enumerate(zip(states, traj.records)):
+            assert rec.t == st.t == pytest.approx(k * dt, rel=1e-12)
+            assert close(rec.total_energy, total_energy(st, energy_fn, pot))
+            assert close(rec.energy_phi, energy_fn(st.phi))
+            assert close(rec.int_beta_hat, vol * float(np.sum(pot.beta_hat(st.phi.data))))
+            assert close(rec.norm_theta_H, norm(st.theta, "H"))
+            assert close(rec.norm_grad_theta_H, math.sqrt(grad_inner(st.theta, st.theta)))
+            assert close(rec.norm_phi_H, norm(st.phi, "H"))
+            assert close(rec.norm_v_H, norm(st.v, "H"))
+            if k:
+                residuals.append(
+                    energy_balance_residual(
+                        states[k - 1], st, energy_fn, pot, source(grid, st.t), dt
+                    )
+                )
+                assert close(rec.residual, residuals[-1])
+        assert traj.records[0].residual == 0.0
+
+        expected = dict.fromkeys(
+            ("int_thetat_sq", "int_laptheta_sq", "int_gradtheta_sq", "int_v_sq"), 0.0
+        )
+        mass = []
+        for prev, st in zip(states, states[1:]):
+            thetat = (st.theta - prev.theta) * (1.0 / dt)
+            lap = neumann_laplacian(st.theta)
+            expected["int_thetat_sq"] += dt * inner_product("H", thetat, thetat)
+            expected["int_laptheta_sq"] += dt * inner_product("H", lap, lap)
+            expected["int_gradtheta_sq"] += dt * grad_inner(st.theta, st.theta)
+            expected["int_v_sq"] += dt * inner_product("H", st.v, st.v)
+            rate = (
+                np.sum(st.theta.data + st.phi.data)
+                - np.sum(prev.theta.data + prev.phi.data)
+            ) * vol / dt
+            mass.append(abs(rate - vol * np.sum(source(grid, st.t).data)))
+        expected["max_step_residual"] = max(residuals)
+        expected["max_mass_residual"] = max(mass)
+        for key, value in expected.items():
+            assert close(traj.aux[key], value), key
+
+
+class TestNewtonOverflow:
+    def test_overflowed_norms_raise(self):
+        # pi(phi) ~ 1e300 overflows |b|; the inf tolerance must not let
+        # Newton accept the unsolved predictor
+        grid = Grid.line(64)
+        phi = field_from_function(grid, lambda x: np.cos(np.pi * x))
+        state = State(0.0, zeros(grid), phi, zeros(grid))
+        pot = make_linear_potential(-1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverError, match="overflowed"):
+                _phi_update(state, apply_B_local, pot, SchemeConfig(dt=0.1, T=0.5))
 
 
 class TestSchemeConfig:

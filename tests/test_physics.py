@@ -5,7 +5,9 @@ import pytest
 
 from pfnl.errors import ConfigError
 from pfnl.fields import Field, Grid, field_from_function
+from pfnl import physics
 from pfnl.kernels import build_kernel_family, make_profile
+from pfnl.operators import build_nonlocal_operator
 from pfnl.physics import (
     PotentialSpec,
     build_initial_data,
@@ -195,6 +197,25 @@ class TestInitialData:
                 c1_bound=5.0,
                 custom={"theta0": zero, "phi0": phi, "v0": zero},
             )
+
+    def test_prebuilt_operators_are_reused(self, family, monkeypatch):
+        grid = Grid.line(64)
+        pot = make_double_well()
+        fresh = build_initial_data("smooth-default", grid, (0.2, 0.1), family, pot)
+        given = {0.2: build_nonlocal_operator(family, 0.2, grid)}
+        built = []
+        real = physics.build_nonlocal_operator
+
+        def counting(family, eps, grid):
+            built.append(eps)
+            return real(family, eps, grid)
+
+        monkeypatch.setattr(physics, "build_nonlocal_operator", counting)
+        reused = build_initial_data(
+            "smooth-default", grid, (0.2, 0.1), family, pot, operators=given
+        )
+        assert built == [0.1]
+        assert reused.a5_values == fresh.a5_values
 
     def test_default_rule_values(self):
         rule = smooth_default_rule()
