@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .fields import (  # noqa: F401
-    DualField,
     Field,
     Grid,
     dual_norm,

@@ -19,13 +19,11 @@ columns are required to shrink.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AnalysisError, ConfigError, GridMismatchError, ResolutionError
+from .errors import AnalysisError, GridMismatchError, ResolutionError
 from .fields import (
     Field,
     Grid,
@@ -44,6 +42,8 @@ from .operators import (
     build_nonlocal_operator,
     energy_local,
     energy_nonlocal,
+    frechet_fd_residual,
+    frechet_identity_residual,
 )
 from .physics import build_initial_data
 
@@ -51,17 +51,6 @@ DEFAULT_EPS_SWEEP = (0.2, 0.1, 0.05, 0.025)
 
 #: monitor groups accepted by :func:`estimate_monitor`
 MONITOR_GROUPS = ("state-energy", "temperature-regularity", "dual-derivative")
-
-
-def max_threads():
-    """Sweep parallelism cap: PFNL_THREADS env var, else CPU count."""
-    env = os.environ.get("PFNL_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"PFNL_THREADS must be an integer, got {env!r}") from None
-    return max(1, os.cpu_count() or 1)
 
 
 # --- sweep grids ----------------------------------------------------------------
@@ -155,7 +144,64 @@ def probe_fields(dimension=1):
     )
 
 
-# --- energy-limit suite --------------------------------------------------------------
+# --- probe suites --------------------------------------------------------------------
+
+
+def _probe_suite(family, eps_list, length, dimension, max_n, fields, strict,
+                 evaluate, judge):
+    """Shared loop of the probe suites.
+
+    Each probe is evaluated coarse to fine on its width's sweep grid, with
+    an operator built for that (probe, width) pair: ``evaluate(probe, v,
+    op)`` returns the row's values for the probe ``v`` on that grid, and
+    ``judge(name, rows)`` the probe's violations.  With ``strict`` any
+    violation raises :class:`AnalysisError`.
+    """
+    fields = fields if fields is not None else probe_fields(dimension)
+    grids = sweep_grids(eps_list, length, dimension, max_n)
+    rows, violations = [], []
+    for probe in fields:
+        probe_rows = []
+        for eps in sorted(grids, reverse=True):
+            grid = grids[eps]
+            v = probe.on(grid)
+            op = build_nonlocal_operator(family, eps, grid)
+            row = {"field": probe.name, "eps": eps}
+            row.update(evaluate(probe, v, op))
+            probe_rows.append(row)
+        rows.extend(probe_rows)
+        violations.extend(judge(probe.name, probe_rows))
+    if strict and violations:
+        raise AnalysisError(violations)
+    return rows, violations
+
+
+def _rises(values):
+    """Consecutive pairs ``(a, b)`` of ``values`` with ``b >= a``."""
+    return [(a, b) for a, b in zip(values, values[1:]) if b >= a]
+
+
+def _energy_row(probe, v, op):
+    e_nl = energy_nonlocal(op, v)
+    exact = probe.exact_energy(v.grid.lengths) if probe.exact_energy else None
+    e_loc = exact if exact is not None else energy_local(v)
+    return {"energy_nonlocal": e_nl, "energy_local": e_loc, "gap": abs(e_nl - e_loc)}
+
+
+def _energy_verdict(name, rows):
+    gaps = [r["gap"] for r in rows]
+    limit = rows[-1]["energy_local"]
+    if limit <= 1e-14:
+        if max(gaps) > 1e-12:
+            return [f"{name}: flat field should have zero energies"]
+        return []
+    out = [
+        f"{name}: energy gap fails to decrease ({a:g} -> {b:g})"
+        for a, b in _rises(gaps)
+    ]
+    if gaps[-1] / limit > 0.05:
+        out.append(f"{name}: final relative gap {gaps[-1] / limit:.3g} exceeds 5%")
+    return out
 
 
 def gamma_convergence_suite(
@@ -168,42 +214,31 @@ def gamma_convergence_suite(
     monotonically along the sweep and end within 5% of the limit energy.
     With ``strict`` a violated assertion raises :class:`AnalysisError`.
     """
-    fields = fields if fields is not None else probe_fields(dimension)
-    grids = sweep_grids(eps_list, length, dimension, max_n)
-    ordered = sorted(grids, reverse=True)
-    rows, violations = [], []
-    for probe in fields:
-        gaps = []
-        for eps in ordered:
-            grid = grids[eps]
-            v = probe.on(grid)
-            op = build_nonlocal_operator(family, eps, grid)
-            e_nl = energy_nonlocal(op, v)
-            exact = probe.exact_energy(grid.lengths) if probe.exact_energy else None
-            e_loc = exact if exact is not None else energy_local(v)
-            gap = abs(e_nl - e_loc)
-            gaps.append(gap)
-            rows.append(
-                {"field": probe.name, "eps": eps, "energy_nonlocal": e_nl,
-                 "energy_local": e_loc, "gap": gap}
-            )
-        limit = rows[-1]["energy_local"]
-        if limit <= 1e-14:
-            if max(gaps) > 1e-12:
-                violations.append(f"{probe.name}: flat field should have zero energies")
-            continue
-        for a, b in zip(gaps, gaps[1:]):
-            if b >= a:
-                violations.append(
-                    f"{probe.name}: energy gap fails to decrease ({a:g} -> {b:g})"
-                )
-        if gaps[-1] / limit > 0.05:
-            violations.append(
-                f"{probe.name}: final relative gap {gaps[-1] / limit:.3g} exceeds 5%"
-            )
-    if strict and violations:
-        raise AnalysisError(violations)
-    return rows, violations
+    return _probe_suite(family, eps_list, length, dimension, max_n, fields, strict,
+                        _energy_row, _energy_verdict)
+
+
+def _operator_row(probe, v, op):
+    grid = v.grid
+    w = field_from_function(
+        grid, lambda *x: np.cos(2.0 * np.pi * x[0] / grid.lengths[0])
+    )
+    b_nl = apply_B_eps(op, v)
+    return {
+        "dual_gap": dual_norm(b_nl - apply_B_local(v)),
+        "pairing_nonlocal": inner_product("H", b_nl, w),
+        "pairing_local": grad_inner(v, w),
+    }
+
+
+def _operator_verdict(name, rows):
+    gaps = [r["dual_gap"] for r in rows]
+    if max(gaps) <= 1e-12:
+        return []  # operator vanishes identically (flat probe)
+    return [
+        f"{name}: dual-norm gap fails to decrease ({a:g} -> {b:g})"
+        for a, b in _rises(gaps)
+    ]
 
 
 def operator_convergence_suite(
@@ -211,67 +246,26 @@ def operator_convergence_suite(
     fields=None, strict=True,
 ):
     """Dual-norm and pairing gaps between the kernel operator and the
-    Laplacian on smooth fields; both must shrink along the sweep."""
-    fields = fields if fields is not None else probe_fields(dimension)
-    grids = sweep_grids(eps_list, length, dimension, max_n)
-    ordered = sorted(grids, reverse=True)
-    rows, violations = [], []
-    for probe in fields:
-        dual_gaps, pair_gaps = [], []
-        for eps in ordered:
-            grid = grids[eps]
-            v = probe.on(grid)
-            w = field_from_function(
-                grid, lambda *x: np.cos(2.0 * np.pi * x[0] / grid.lengths[0])
-            )
-            op = build_nonlocal_operator(family, eps, grid)
-            b_nl = apply_B_eps(op, v)
-            dual_gap = dual_norm(b_nl - apply_B_local(v))
-            pairing_nl = inner_product("H", b_nl, w)
-            pairing_loc = grad_inner(v, w)
-            dual_gaps.append(dual_gap)
-            pair_gaps.append(abs(pairing_nl - pairing_loc))
-            rows.append(
-                {"field": probe.name, "eps": eps, "dual_gap": dual_gap,
-                 "pairing_nonlocal": pairing_nl, "pairing_local": pairing_loc}
-            )
-        scale = max(max(dual_gaps), 1e-14)
-        if scale <= 1e-12:
-            continue  # operator vanishes identically (flat probe)
-        for a, b in zip(dual_gaps, dual_gaps[1:]):
-            if b >= a:
-                violations.append(
-                    f"{probe.name}: dual-norm gap fails to decrease ({a:g} -> {b:g})"
-                )
-    if strict and violations:
-        raise AnalysisError(violations)
-    return rows, violations
+    Laplacian on smooth fields; the dual-norm gap must shrink along the
+    sweep."""
+    return _probe_suite(family, eps_list, length, dimension, max_n, fields, strict,
+                        _operator_row, _operator_verdict)
+
+
+def _ratio_verdict(name, rows):
+    ratios = [r["ratio"] for r in rows]
+    spread = max(ratios) / min(ratios)
+    if spread > 2.0:
+        return [f"{name}: ratio spread {spread:.3g} exceeds factor 2"]
+    return []
 
 
 def bbm_ratio_suite(family, eps_list=DEFAULT_EPS_SWEEP, length=1.0, dimension=1,
                     max_n=512, fields=None, strict=True):
     """Uniform boundedness of ``dual_norm(B_eps v)/sqrt(E_eps(v))`` per field."""
-    fields = fields if fields is not None else probe_fields(dimension)
-    grids = sweep_grids(eps_list, length, dimension, max_n)
-    ordered = sorted(grids, reverse=True)
-    rows, violations = [], []
-    for probe in fields:
-        ratios = []
-        for eps in ordered:
-            grid = grids[eps]
-            v = probe.on(grid)
-            op = build_nonlocal_operator(family, eps, grid)
-            r = bbm_bound_ratio(op, v)
-            ratios.append(r)
-            rows.append({"field": probe.name, "eps": eps, "ratio": r})
-        if max(ratios) / min(ratios) > 2.0:
-            violations.append(
-                f"{probe.name}: ratio spread {max(ratios) / min(ratios):.3g} "
-                f"exceeds factor 2"
-            )
-    if strict and violations:
-        raise AnalysisError(violations)
-    return rows, violations
+    return _probe_suite(family, eps_list, length, dimension, max_n, fields, strict,
+                        lambda probe, v, op: {"ratio": bbm_bound_ratio(op, v)},
+                        _ratio_verdict)
 
 
 def frechet_identity_suite(family, eps=0.25, n=32, dimension=1, trials=50, seed=0):
@@ -282,8 +276,6 @@ def frechet_identity_suite(family, eps=0.25, n=32, dimension=1, trials=50, seed=
     the energy (exact for a quadratic functional up to 1/delta-amplified
     roundoff).
     """
-    from .operators import frechet_fd_residual, frechet_identity_residual
-
     grid = Grid.line(n) if dimension == 1 else Grid.box(n)
     op = build_nonlocal_operator(family, eps, grid)
     rng = np.random.default_rng(seed)
@@ -346,7 +338,6 @@ def estimate_monitor(traj, which="all", potential=None, op=None):
     if which in ("all", "dual-derivative"):
         if potential is None:
             raise ValueError("dual-derivative monitors need the potential")
-        apply_B = (lambda u: apply_B_eps(op, u)) if op is not None else apply_B_local
         q = potential.q
         vol = traj.grid.cell_volume
         beta_lq = max(
@@ -358,7 +349,7 @@ def estimate_monitor(traj, which="all", potential=None, op=None):
             {
                 "beta_Lq_Linf": beta_lq,
                 "phi_tt_LinfVstar": max(dual_norm(f) for f in phi_tt) if phi_tt else 0.0,
-                "B_phi_LinfVstar": max(dual_norm(apply_B(s.phi)) for s in traj.states),
+                "B_phi_LinfVstar": max(dual_norm(_apply_B(op, s.phi)) for s in traj.states),
             }
         )
     return out
@@ -414,40 +405,30 @@ REPORT_COLUMNS = (
 )
 
 
-def _solve_for_eps(sweep, eps, grid):
-    op = build_nonlocal_operator(sweep.family, eps, grid)
+def _apply_B(op, u):
+    """``B_eps u`` for a kernel operator, ``-lap u`` when ``op`` is None."""
+    return apply_B_local(u) if op is None else apply_B_eps(op, u)
+
+
+def _solve(sweep, grid, op=None):
+    """One run of the sweep on ``grid``: the kernel system of ``op``, or
+    the Laplacian system when ``op`` is None (no width, so no a5 monitor)."""
+    widths = {} if op is None else {op.eps: op}
     data = build_initial_data(
         "smooth-default",
         grid,
-        [eps],
+        list(widths),
         sweep.family,
         sweep.potential,
         c1_bound=sweep.c1_bound,
         rule=sweep.rule,
         strict=False,
-        operators={eps: op},
+        operators=widths,
     )
-    traj = solve_trajectory(
-        "nonlocal", data, sweep.potential, sweep.scheme, op=op, source=sweep.source
-    )
-    return {"eps": eps, "grid": grid, "op": op, "data": data, "traj": traj}
-
-
-def _solve_reference(sweep, grid):
-    data = build_initial_data(
-        "smooth-default",
-        grid,
-        [max(sweep.eps_list)],
-        sweep.family,
-        sweep.potential,
-        c1_bound=sweep.c1_bound,
-        rule=sweep.rule,
-        strict=False,
-    )
-    traj = solve_trajectory(
-        "local", data, sweep.potential, sweep.scheme, source=sweep.source
-    )
-    return {"grid": grid, "traj": traj}
+    problem = "local" if op is None else "nonlocal"
+    traj = solve_trajectory(problem, data, sweep.potential, sweep.scheme, op=op,
+                            source=sweep.source)
+    return {"grid": grid, "op": op, "data": data, "traj": traj}
 
 
 def nonlocal_to_local_study(sweep):
@@ -465,28 +446,20 @@ def nonlocal_to_local_study(sweep):
     coarse = grids[ordered[0]]
     finest = grids[ordered[-1]]
 
-    with ThreadPoolExecutor(max_workers=max_threads()) as pool:
-        futures = {
-            eps: pool.submit(_solve_for_eps, sweep, eps, grids[eps])
-            for eps in ordered
-        }
-        ref_future = (
-            pool.submit(_solve_reference, sweep, finest)
-            if sweep.reference == "local-solve"
-            else None
+    # widths coarse to fine, then the local reference
+    runs = {
+        eps: _solve(
+            sweep, grids[eps], build_nonlocal_operator(sweep.family, eps, grids[eps])
         )
-        runs = {eps: futures[eps].result() for eps in ordered}
-        reference = ref_future.result() if ref_future else None
-
+        for eps in ordered
+    }
     if sweep.reference == "finest-eps":
         ref_run = runs[ordered[-1]]
-        ref_traj, ref_grid = ref_run["traj"], ref_run["grid"]
-        ref_is_local = False
         compare_eps = ordered[:-1]
     else:
-        ref_traj, ref_grid = reference["traj"], reference["grid"]
-        ref_is_local = True
+        ref_run = _solve(sweep, finest)
         compare_eps = ordered
+    ref_traj, ref_grid, ref_op = ref_run["traj"], ref_run["grid"], ref_run["op"]
 
     probes = probe_fields(sweep.dimension)
     probe_on_coarse = [p.on(coarse) for p in probes]
@@ -495,17 +468,10 @@ def nonlocal_to_local_study(sweep):
     ref_theta = [restrict(s.theta, coarse) for s in ref_traj.states]
     ref_phi = [restrict(s.phi, coarse) for s in ref_traj.states]
     ref_v = [restrict(s.v, coarse) for s in ref_traj.states]
-    if ref_is_local:
-        ref_B = [restrict(apply_B_local(s.phi), coarse) for s in ref_traj.states]
-    else:
-        ref_op = runs[ordered[-1]]["op"]
-        ref_B = [restrict(apply_B_eps(ref_op, s.phi), coarse) for s in ref_traj.states]
+    ref_B = [restrict(_apply_B(ref_op, s.phi), coarse) for s in ref_traj.states]
     ref_beta = [
         restrict(Field(ref_grid, np.asarray(sweep.potential.beta(s.phi.data))), coarse)
         for s in ref_traj.states
-    ]
-    ref_energy = [
-        energy_local(s.phi) if ref_is_local else None for s in ref_traj.states
     ]
 
     columns = {name: [] for name in REPORT_COLUMNS}
@@ -574,18 +540,9 @@ def nonlocal_to_local_study(sweep):
     if len(compare_eps) < 2:
         notes.append("single-width sweep: monotonicity assertions skipped")
     else:
-        for name in (
-            "err_theta_C0H",
-            "err_phi_C0H",
-            "err_v_C0Vstar",
-            "err_Beps_Vstar",
-            "err_beta_pairing",
-        ):
-            vals = columns[name]
-            for a, b in zip(vals, vals[1:]):
-                if b >= a:
-                    violations.append(f"{name} fails to decrease ({a:g} -> {b:g})")
-                    break
+        for name in REPORT_COLUMNS[1:-1]:
+            for a, b in _rises(columns[name])[:1]:
+                violations.append(f"{name} fails to decrease ({a:g} -> {b:g})")
         for name in ("err_theta_C0H", "err_phi_C0H"):
             vals = columns[name]
             if vals[0] > 0 and vals[-1] / vals[0] > 0.5:
@@ -593,18 +550,16 @@ def nonlocal_to_local_study(sweep):
                     f"{name}: finest/coarsest ratio {vals[-1] / vals[0]:.3g} above 1/2"
                 )
         bpair = [rows_extra[e]["err_B_pairing"] for e in compare_eps]
-        for a, b in zip(bpair, bpair[1:]):
-            if b >= a:
-                violations.append(f"err_B_pairing fails to decrease ({a:g} -> {b:g})")
-                break
-        if ref_is_local:
+        for a, b in _rises(bpair)[:1]:
+            violations.append(f"err_B_pairing fails to decrease ({a:g} -> {b:g})")
+        if ref_op is None:
             # lower-semicontinuity check: at each snapshot the limit energy
             # must not exceed the best width energy beyond the 10% slack
             energy_scale = max(estimates[e]["energy_Linf"] for e in compare_eps)
             worst = -np.inf
-            for k, e_ref in enumerate(ref_energy):
+            for k, s in enumerate(ref_traj.states):
                 best = min(rows_extra[e]["energy_path"][k] for e in compare_eps)
-                worst = max(worst, e_ref - best)
+                worst = max(worst, energy_local(s.phi) - best)
             if worst > 0.10 * max(energy_scale, 1e-14):
                 violations.append(
                     f"limit energy exceeds the best width energy by {worst:.3g}, "

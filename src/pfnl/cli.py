@@ -228,32 +228,15 @@ def cmd_verify_lemmas(cfg):
     family = cfg.make_family()
     dim = cfg.grid_dimension
     results = {}
-
-    def run_suite(name, fn):
-        try:
-            rows, violations = fn()
-            results[name] = {"pass": not violations, "violations": violations}
-        except (AnalysisError,) as err:
-            results[name] = {"pass": False, "violations": err.violations}
-
-    run_suite(
-        "gamma_convergence",
-        lambda: gamma_convergence_suite(
+    for name, suite in (
+        ("gamma_convergence", gamma_convergence_suite),
+        ("operator_convergence", operator_convergence_suite),
+        ("bbm_ratio", bbm_ratio_suite),
+    ):
+        _, violations = suite(
             family, cfg.sweep_eps, cfg.grid_length, dim, cfg.sweep_max_n, strict=False
-        ),
-    )
-    run_suite(
-        "operator_convergence",
-        lambda: operator_convergence_suite(
-            family, cfg.sweep_eps, cfg.grid_length, dim, cfg.sweep_max_n, strict=False
-        ),
-    )
-    run_suite(
-        "bbm_ratio",
-        lambda: bbm_ratio_suite(
-            family, cfg.sweep_eps, cfg.grid_length, dim, cfg.sweep_max_n, strict=False
-        ),
-    )
+        )
+        results[name] = {"pass": not violations, "violations": violations}
     frechet = frechet_identity_suite(
         family, n=32 if dim == 1 else 16, dimension=dim, seed=cfg.seed
     )
@@ -279,20 +262,25 @@ def cmd_energy_report(cfg, run_dir):
     path = os.path.join(run_dir, "energy.csv")
     try:
         with open(path) as fh:
-            lines = [l.strip() for l in fh if l.strip()]
+            lines = [(k, l.strip()) for k, l in enumerate(fh, 1) if l.strip()]
     except OSError as err:
         raise ConfigError([f"cannot read {path!r}: {err}"]) from err
-    header = lines[0].split(",") if lines else []
+    header = lines[0][1].split(",") if lines else []
     idx = {name: k for k, name in enumerate(header)}
-    if "residual_a1" not in idx:
+    if not {"residual_a1", "energy_phi"} <= idx.keys():
         raise ConfigError([f"{path!r} does not look like an energy record file"])
     if len(lines) < 2:
         raise ConfigError([f"{path!r} holds no energy records"])
     residuals, totals = [], []
-    for line in lines[1:]:
+    for lineno, line in lines[1:]:
         parts = line.split(",")
-        residuals.append(float(parts[idx["residual_a1"]]))
-        totals.append(float(parts[idx["energy_phi"]]))
+        try:
+            residuals.append(float(parts[idx["residual_a1"]]))
+            totals.append(float(parts[idx["energy_phi"]]))
+        except (IndexError, ValueError) as err:
+            raise ConfigError(
+                [f"{path!r} line {lineno}: malformed energy record ({err})"]
+            ) from err
     summary = {
         "steps": len(residuals) - 1,
         "max_residual": max(residuals),

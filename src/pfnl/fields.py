@@ -149,11 +149,6 @@ class Field:
         return Field(self.grid, -self.data)
 
 
-#: Elements of the dual space are carried as plain fields through the
-#: pivot identification; the alias only marks intent at call sites.
-DualField = Field
-
-
 def _require_same_grid(u, w):
     if u.grid != w.grid:
         raise GridMismatchError("fields live on different grids")

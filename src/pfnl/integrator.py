@@ -180,13 +180,17 @@ def _phi_update(state, apply_B, potential, cfg):
         + dt * state.v.data
         + dt * dt * (state.theta.data - pi_term)
     )
-    b_scale = 1.0 + math.sqrt(vol * float(np.sum(b * b)))
+    # the norms may overflow; the finiteness guard below reports that
+    with np.errstate(over="ignore", invalid="ignore"):
+        b_scale = 1.0 + math.sqrt(vol * float(np.sum(b * b)))
 
     def residual(phi_data):
         Bphi = apply_B(Field(grid, phi_data)).data
         beta_term = np.asarray(potential.beta(phi_data), dtype=np.float64)
         res = (1.0 + dt) * phi_data + dt * dt * (Bphi + beta_term) - b
-        return res, math.sqrt(vol * float(np.sum(res * res))), Bphi
+        with np.errstate(over="ignore", invalid="ignore"):
+            res_norm = math.sqrt(vol * float(np.sum(res * res)))
+        return res, res_norm, Bphi
 
     # explicit predictor as the Newton seed
     phi_data = state.phi.data + dt * state.v.data

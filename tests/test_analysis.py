@@ -268,21 +268,9 @@ class TestStudy:
                 eps_list=(0.1, 0.2),
             )
 
-    def test_thread_cap_respected(self, family, monkeypatch):
-        # PFNL_THREADS=1 serializes the sweep without changing results
-        monkeypatch.setenv("PFNL_THREADS", "1")
-        sweep = SweepConfig(
-            family=family,
-            potential=make_double_well(),
-            scheme=SchemeConfig(dt=4e-3, T=0.1, snapshots=5),
-            eps_list=(0.2, 0.1),
-        )
-        rep = nonlocal_to_local_study(sweep)
-        assert len(rep.eps_list) == 2
-
     def test_one_operator_build_per_width(self, family, monkeypatch):
         # each width's operator serves both its a5 monitor and its solve;
-        # the local reference builds one more for its monitor
+        # the local reference has no width and builds none
         built = []
         real = analysis.build_nonlocal_operator
 
@@ -299,7 +287,7 @@ class TestStudy:
             eps_list=(0.2, 0.1),
         )
         nonlocal_to_local_study(sweep)
-        assert sorted(built) == [0.1, 0.2, 0.2]
+        assert sorted(built) == [0.1, 0.2]
 
     def test_theta_error_stable_under_dt_halving(self, family):
         # the measured width gap dominates the time-stepping error
@@ -318,7 +306,7 @@ class TestStudy:
 
 class TestCauchyDiagnostic:
     def run_eps(self, family, eps, rule=None, dt=2e-3, T=0.2):
-        from pfnl.analysis import _solve_for_eps
+        from pfnl.analysis import _solve
 
         pot = make_double_well()
         sweep = SweepConfig(
@@ -329,7 +317,8 @@ class TestCauchyDiagnostic:
             rule=rule,
         )
         grids = sweep_grids((eps,))
-        return _solve_for_eps(sweep, eps, grids[eps])["traj"]
+        op = build_nonlocal_operator(family, eps, grids[eps])
+        return _solve(sweep, grids[eps], op)["traj"]
 
     def test_identical_pair_zero(self, family):
         traj = self.run_eps(family, 0.1)

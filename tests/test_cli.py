@@ -199,6 +199,25 @@ class TestSimulate:
         assert code == 2
         assert "holds no energy records" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row",
+        ["0,1,2", ",".join("abc" if c == "residual_a1" else "0" for c in CSV_COLUMNS)],
+        ids=["short-row", "bad-number"],
+    )
+    def test_energy_report_malformed_row_exits_2(self, tmp_path, capsys, row):
+        cfg = write_config(tmp_path, SMALL_SIM.format(out=tmp_path / "out"))
+        good = ",".join(["0"] * len(CSV_COLUMNS))
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "energy.csv").write_text(
+            ",".join(CSV_COLUMNS) + "\n" + good + "\n" + row + "\n"
+        )
+        code = cli.main(["energy-report", "--config", cfg, "--run", str(run)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "energy.csv" in err and "line 3" in err
+
     def test_unusable_output_dir_exits_2(self, tmp_path, capsys, monkeypatch):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -247,12 +266,6 @@ class TestConverge:
         assert len(report) == 4  # header + one row per width
         estimates = (tmp_path / "out" / "estimates.csv").read_text()
         assert estimates.startswith("eps,")
-
-    def test_bad_thread_count_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("PFNL_THREADS", "abc")
-        cfg = write_config(tmp_path, SMALL_SWEEP.format(out=tmp_path / "out"))
-        assert cli.main(["converge", "--config", cfg]) == 2
-        assert "PFNL_THREADS" in capsys.readouterr().err
 
     def test_unusable_output_dir_exits_2(self, tmp_path, capsys, monkeypatch):
         blocker = tmp_path / "file"

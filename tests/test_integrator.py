@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -354,12 +355,14 @@ class TestSinglePassRecords:
 class TestNewtonOverflow:
     def test_overflowed_norms_raise(self):
         # pi(phi) ~ 1e300 overflows |b|; the inf tolerance must not let
-        # Newton accept the unsolved predictor
+        # Newton accept the unsolved predictor, and the guard, not NumPy's
+        # overflow warning, reports the failure
         grid = Grid.line(64)
         phi = field_from_function(grid, lambda x: np.cos(np.pi * x))
         state = State(0.0, zeros(grid), phi, zeros(grid))
         pot = make_linear_potential(-1e300)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(SolverError, match="overflowed"):
                 _phi_update(state, apply_B_local, pot, SchemeConfig(dt=0.1, T=0.5))
 
