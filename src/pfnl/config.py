@@ -227,6 +227,13 @@ def parse_config_text(text, origin="<config>"):
         )
     if cfg.time_T > 0 and cfg.time_dt > cfg.time_T:
         cross.append(f"time.dt = {cfg.time_dt} exceeds time.T = {cfg.time_T}")
+    if cfg.potential_kind == "double-well":
+        for key in ("potential.power", "potential.pi_slope"):
+            if key in seen:
+                cross.append(
+                    f"{origin}:{seen[key]}: {key} applies only to potential.kind "
+                    "= custom-polynomial; the double well ignores it"
+                )
     if cfg.initial_kind == "custom" and not (
         cfg.initial_theta_file and cfg.initial_phi_file and cfg.initial_v_file
     ):

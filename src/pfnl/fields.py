@@ -14,6 +14,12 @@ so the solve is a transform pair and one division, in 1D and 2D alike.
 Dual-space machinery: the pivot identification of L2 with its dual turns
 the H1 Riesz map into the SPD operator ``F = I - lap_N``.  ``dual_norm``
 evaluates ``sqrt((u, F^{-1} u)_H)``.
+
+SPD systems that no transform diagonalizes (the phase Newton's Jacobian)
+go through :func:`cg`, plain conjugate gradients on arrays of the grid's
+shape.  It starts from ``x = 0`` and stops once ``|r|_2 < rtol |b|_2``,
+tested before each iteration: the rule of scipy's ``cg`` with
+``atol = 0``, so it takes the same iterations.
 """
 
 from __future__ import annotations
@@ -27,8 +33,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.fft import dctn, idctn
-# Unused here; kept bound because bench/child.py's trace mode wraps ``fields.cg``.
-from scipy.sparse.linalg import cg  # noqa: F401
 
 from .errors import ConfigError, GridMismatchError, SolverError
 
@@ -251,6 +255,42 @@ def neumann_solve(grid, rhs, a, b):
     coeffs = dctn(rhs, type=2, norm="ortho")
     coeffs /= a + b * grid.neumann_symbol
     return idctn(coeffs, type=2, norm="ortho")
+
+
+def cg(matvec, b, rtol, maxiter, callback=None):
+    """Conjugate gradients for ``A x = b``, ``A`` SPD and given by ``matvec``
+    on arrays of ``b``'s shape (any shape; dot products run over all
+    entries).
+
+    Starts from ``x = 0`` and stops once ``|r|_2 < rtol |b|_2``, tested
+    before each iteration.  Calls ``callback(x)`` once per iteration.
+    Returns ``(x, 0)`` on convergence, or ``(x, maxiter)`` with the last
+    iterate when the budget runs out.
+    """
+    x = np.zeros_like(b)
+    b_norm = math.sqrt(float(np.vdot(b, b)))
+    if b_norm == 0.0:
+        return x, 0
+    atol = rtol * b_norm
+    r = b.copy()
+    p = None
+    for _ in range(maxiter):
+        rho = float(np.vdot(r, r))
+        if math.sqrt(rho) < atol:
+            return x, 0
+        if p is None:
+            p = r.copy()
+        else:
+            p *= rho / rho_prev
+            p += r
+        q = matvec(p)
+        alpha = rho / float(np.vdot(p, q))
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        if callback is not None:
+            callback(x)
+    return x, maxiter
 
 
 def riesz_inverse(u):

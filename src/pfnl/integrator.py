@@ -7,10 +7,10 @@ One step advances the pair of equations
 
 where ``B`` is either the nonlocal kernel operator or the (negative)
 Neumann Laplacian.  The phase subsystem is solved first, implicitly in
-``B`` and ``beta`` (Newton with matrix-free CG; the Jacobian
-``(1/dt^2 + 1/dt) I + B + beta'`` is SPD because ``beta`` is monotone),
-with ``pi`` and the temperature taken explicitly.  The temperature
-subsystem then sees the fresh phase velocity and is one exact
+``B`` and ``beta`` (Newton with matrix-free CG, :func:`pfnl.fields.cg`;
+the Jacobian ``(1/dt^2 + 1/dt) I + B + beta'`` is SPD because ``beta`` is
+monotone), with ``pi`` and the temperature taken explicitly.  The
+temperature subsystem then sees the fresh phase velocity and is one exact
 ``(I - dt lap_N)`` solve by the DCT (:func:`pfnl.fields.neumann_solve`).
 
 Implicit treatment of ``B`` matters: the nonlocal operator norm grows
@@ -30,11 +30,11 @@ plus the dissipation ``dt (|grad theta|^2 + |v|^2)`` must match the work
 ``dt ((f, theta) + (phi - pi(phi), v))`` up to O(dt^2) per step.
 :func:`solve_trajectory` evaluates every term of the balance once per step,
 in one pass over the new state, and carries the previous step's total
-forward.  For the kernel operator, ``E(phi) = 1/2 (B phi, phi)_H`` reuses
-the ``B phi`` of the phase Newton's final residual, so the records cost no
-extra application of ``B``.  :func:`total_energy` and
-:func:`energy_balance_residual` recompute the same quantities from two
-states alone.
+forward.  ``E(phi) = 1/2 (B phi, phi)_H`` reuses the ``B phi`` of the
+phase Newton's final residual, for the kernel operator and the Laplacian
+alike, so only the initial record applies ``B`` for its energy.
+:func:`total_energy` and :func:`energy_balance_residual` recompute the
+same quantities from two states alone.
 """
 
 from __future__ import annotations
@@ -43,31 +43,25 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import SolverError
 from .fields import (
     Field,
+    cg,
     grad_inner,
     inner_product,
     neumann_laplacian,
     neumann_solve,
     zeros,
 )
-from .operators import (
-    apply_B_eps,
-    apply_B_local,
-    energy_from_applied,
-    energy_local,
-    energy_nonlocal,
-)
+from .operators import apply_B_eps, apply_B_local, energy_from_applied
 
 
 @dataclass
 class State:
     """Solution triple at one time instant (``v`` is the phase velocity).
 
-    ``B_phi`` is ``B phi`` as the nonlocal step computed it, or ``None``;
+    ``B_phi`` is ``B phi`` as the step computed it, or ``None``;
     :func:`solve_trajectory` reads it for the energy record, then drops it.
     """
 
@@ -220,22 +214,19 @@ def _phi_update(state, apply_B, potential, cfg):
             )
         beta_slope = np.maximum(
             np.asarray(potential.beta_derivative(phi_data), dtype=np.float64), 0.0
-        ).ravel()
+        )
 
         def matvec(x):
-            xf = Field(grid, x.reshape(grid.shape))
-            return (1.0 + dt) * x + dt * dt * (apply_B(xf).data.ravel() + beta_slope * x)
+            return (1.0 + dt) * x + dt * dt * (apply_B(Field(grid, x)).data + beta_slope * x)
 
-        op = LinearOperator(
-            (grid.num_cells, grid.num_cells), matvec=matvec, dtype=np.float64
-        )
         delta, info = cg(
-            op, -res.ravel(), rtol=cfg.phi_solver_tol, atol=0.0,
-            maxiter=20 * grid.num_cells,
+            matvec, -res, rtol=cfg.phi_solver_tol, maxiter=20 * grid.num_cells
         )
         if info != 0:
-            raise SolverError(f"phase CG did not converge (info={info})")
-        delta = delta.reshape(grid.shape)
+            raise SolverError(
+                f"phase CG did not converge in {info} iterations "
+                f"(Newton iteration {iters + 1} at t={state.t:.6g})"
+            )
 
         # monotone beta makes plain Newton reliable; backtrack defensively
         step = 1.0
@@ -283,10 +274,11 @@ def step_nonlocal(state, op, potential, f_next, cfg):
 
 
 def step_local(state, potential, f_next, cfg):
-    """One semi-implicit step of the Laplacian system (same scheme)."""
-    phi_new, v_new = _phi_update(state, apply_B_local, potential, cfg)[:2]
+    """One semi-implicit step of the Laplacian system (same scheme); the new
+    state carries ``-lap_N phi`` for its energy record."""
+    phi_new, v_new, _, B_phi = _phi_update(state, apply_B_local, potential, cfg)
     theta_new = _theta_update(state, v_new, f_next, cfg)
-    return State(state.t + cfg.dt, theta_new, phi_new, v_new)
+    return State(state.t + cfg.dt, theta_new, phi_new, v_new, B_phi)
 
 
 # --- energy bookkeeping ---------------------------------------------------------
@@ -374,15 +366,14 @@ def solve_trajectory(problem, data, potential, cfg, op=None, source=None):
             raise ValueError("nonlocal trajectories need the kernel operator")
         eps = op.eps
         triple = data.per_eps[eps]
+        apply_B = lambda u: apply_B_eps(op, u)
         apply_step = lambda s, f: step_nonlocal(s, op, potential, f, cfg)
-        energy_fn = lambda u: energy_nonlocal(op, u)
-        step_energy = lambda s: energy_from_applied(op, s.phi, s.B_phi)
     elif problem == "local":
+        op = None
         eps = None
         triple = (data.theta0, data.phi0, data.v0)
+        apply_B = apply_B_local
         apply_step = lambda s, f: step_local(s, potential, f, cfg)
-        energy_fn = energy_local
-        step_energy = lambda s: energy_local(s.phi)
     else:
         raise ValueError(f"unknown problem kind {problem!r}")
 
@@ -397,7 +388,8 @@ def solve_trajectory(problem, data, potential, cfg, op=None, source=None):
     times = [0.0]
     states = [State(0.0, state.theta.copy(), state.phi.copy(), state.v.copy())]
     phi_tt_snaps = [None]
-    records = [_record(0.0, state, energy_fn(state.phi), potential)[0]]
+    energy0 = energy_from_applied(op, state.phi, apply_B(state.phi).data)
+    records = [_record(0.0, state, energy0, potential)[0]]
     aux = {
         "int_thetat_sq": 0.0,
         "int_laptheta_sq": 0.0,
@@ -419,7 +411,8 @@ def solve_trajectory(problem, data, potential, cfg, op=None, source=None):
             raise SolverError(f"step {k} (t={t_next:.6g}): {err}") from err
 
         record, grad_sq, v_sq = _record(
-            t_next, state, step_energy(state), potential, f_next, dt,
+            t_next, state, energy_from_applied(op, state.phi, state.B_phi),
+            potential, f_next, dt,
             records[-1].total_energy,
         )
         state.B_phi = None

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import pfnl
 from pfnl import cli, physics
 from pfnl.config import default_config, parse_config_text
 from pfnl.errors import ConfigError
@@ -170,6 +173,23 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "energy.csv").exists()
 
+    @pytest.mark.parametrize(
+        "line", ["potential.pi_slope = -1e300", "potential.power = 5"]
+    )
+    def test_double_well_rejects_custom_polynomial_keys(self, tmp_path, capsys, line):
+        # the double well has no use for these keys; ignoring them would run
+        # a different model from the one the file describes
+        cfg = write_config(
+            tmp_path,
+            f"grid.n = 64\ntime.dt = 0.1\n{line}\noutput.dir = {tmp_path / 'out'}\n",
+        )
+        code = cli.main(["simulate", "--config", cfg, "--eps", "0.1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:3: {line.split(' =')[0]} applies only to" in err
+        assert "custom-polynomial" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "energy.csv").exists()
+
     def test_no_partial_output_on_failure(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, SMALL_SIM.format(out=out))
@@ -303,3 +323,15 @@ class TestVerifyLemmas:
             "frechet_identity",
         ):
             assert results[name]["pass"], name
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # nothing in pfnl needs scipy.sparse; importing it would cost start-up
+    # time and resident memory in every run
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pfnl.__file__)))
+    code = "import sys, pfnl.cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.stdout.strip() == "False"

@@ -13,6 +13,7 @@ from pfnl.errors import ConfigError, GridMismatchError
 from pfnl.fields import (
     Field,
     Grid,
+    cg,
     dual_norm,
     field_from_function,
     grad_inner,
@@ -35,6 +36,15 @@ def discrete_neumann_eigenvalue(grid, k=1, axis=0):
     h = grid.spacing[axis]
     L = grid.lengths[axis]
     return (2.0 / h**2) * (1.0 - math.cos(k * math.pi * h / L))
+
+
+def spd_system(rng, shape, condition=10.0):
+    """Dense SPD matrix with eigenvalues spread over ``[1, condition]`` and a
+    random right-hand side of ``shape``."""
+    n = math.prod(shape)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    A = (q * np.geomspace(1.0, condition, n)) @ q.T
+    return 0.5 * (A + A.T), rng.normal(size=shape)
 
 
 class TestGrid:
@@ -372,3 +382,49 @@ class TestReadFieldRejects:
         rows[6] = "6,nan"
         path.write_text("\n".join(rows) + "\n")
         self._rejects(grid, path, "non-finite value at cell (6,)")
+
+
+class TestCG:
+    @pytest.mark.parametrize("shape", [(40,), (6, 9)], ids=["1d", "2d-shaped"])
+    def test_matches_dense_solve(self, shape, rng):
+        A, b = spd_system(rng, shape)
+        x, info = cg(lambda p: (A @ p.ravel()).reshape(shape), b, 1e-14, 1000)
+        assert info == 0 and x.shape == shape
+        exact = np.linalg.solve(A, b.ravel()).reshape(shape)
+        assert np.max(np.abs(x - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+    def test_iterations_match_scipy(self, rng):
+        from scipy.sparse.linalg import cg as scipy_cg
+
+        A, b = spd_system(rng, (40,), condition=1e4)
+        ours, theirs = [], []
+        x, info = cg(lambda p: A @ p, b, 1e-10, 1000, callback=ours.append)
+        ref, ref_info = scipy_cg(
+            A, b, rtol=1e-10, atol=0.0, maxiter=1000, callback=theirs.append
+        )
+        assert info == ref_info == 0
+        assert len(ours) == len(theirs) > 10
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_callback_once_per_iteration(self, rng):
+        A, b = spd_system(rng, (40,), condition=1e4)
+        matvecs, iterates = [], []
+
+        def matvec(p):
+            matvecs.append(1)
+            return A @ p
+
+        x, info = cg(matvec, b, 1e-10, 1000, callback=lambda xk: iterates.append(xk.copy()))
+        assert info == 0 and len(iterates) == len(matvecs) > 10
+        np.testing.assert_array_equal(iterates[-1], x)
+
+    def test_budget_exhausted(self, rng):
+        A, b = spd_system(rng, (40,), condition=1e4)
+        calls = []
+        x, info = cg(lambda p: A @ p, b, 1e-10, 3, callback=calls.append)
+        assert info == 3 and len(calls) == 3
+        assert np.linalg.norm(b - A @ x) > 1e-10 * np.linalg.norm(b)
+
+    def test_zero_rhs(self):
+        x, info = cg(lambda p: p, np.zeros((6, 9)), 1e-12, 10)
+        assert info == 0 and not x.any()

@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import rough_field
+from pfnl import fields, integrator
 from pfnl.errors import SolverError
 from pfnl.fields import (
     Field,
@@ -365,6 +366,22 @@ class TestNewtonOverflow:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(SolverError, match="overflowed"):
                 _phi_update(state, apply_B_local, pot, SchemeConfig(dt=0.1, T=0.5))
+
+
+class TestPhaseCG:
+    def test_integrator_uses_fields_cg(self):
+        assert integrator.cg is fields.cg
+
+    def test_exhausted_budget_raises(self, monkeypatch):
+        # one CG iteration cannot solve (1.1 I - 0.01 lap_N) at n = 64
+        monkeypatch.setattr(
+            integrator, "cg", lambda matvec, b, rtol, maxiter: fields.cg(matvec, b, rtol, 1)
+        )
+        grid = Grid.line(64)
+        phi = field_from_function(grid, lambda x: np.cos(np.pi * x))
+        state = State(0.0, zeros(grid), phi, zeros(grid))
+        with pytest.raises(SolverError, match="phase CG did not converge in 1 iter"):
+            _phi_update(state, apply_B_local, make_double_well(), SchemeConfig(dt=0.1, T=0.5))
 
 
 class TestSchemeConfig:

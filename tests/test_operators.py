@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -24,6 +25,7 @@ from pfnl.kernels import (
     tabulate_kernel,
 )
 from pfnl.operators import (
+    MAX_DIRECT_TAPS,
     apply_B_eps,
     apply_B_local,
     bbm_bound_ratio,
@@ -117,8 +119,9 @@ class TestConvolve:
             (1.0, (1.0, 1.0), (16, 16), 0.3, 1.0, (5, 5)),
             (0.0, (1.0,), (16,), 0.5, 3.0, (15,)),
             (0.0, (1.0, 1.0), (10, 12), 0.5, 3.0, (9, 11)),
+            (0.0, (1.0,), (128,), 0.5, 3.0, (127,)),
         ],
-        ids=["1d", "2d-nonsquare", "2d-alpha1", "1d-wide", "2d-wide"],
+        ids=["1d", "2d-nonsquare", "2d-alpha1", "1d-wide", "2d-wide", "1d-fft"],
     )
     def test_compact_plan_matches_direct_sum(
         self, alpha, lengths, n, eps, radius, halfwidth, rng
@@ -135,6 +138,25 @@ class TestConvolve:
         assert np.max(np.abs(convolve(op.plan, u).data - direct.data)) <= 1e-12 * scale
         a = energy_nonlocal(op, u)
         assert abs(a - energy_double_sum(op, u)) <= 1e-12 * max(1.0, a)
+
+    @pytest.mark.parametrize(
+        "n, eps, radius, direct",
+        [(40, 0.2, 1.0, True), (16, 0.5, 3.0, True), (128, 0.5, 3.0, False)],
+    )
+    def test_1d_path_follows_tap_count(self, n, eps, radius, direct, rng):
+        grid = Grid.line(n)
+        family = build_kernel_family(make_profile("polynomial-bump", radius), 1, 0.0)
+        plan = build_nonlocal_operator(family, eps, grid).plan
+        assert plan.direct == direct
+        assert (plan.kernel.values.size <= MAX_DIRECT_TAPS) == direct
+        # the other path gives the same convolution to roundoff
+        other = dataclasses.replace(plan, direct=not direct)
+        u = rough_field(grid, rng).data
+        scale = np.max(np.abs(plan.apply(u))) + 1.0
+        assert np.max(np.abs(plan.apply(u) - other.apply(u))) <= 1e-12 * scale
+
+    def test_2d_plans_use_fft(self, op2d):
+        assert not op2d.plan.direct
 
     def test_a_eps_positive_and_symmetric(self, op32):
         assert np.min(op32.a_eps.data) > 0.0
