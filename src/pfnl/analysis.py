@@ -36,6 +36,7 @@ from .fields import (
 )
 from .integrator import SchemeConfig, solve_trajectory
 from .operators import (
+    apply_B,
     apply_B_eps,
     apply_B_local,
     bbm_bound_ratio,
@@ -299,7 +300,7 @@ def frechet_identity_suite(family, eps=0.25, n=32, dimension=1, trials=50, seed=
 # --- uniform-estimate monitors ---------------------------------------------------------
 
 
-def estimate_monitor(traj, which="all", potential=None, op=None):
+def estimate_monitor(traj, which="all", potential=None):
     """Discrete analogues of the width-uniform a priori bounds.
 
     Groups: ``state-energy`` (sup norms of the state, the kernel energy,
@@ -308,7 +309,8 @@ def estimate_monitor(traj, which="all", potential=None, op=None):
     Laplacian), ``dual-derivative`` (dual norms of the phase acceleration
     and the operator image, and the L^q mass of the monotone term).
     Sup-in-time quantities use the per-step records; dual norms are
-    evaluated at snapshot times.
+    evaluated at snapshot times, the operator image with the trajectory's
+    own ``B`` (``traj.op``).
     """
     if which != "all" and which not in MONITOR_GROUPS:
         raise ValueError(f"unknown monitor group {which!r}")
@@ -349,7 +351,7 @@ def estimate_monitor(traj, which="all", potential=None, op=None):
             {
                 "beta_Lq_Linf": beta_lq,
                 "phi_tt_LinfVstar": max(dual_norm(f) for f in phi_tt) if phi_tt else 0.0,
-                "B_phi_LinfVstar": max(dual_norm(_apply_B(op, s.phi)) for s in traj.states),
+                "B_phi_LinfVstar": max(dual_norm(apply_B(traj.op, s.phi)) for s in traj.states),
             }
         )
     return out
@@ -405,14 +407,11 @@ REPORT_COLUMNS = (
 )
 
 
-def _apply_B(op, u):
-    """``B_eps u`` for a kernel operator, ``-lap u`` when ``op`` is None."""
-    return apply_B_local(u) if op is None else apply_B_eps(op, u)
-
-
 def _solve(sweep, grid, op=None):
     """One run of the sweep on ``grid``: the kernel system of ``op``, or
-    the Laplacian system when ``op`` is None (no width, so no a5 monitor)."""
+    the Laplacian system when ``op`` is ``None`` (no width, so no a5
+    monitor).  ``op`` goes unchanged to :func:`solve_trajectory`, which
+    keeps it as ``traj.op``.  Returns ``(data, traj)``."""
     widths = {} if op is None else {op.eps: op}
     data = build_initial_data(
         "smooth-default",
@@ -425,10 +424,9 @@ def _solve(sweep, grid, op=None):
         strict=False,
         operators=widths,
     )
-    problem = "local" if op is None else "nonlocal"
-    traj = solve_trajectory(problem, data, sweep.potential, sweep.scheme, op=op,
+    traj = solve_trajectory(op, data, sweep.potential, sweep.scheme,
                             source=sweep.source)
-    return {"grid": grid, "op": op, "data": data, "traj": traj}
+    return data, traj
 
 
 def nonlocal_to_local_study(sweep):
@@ -454,12 +452,11 @@ def nonlocal_to_local_study(sweep):
         for eps in ordered
     }
     if sweep.reference == "finest-eps":
-        ref_run = runs[ordered[-1]]
+        _, ref_traj = runs[ordered[-1]]
         compare_eps = ordered[:-1]
     else:
-        ref_run = _solve(sweep, finest)
+        _, ref_traj = _solve(sweep, finest)
         compare_eps = ordered
-    ref_traj, ref_grid, ref_op = ref_run["traj"], ref_run["grid"], ref_run["op"]
 
     probes = probe_fields(sweep.dimension)
     probe_on_coarse = [p.on(coarse) for p in probes]
@@ -468,9 +465,11 @@ def nonlocal_to_local_study(sweep):
     ref_theta = [restrict(s.theta, coarse) for s in ref_traj.states]
     ref_phi = [restrict(s.phi, coarse) for s in ref_traj.states]
     ref_v = [restrict(s.v, coarse) for s in ref_traj.states]
-    ref_B = [restrict(_apply_B(ref_op, s.phi), coarse) for s in ref_traj.states]
+    ref_B = [restrict(apply_B(ref_traj.op, s.phi), coarse) for s in ref_traj.states]
     ref_beta = [
-        restrict(Field(ref_grid, np.asarray(sweep.potential.beta(s.phi.data))), coarse)
+        restrict(
+            Field(ref_traj.grid, np.asarray(sweep.potential.beta(s.phi.data))), coarse
+        )
         for s in ref_traj.states
     ]
 
@@ -479,8 +478,7 @@ def nonlocal_to_local_study(sweep):
     violations, notes = [], []
 
     for eps in compare_eps:
-        run = runs[eps]
-        traj, op = run["traj"], run["op"]
+        data, traj = runs[eps]
         if len(traj.times) != len(ref_traj.times):
             raise GridMismatchError("snapshot schedules differ between runs")
         e_theta = e_phi = e_v = e_B = e_beta = e_Bpair = 0.0
@@ -492,10 +490,10 @@ def nonlocal_to_local_study(sweep):
             e_theta = max(e_theta, norm(th - ref_theta[k], "H"))
             e_phi = max(e_phi, norm(ph - ref_phi[k], "H"))
             e_v = max(e_v, dual_norm(vv - ref_v[k]))
-            B_here = restrict(apply_B_eps(op, state.phi), coarse)
+            B_here = restrict(apply_B_eps(traj.op, state.phi), coarse)
             e_B = max(e_B, dual_norm(B_here - ref_B[k]))
             beta_here = restrict(
-                Field(run["grid"], np.asarray(sweep.potential.beta(state.phi.data))),
+                Field(traj.grid, np.asarray(sweep.potential.beta(state.phi.data))),
                 coarse,
             )
             for w in probe_on_coarse:
@@ -505,10 +503,7 @@ def nonlocal_to_local_study(sweep):
                 e_beta = max(
                     e_beta, abs(inner_product("H", beta_here - ref_beta[k], w))
                 )
-            rec = traj.records[
-                min(round(traj.times[k] / sweep.scheme.dt), len(traj.records) - 1)
-            ]
-            energy_path.append(rec.energy_phi)
+            energy_path.append(_record_at(traj, traj.times[k]).energy_phi)
 
         columns["eps"].append(eps)
         columns["err_theta_C0H"].append(e_theta)
@@ -516,12 +511,10 @@ def nonlocal_to_local_study(sweep):
         columns["err_v_C0Vstar"].append(e_v)
         columns["err_Beps_Vstar"].append(e_B)
         columns["err_beta_pairing"].append(e_beta)
-        estimates[eps] = estimate_monitor(
-            traj, "all", potential=sweep.potential, op=op
-        )
+        estimates[eps] = estimate_monitor(traj, "all", potential=sweep.potential)
         rows_extra[eps] = {
             "err_B_pairing": e_Bpair,
-            "a5_monitor": run["data"].a5_values[eps],
+            "a5_monitor": data.a5_values[eps],
             "energy_path": energy_path,
         }
 
@@ -552,14 +545,14 @@ def nonlocal_to_local_study(sweep):
         bpair = [rows_extra[e]["err_B_pairing"] for e in compare_eps]
         for a, b in _rises(bpair)[:1]:
             violations.append(f"err_B_pairing fails to decrease ({a:g} -> {b:g})")
-        if ref_op is None:
+        if ref_traj.op is None:
             # lower-semicontinuity check: at each snapshot the limit energy
             # must not exceed the best width energy beyond the 10% slack
             energy_scale = max(estimates[e]["energy_Linf"] for e in compare_eps)
             worst = -np.inf
-            for k, s in enumerate(ref_traj.states):
+            for k, t in enumerate(ref_traj.times):
                 best = min(rows_extra[e]["energy_path"][k] for e in compare_eps)
-                worst = max(worst, energy_local(s.phi) - best)
+                worst = max(worst, _record_at(ref_traj, t).energy_phi - best)
             if worst > 0.10 * max(energy_scale, 1e-14):
                 violations.append(
                     f"limit energy exceeds the best width energy by {worst:.3g}, "
@@ -567,7 +560,7 @@ def nonlocal_to_local_study(sweep):
                 )
 
     for eps in compare_eps:
-        for flag in runs[eps]["data"].flags:
+        for flag in runs[eps][0].flags:
             notes.append(f"eps={eps}: {flag}")
 
     for name in REPORT_COLUMNS[1:-1]:
@@ -602,8 +595,7 @@ def cauchy_in_h_diagnostic(traj_a, traj_b):
         pa = restrict(traj_a.states[k].phi, target)
         pb = restrict(traj_b.states[k].phi, target)
         diff = pa - pb
-        ea = traj_a.records[min(len(traj_a.records) - 1, _record_index(traj_a, t))]
-        eb = traj_b.records[min(len(traj_b.records) - 1, _record_index(traj_b, t))]
+        ea, eb = _record_at(traj_a, t), _record_at(traj_b, t)
         rows.append(
             {
                 "t": t,
@@ -615,11 +607,13 @@ def cauchy_in_h_diagnostic(traj_a, traj_b):
     return rows
 
 
-def _record_index(traj, t):
-    if len(traj.records) < 2:
-        return 0
-    dt = traj.records[1].t - traj.records[0].t
-    return round(t / dt)
+def _record_at(traj, t):
+    """The energy record of ``traj`` at snapshot time ``t``; records are
+    one per step, the first at ``t = 0``."""
+    recs = traj.records
+    if len(recs) < 2:
+        return recs[0]
+    return recs[min(round(t / (recs[1].t - recs[0].t)), len(recs) - 1)]
 
 
 # --- CSV rendering -----------------------------------------------------------------------

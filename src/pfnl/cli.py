@@ -132,12 +132,7 @@ def cmd_simulate(cfg, eps=None, local=False):
         operators=None if local else {eps: op},
     )
 
-    if local:
-        traj = solve_trajectory("local", data, potential, scheme, source=source)
-    else:
-        traj = solve_trajectory(
-            "nonlocal", data, potential, scheme, op=op, source=source
-        )
+    traj = solve_trajectory(op, data, potential, scheme, source=source)
 
     lines = [",".join(CSV_COLUMNS)]
     lines.extend(record_csv_row(r) for r in traj.records)

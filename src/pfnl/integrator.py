@@ -6,7 +6,10 @@ One step advances the pair of equations
     phi_tt + phi_t + B phi + beta(phi) + pi(phi) = theta,
 
 where ``B`` is either the nonlocal kernel operator or the (negative)
-Neumann Laplacian.  The phase subsystem is solved first, implicitly in
+Neumann Laplacian.  One ``op`` argument selects it, from
+:func:`solve_trajectory` down to the phase Newton: the kernel operator
+for ``B_eps``, or ``None`` for ``-lap_N`` (see :func:`pfnl.operators.apply_B`).
+The phase subsystem is solved first, implicitly in
 ``B`` and ``beta`` (Newton with matrix-free CG, :func:`pfnl.fields.cg`;
 the Jacobian ``(1/dt^2 + 1/dt) I + B + beta'`` is SPD because ``beta`` is
 monotone), with ``pi`` and the temperature taken explicitly.  The
@@ -54,7 +57,7 @@ from .fields import (
     neumann_solve,
     zeros,
 )
-from .operators import apply_B_eps, apply_B_local, energy_from_applied
+from .operators import apply_B, energy_from_applied
 
 
 @dataclass
@@ -138,8 +141,7 @@ def record_csv_row(rec):
 
 @dataclass
 class Trajectory:
-    problem: str
-    eps: float
+    op: object  # the kernel operator of the run, or None for the Laplacian
     grid: object
     times: list
     states: list
@@ -155,10 +157,14 @@ class Trajectory:
 # --- single-equation solves ----------------------------------------------------
 
 
-def _phi_update(state, apply_B, potential, cfg):
+# b, beta, beta' and the norms may overflow on a diverging run; the
+# finiteness and no-improvement guards report that as a SolverError
+@np.errstate(over="ignore", invalid="ignore")
+def _phi_update(state, op, potential, cfg):
     """Implicit phase solve on the dt^2-scaled residual.
 
-    Solves ``(1+dt) phi + dt^2 (B phi + beta(phi)) = b`` with
+    Solves ``(1+dt) phi + dt^2 (B phi + beta(phi)) = b``, with ``B`` the
+    operator ``op`` selects (``None`` for ``-lap_N``) and
     ``b = (1+dt) phi^n + dt v^n + dt^2 (theta^n - pi(phi^n))`` by Newton;
     the scaling keeps the residual comparable to the field itself, so the
     H-norm tolerance is meaningful at small dt.  Returns ``(phi, v,
@@ -174,16 +180,13 @@ def _phi_update(state, apply_B, potential, cfg):
         + dt * state.v.data
         + dt * dt * (state.theta.data - pi_term)
     )
-    # the norms may overflow; the finiteness guard below reports that
-    with np.errstate(over="ignore", invalid="ignore"):
-        b_scale = 1.0 + math.sqrt(vol * float(np.sum(b * b)))
+    b_scale = 1.0 + math.sqrt(vol * float(np.sum(b * b)))
 
     def residual(phi_data):
-        Bphi = apply_B(Field(grid, phi_data)).data
+        Bphi = apply_B(op, Field(grid, phi_data)).data
         beta_term = np.asarray(potential.beta(phi_data), dtype=np.float64)
         res = (1.0 + dt) * phi_data + dt * dt * (Bphi + beta_term) - b
-        with np.errstate(over="ignore", invalid="ignore"):
-            res_norm = math.sqrt(vol * float(np.sum(res * res)))
+        res_norm = math.sqrt(vol * float(np.sum(res * res)))
         return res, res_norm, Bphi
 
     # explicit predictor as the Newton seed
@@ -217,7 +220,7 @@ def _phi_update(state, apply_B, potential, cfg):
         )
 
         def matvec(x):
-            return (1.0 + dt) * x + dt * dt * (apply_B(Field(grid, x)).data + beta_slope * x)
+            return (1.0 + dt) * x + dt * dt * (apply_B(op, Field(grid, x)).data + beta_slope * x)
 
         delta, info = cg(
             matvec, -res, rtol=cfg.phi_solver_tol, maxiter=20 * grid.num_cells
@@ -266,9 +269,7 @@ def _theta_update(state, v_new, f_next, cfg):
 def step_nonlocal(state, op, potential, f_next, cfg):
     """One semi-implicit step of the kernel-operator system; the new state
     carries ``B_eps phi`` for its energy record."""
-    phi_new, v_new, _, B_phi = _phi_update(
-        state, lambda u: apply_B_eps(op, u), potential, cfg
-    )
+    phi_new, v_new, _, B_phi = _phi_update(state, op, potential, cfg)
     theta_new = _theta_update(state, v_new, f_next, cfg)
     return State(state.t + cfg.dt, theta_new, phi_new, v_new, B_phi)
 
@@ -276,7 +277,7 @@ def step_nonlocal(state, op, potential, f_next, cfg):
 def step_local(state, potential, f_next, cfg):
     """One semi-implicit step of the Laplacian system (same scheme); the new
     state carries ``-lap_N phi`` for its energy record."""
-    phi_new, v_new, _, B_phi = _phi_update(state, apply_B_local, potential, cfg)
+    phi_new, v_new, _, B_phi = _phi_update(state, None, potential, cfg)
     theta_new = _theta_update(state, v_new, f_next, cfg)
     return State(state.t + cfg.dt, theta_new, phi_new, v_new, B_phi)
 
@@ -352,31 +353,17 @@ def _record(t, state, energy_phi, potential, f_next=None, dt=None, prev_total=No
 # --- trajectory driver -----------------------------------------------------------
 
 
-def solve_trajectory(problem, data, potential, cfg, op=None, source=None):
-    """March the chosen system from the configured initial data.
+def solve_trajectory(op, data, potential, cfg, source=None):
+    """March the system ``op`` selects from the configured initial data.
 
-    ``problem`` is ``"nonlocal"`` (requires the kernel operator ``op``)
-    or ``"local"``.  Snapshots are stored at roughly ``cfg.snapshots``
-    evenly spaced steps plus the initial and final states; an energy
-    record is emitted every step.  Solver failures abort with the step
-    index in the message.
+    ``op`` is the kernel operator, which solves the ``B_eps`` system from
+    the initial data of its width (``data.per_eps[op.eps]``), or ``None``,
+    which solves the Laplacian system from ``data``'s own initial data.
+    Snapshots are stored at roughly ``cfg.snapshots`` evenly spaced steps
+    plus the initial and final states; an energy record is emitted every
+    step.  Solver failures abort with the step index in the message.
     """
-    if problem == "nonlocal":
-        if op is None:
-            raise ValueError("nonlocal trajectories need the kernel operator")
-        eps = op.eps
-        triple = data.per_eps[eps]
-        apply_B = lambda u: apply_B_eps(op, u)
-        apply_step = lambda s, f: step_nonlocal(s, op, potential, f, cfg)
-    elif problem == "local":
-        op = None
-        eps = None
-        triple = (data.theta0, data.phi0, data.v0)
-        apply_B = apply_B_local
-        apply_step = lambda s, f: step_local(s, potential, f, cfg)
-    else:
-        raise ValueError(f"unknown problem kind {problem!r}")
-
+    triple = (data.theta0, data.phi0, data.v0) if op is None else data.per_eps[op.eps]
     grid = data.grid
     vol = grid.cell_volume
     dt = cfg.dt
@@ -388,7 +375,7 @@ def solve_trajectory(problem, data, potential, cfg, op=None, source=None):
     times = [0.0]
     states = [State(0.0, state.theta.copy(), state.phi.copy(), state.v.copy())]
     phi_tt_snaps = [None]
-    energy0 = energy_from_applied(op, state.phi, apply_B(state.phi).data)
+    energy0 = energy_from_applied(op, state.phi, apply_B(op, state.phi).data)
     records = [_record(0.0, state, energy0, potential)[0]]
     aux = {
         "int_thetat_sq": 0.0,
@@ -405,7 +392,10 @@ def solve_trajectory(problem, data, potential, cfg, op=None, source=None):
         f_next = source(grid, t_next) if source is not None else zero
         try:
             prev = state
-            state = apply_step(prev, f_next)
+            if op is None:
+                state = step_local(prev, potential, f_next, cfg)
+            else:
+                state = step_nonlocal(prev, op, potential, f_next, cfg)
             state.t = t_next
         except SolverError as err:
             raise SolverError(f"step {k} (t={t_next:.6g}): {err}") from err
@@ -440,8 +430,7 @@ def solve_trajectory(problem, data, potential, cfg, op=None, source=None):
             phi_tt_snaps.append(Field(grid, (state.v.data - prev.v.data) / dt))
 
     return Trajectory(
-        problem=problem,
-        eps=eps,
+        op=op,
         grid=grid,
         times=times,
         states=states,

@@ -1,6 +1,12 @@
 """The nonlocal operator ``B_eps`` and energy ``E_eps`` plus their local
 counterparts.
 
+One convention picks the problem everywhere: an ``op`` argument is either
+a :class:`NonlocalOperator`, meaning ``B = B_eps`` of that operator, or
+``None``, meaning the Laplacian limit ``B = -lap_N``.  :func:`apply_B` and
+:func:`energy_from_applied` dispatch on it, and the integrator and the
+sweep studies pass it down unchanged.
+
 The domain-restricted convolution ``(J_eps * u)(x) = int_D J_eps(x-y) u(y) dy``
 is computed by zero-extending ``u`` and performing a linear (padded) FFT
 convolution; since the integrand vanishes outside the box this is exact
@@ -123,6 +129,12 @@ def apply_B_eps(op, u):
     """Apply the nonlocal operator; annihilates constants exactly."""
     conv = op.plan.apply(u.data) * u.grid.cell_volume
     return Field(u.grid, op.a_eps.data * u.data - conv)
+
+
+def apply_B(op, u):
+    """``B u`` for the problem ``op`` selects: ``B_eps`` of ``op``, or
+    ``-lap_N`` when ``op`` is ``None``."""
+    return apply_B_local(u) if op is None else apply_B_eps(op, u)
 
 
 def energy_nonlocal(op, u):

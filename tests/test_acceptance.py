@@ -209,7 +209,7 @@ class TestCriterion06ManufacturedSolution:
             rule=self.RULE,
         )
         traj = solve_trajectory(
-            "local", data, self.POT, SchemeConfig(dt=dt, T=T, snapshots=10),
+            None, data, self.POT, SchemeConfig(dt=dt, T=T, snapshots=10),
             source=self.source,
         )
         errs = []
@@ -263,7 +263,7 @@ class TestCriterion07OdeReduction:
                 custom={"theta0": mk(self.Y0[0]), "phi0": mk(self.Y0[1]), "v0": mk(self.Y0[2])},
             )
             op = build_nonlocal_operator(family1d, eps, grid)
-            traj = solve_trajectory("nonlocal", data, pot, cfg, op=op)
+            traj = solve_trajectory(op, data, pot, cfg)
             worst[eps] = self.max_error(traj)
             assert worst[eps] <= 1e-3, eps
         grid = Grid.line(32)
@@ -272,7 +272,7 @@ class TestCriterion07OdeReduction:
             "custom", grid, [0.5], family1d, pot, c1_bound=100.0,
             custom={"theta0": mk(self.Y0[0]), "phi0": mk(self.Y0[1]), "v0": mk(self.Y0[2])},
         )
-        local = solve_trajectory("local", data, pot, cfg)
+        local = solve_trajectory(None, data, pot, cfg)
         assert self.max_error(local) <= 1e-3
         report(7, f"ODE oracle gap <= {max(worst.values()):.2e} (<= 1e-3) for all runs")
 
@@ -287,7 +287,7 @@ class TestCriterion08EnergyBalance:
         maxima = []
         for dt in dts:
             traj = solve_trajectory(
-                "nonlocal", data, pot, SchemeConfig(dt=dt, T=0.5, snapshots=5), op=op
+                op, data, pot, SchemeConfig(dt=dt, T=0.5, snapshots=5)
             )
             maxima.append(traj.aux["max_step_residual"])
         slope = np.polyfit(np.log(dts), np.log(maxima), 1)[0]

@@ -5,10 +5,10 @@ import pytest
 
 from pfnl import analysis, physics
 from pfnl.errors import ResolutionError
-from pfnl.fields import Grid, field_from_function
+from pfnl.fields import Grid, dual_norm, field_from_function
 from pfnl.integrator import SchemeConfig, solve_trajectory
 from pfnl.kernels import build_kernel_family, make_profile
-from pfnl.operators import build_nonlocal_operator, energy_local
+from pfnl.operators import apply_B_eps, build_nonlocal_operator, energy_local
 from pfnl.physics import build_initial_data, make_double_well, make_linear_potential
 from pfnl.analysis import (
     ProbeField,
@@ -159,9 +159,9 @@ class TestEstimateMonitor:
         )
         op = build_nonlocal_operator(family, 0.2, grid)
         traj = solve_trajectory(
-            "nonlocal", data, pot, SchemeConfig(dt=1e-2, T=0.1, snapshots=5), op=op
+            op, data, pot, SchemeConfig(dt=1e-2, T=0.1, snapshots=5)
         )
-        mon = estimate_monitor(traj, "all", potential=pot, op=op)
+        mon = estimate_monitor(traj, "all", potential=pot)
         assert all(v == 0.0 for v in mon.values())
 
     def test_group_selection(self, family):
@@ -170,12 +170,26 @@ class TestEstimateMonitor:
         data = build_initial_data("smooth-default", grid, [0.2], family, pot)
         op = build_nonlocal_operator(family, 0.2, grid)
         traj = solve_trajectory(
-            "nonlocal", data, pot, SchemeConfig(dt=2e-3, T=0.1, snapshots=5), op=op
+            op, data, pot, SchemeConfig(dt=2e-3, T=0.1, snapshots=5)
         )
         m1 = estimate_monitor(traj, "state-energy")
         assert "theta_LinfH" in m1 and "beta_Lq_Linf" not in m1
         with pytest.raises(ValueError):
             estimate_monitor(traj, "lemma")
+
+    def test_operator_image_uses_trajectory_operator(self, family):
+        # a kernel trajectory's B_phi monitor is the dual norm of B_eps phi,
+        # not of the Laplacian image
+        grid = Grid.line(40)
+        pot = make_double_well()
+        data = build_initial_data("smooth-default", grid, [0.2], family, pot)
+        op = build_nonlocal_operator(family, 0.2, grid)
+        traj = solve_trajectory(
+            op, data, pot, SchemeConfig(dt=2e-3, T=0.1, snapshots=5)
+        )
+        mon = estimate_monitor(traj, "dual-derivative", potential=pot)
+        expected = max(dual_norm(apply_B_eps(op, s.phi)) for s in traj.states)
+        assert mon["B_phi_LinfVstar"] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_beta_lq_pointwise_bound(self, family):
         # |beta|^q <= c_beta (1 + beta_hat) integrates to a computable cap
@@ -184,9 +198,9 @@ class TestEstimateMonitor:
         data = build_initial_data("smooth-default", grid, [0.1], family, pot)
         op = build_nonlocal_operator(family, 0.1, grid)
         traj = solve_trajectory(
-            "nonlocal", data, pot, SchemeConfig(dt=2e-3, T=0.2, snapshots=10), op=op
+            op, data, pot, SchemeConfig(dt=2e-3, T=0.2, snapshots=10)
         )
-        mon = estimate_monitor(traj, "dual-derivative", potential=pot, op=op)
+        mon = estimate_monitor(traj, "dual-derivative", potential=pot)
         volume = grid.lengths[0]
         cap = max(
             (pot.c_beta * (volume + r.int_beta_hat)) ** (1.0 / pot.q)
@@ -318,7 +332,7 @@ class TestCauchyDiagnostic:
         )
         grids = sweep_grids((eps,))
         op = build_nonlocal_operator(family, eps, grids[eps])
-        return _solve(sweep, grids[eps], op)["traj"]
+        return _solve(sweep, grids[eps], op)[1]
 
     def test_identical_pair_zero(self, family):
         traj = self.run_eps(family, 0.1)

@@ -174,6 +174,26 @@ class TestSimulate:
         assert not (tmp_path / "out" / "energy.csv").exists()
 
     @pytest.mark.parametrize(
+        "problem", [["--eps", "0.1"], ["--local"]], ids=["nonlocal", "local"]
+    )
+    def test_overflowing_beta_exits_1(self, tmp_path, capsys, problem):
+        # pi(phi) ~ 1e150 keeps |b| finite, but beta = phi^3 of the first
+        # Newton trial overflows; the no-improvement guard, not NumPy's
+        # RuntimeWarning, reports the failure
+        cfg = write_config(
+            tmp_path,
+            "grid.n = 64\n"
+            "time.dt = 0.1\n"
+            "potential.kind = custom-polynomial\n"
+            "potential.pi_slope = -1e150\n"
+            f"output.dir = {tmp_path / 'out'}\n",
+        )
+        assert cli.main(["simulate", "--config", cfg, *problem]) == 1
+        err = capsys.readouterr().err
+        assert "cannot improve" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize(
         "line", ["potential.pi_slope = -1e300", "potential.power = 5"]
     )
     def test_double_well_rejects_custom_polynomial_keys(self, tmp_path, capsys, line):

@@ -20,7 +20,6 @@ from pfnl.fields import (
 )
 from pfnl.kernels import build_kernel_family, make_profile
 from pfnl.operators import (
-    apply_B_local,
     build_nonlocal_operator,
     energy_local,
     energy_nonlocal,
@@ -90,7 +89,7 @@ class TestConstantDataODE:
         pot = make_linear_potential(0.0)
         data = constant_data(grid, family, pot, self.Y0, [0.5])
         traj = solve_trajectory(
-            "local", data, pot, SchemeConfig(dt=1e-4, T=1.0, snapshots=10)
+            None, data, pot, SchemeConfig(dt=1e-4, T=1.0, snapshots=10)
         )
         assert self.trajectory_error(traj) <= 1e-3
 
@@ -100,7 +99,7 @@ class TestConstantDataODE:
         data = constant_data(grid, family, pot, self.Y0, [0.2])
         op = build_nonlocal_operator(family, 0.2, grid)
         traj = solve_trajectory(
-            "nonlocal", data, pot, SchemeConfig(dt=1e-4, T=1.0, snapshots=10), op=op
+            op, data, pot, SchemeConfig(dt=1e-4, T=1.0, snapshots=10)
         )
         assert self.trajectory_error(traj) <= 1e-3
 
@@ -111,7 +110,7 @@ class TestConstantDataODE:
         errs = []
         for dt in (4e-3, 2e-3, 1e-3):
             traj = solve_trajectory(
-                "local", data, pot, SchemeConfig(dt=dt, T=1.0, snapshots=10)
+                None, data, pot, SchemeConfig(dt=dt, T=1.0, snapshots=10)
             )
             errs.append(self.trajectory_error(traj))
         slope = np.polyfit(np.log([4e-3, 2e-3, 1e-3]), np.log(errs), 1)[0]
@@ -124,7 +123,7 @@ class TestStepAlgebra:
         pot = make_double_well()
         data = constant_data(grid, family, pot, (0.0, 0.0, 0.0), [0.5])
         traj = solve_trajectory(
-            "local", data, pot, SchemeConfig(dt=1e-2, T=0.2, snapshots=5)
+            None, data, pot, SchemeConfig(dt=1e-2, T=0.2, snapshots=5)
         )
         for st in traj.states:
             assert norm(st.theta, "H") + norm(st.phi, "H") + norm(st.v, "H") == 0.0
@@ -148,7 +147,7 @@ class TestStepAlgebra:
         grid = Grid.line(16)
         pot = make_double_well()
         data = constant_data(grid, family, pot, (0.3, 0.1, 0.0), [0.5])
-        traj = solve_trajectory("local", data, pot, SchemeConfig(dt=1e-2, T=0.0))
+        traj = solve_trajectory(None, data, pot, SchemeConfig(dt=1e-2, T=0.0))
         assert len(traj.states) == 1
         assert traj.states[0].t == 0.0
 
@@ -159,8 +158,8 @@ class TestStepAlgebra:
         data = constant_data(grid, family, pot, (0.4, -0.2, 0.1), [0.2])
         cfg = SchemeConfig(dt=1e-3, T=0.2, snapshots=5)
         op = build_nonlocal_operator(family, 0.2, grid)
-        tn = solve_trajectory("nonlocal", data, pot, cfg, op=op)
-        tl = solve_trajectory("local", data, pot, cfg)
+        tn = solve_trajectory(op, data, pot, cfg)
+        tl = solve_trajectory(None, data, pot, cfg)
         for a, b in zip(tn.states, tl.states):
             assert np.max(np.abs(a.phi.data - b.phi.data)) <= 1e-9
             assert np.max(np.abs(a.theta.data - b.theta.data)) <= 1e-9
@@ -172,7 +171,7 @@ class TestEnergyBalance:
         pot = make_double_well()
         data = constant_data(grid, family, pot, (0.0, 0.0, 0.0), [0.5])
         traj = solve_trajectory(
-            "local", data, pot, SchemeConfig(dt=1e-2, T=0.1, snapshots=5)
+            None, data, pot, SchemeConfig(dt=1e-2, T=0.1, snapshots=5)
         )
         assert all(r.residual == 0.0 for r in traj.records)
 
@@ -184,7 +183,7 @@ class TestEnergyBalance:
         dts = (4e-3, 2e-3, 1e-3)
         for dt in dts:
             traj = solve_trajectory(
-                "local", data, pot, SchemeConfig(dt=dt, T=0.5, snapshots=5)
+                None, data, pot, SchemeConfig(dt=dt, T=0.5, snapshots=5)
             )
             maxima.append(traj.aux["max_step_residual"])
         slope = np.polyfit(np.log(dts), np.log(maxima), 1)[0]
@@ -199,7 +198,7 @@ class TestEnergyBalance:
         dts = (4e-3, 2e-3, 1e-3)
         for dt in dts:
             traj = solve_trajectory(
-                "nonlocal", data, pot, SchemeConfig(dt=dt, T=0.25, snapshots=5), op=op
+                op, data, pot, SchemeConfig(dt=dt, T=0.25, snapshots=5)
             )
             maxima.append(traj.aux["max_step_residual"])
         slope = np.polyfit(np.log(dts), np.log(maxima), 1)[0]
@@ -213,7 +212,7 @@ class TestEnergyBalance:
         data = build_initial_data("smooth-default", grid, [0.1], family, pot)
         op = build_nonlocal_operator(family, 0.1, grid)
         traj = solve_trajectory(
-            "nonlocal", data, pot, SchemeConfig(dt=1e-3, T=1.0, snapshots=20), op=op
+            op, data, pot, SchemeConfig(dt=1e-3, T=1.0, snapshots=20)
         )
         assert all(r.residual <= 0.01 for r in traj.records)
 
@@ -226,7 +225,7 @@ class TestEnergyBalance:
         maxima = []
         for dt in (2e-3, 1e-3):
             traj = solve_trajectory(
-                "nonlocal", data, pot, SchemeConfig(dt=dt, T=0.25, snapshots=5), op=op
+                op, data, pot, SchemeConfig(dt=dt, T=0.25, snapshots=5)
             )
             maxima.append(traj.aux["max_step_residual"])
         ratio = maxima[1] / maxima[0]
@@ -253,7 +252,7 @@ class TestEnergyBalance:
         )
         op = build_nonlocal_operator(family, 0.1, grid)
         traj = solve_trajectory(
-            "nonlocal", data, pot, SchemeConfig(dt=2e-3, T=0.2, snapshots=5), op=op
+            op, data, pot, SchemeConfig(dt=2e-3, T=0.2, snapshots=5)
         )
         energies = [r.total_energy for r in traj.records]
         for a, b in zip(energies, energies[1:]):
@@ -267,11 +266,10 @@ class TestEnergyBalance:
         data = build_initial_data("smooth-default", grid, [0.1], family, pot)
         op = build_nonlocal_operator(family, 0.1, grid)
         traj = solve_trajectory(
-            "nonlocal",
+            op,
             data,
             pot,
             SchemeConfig(dt=1e-3, T=0.1, snapshots=5),
-            op=op,
             source=make_source("cosine-decay", 1.0),
         )
         assert traj.aux["max_mass_residual"] <= 1e-9
@@ -304,7 +302,7 @@ class TestSinglePassRecords:
         else:
             op = None
             energy_fn = energy_local
-        traj = solve_trajectory(problem, data, pot, cfg, op=op, source=source)
+        traj = solve_trajectory(op, data, pot, cfg, source=source)
         states = traj.states
         # snapshots = num_steps keeps every state
         assert len(states) == len(traj.records) == cfg.num_steps + 1
@@ -365,7 +363,7 @@ class TestNewtonOverflow:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(SolverError, match="overflowed"):
-                _phi_update(state, apply_B_local, pot, SchemeConfig(dt=0.1, T=0.5))
+                _phi_update(state, None, pot, SchemeConfig(dt=0.1, T=0.5))
 
 
 class TestPhaseCG:
@@ -381,7 +379,7 @@ class TestPhaseCG:
         phi = field_from_function(grid, lambda x: np.cos(np.pi * x))
         state = State(0.0, zeros(grid), phi, zeros(grid))
         with pytest.raises(SolverError, match="phase CG did not converge in 1 iter"):
-            _phi_update(state, apply_B_local, make_double_well(), SchemeConfig(dt=0.1, T=0.5))
+            _phi_update(state, None, make_double_well(), SchemeConfig(dt=0.1, T=0.5))
 
 
 class TestSchemeConfig:
@@ -434,7 +432,7 @@ class TestManufacturedSolution:
             "smooth-default", grid, [0.5], fam, self.POT, c1_bound=100.0, rule=self.RULE
         )
         return solve_trajectory(
-            "local",
+            None,
             data,
             self.POT,
             SchemeConfig(dt=dt, T=T, snapshots=10),
