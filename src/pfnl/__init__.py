@@ -25,6 +25,7 @@ from .kernels import (  # noqa: F401
 )
 from .operators import (  # noqa: F401
     NonlocalOperator,
+    apply_B,
     apply_B_eps,
     apply_B_local,
     bbm_bound_ratio,

@@ -37,7 +37,6 @@ from .fields import (
 from .integrator import SchemeConfig, solve_trajectory
 from .operators import (
     apply_B,
-    apply_B_eps,
     apply_B_local,
     bbm_bound_ratio,
     build_nonlocal_operator,
@@ -224,7 +223,7 @@ def _operator_row(probe, v, op):
     w = field_from_function(
         grid, lambda *x: np.cos(2.0 * np.pi * x[0] / grid.lengths[0])
     )
-    b_nl = apply_B_eps(op, v)
+    b_nl = apply_B(op, v)
     return {
         "dual_gap": dual_norm(b_nl - apply_B_local(v)),
         "pairing_nonlocal": inner_product("H", b_nl, w),
@@ -285,7 +284,7 @@ def frechet_identity_suite(family, eps=0.25, n=32, dimension=1, trials=50, seed=
         u = Field(grid, rng.normal(size=grid.shape))
         v = Field(grid, rng.normal(size=grid.shape))
         max_double = max(max_double, frechet_identity_residual(op, u, v))
-        value = abs(inner_product("H", apply_B_eps(op, u), v))
+        value = abs(inner_product("H", apply_B(op, u), v))
         max_fd_rel = max(
             max_fd_rel, frechet_fd_residual(op, u, v) / (1.0 + value)
         )
@@ -490,7 +489,7 @@ def nonlocal_to_local_study(sweep):
             e_theta = max(e_theta, norm(th - ref_theta[k], "H"))
             e_phi = max(e_phi, norm(ph - ref_phi[k], "H"))
             e_v = max(e_v, dual_norm(vv - ref_v[k]))
-            B_here = restrict(apply_B_eps(traj.op, state.phi), coarse)
+            B_here = restrict(apply_B(traj.op, state.phi), coarse)
             e_B = max(e_B, dual_norm(B_here - ref_B[k]))
             beta_here = restrict(
                 Field(traj.grid, np.asarray(sweep.potential.beta(state.phi.data))),

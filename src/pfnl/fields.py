@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import dctn, idctn
+from scipy.fft import dct, dctn, idct, idctn
 
 from .errors import ConfigError, GridMismatchError, SolverError
 
@@ -116,6 +116,27 @@ class Grid:
         ]
         return sum(np.ix_(*per_axis))
 
+    @cached_property
+    def faces(self):
+        """Per axis ``(below, above, h^2)``: the index tuples of the cells
+        below and above each interior face along that axis, and the squared
+        spacing."""
+        out = []
+        for axis, h in enumerate(self.spacing):
+            below = [slice(None)] * self.dimension
+            above = [slice(None)] * self.dimension
+            below[axis], above[axis] = slice(None, -1), slice(1, None)
+            out.append((tuple(below), tuple(above), h * h))
+        return tuple(out)
+
+    @cached_property
+    def csv_template(self):
+        """``%``-template of a snapshot CSV file: one ``"i[,j],%.17g"`` row
+        per cell in row-major order (last axis fastest, like ``ravel``).
+        Cached on the instance, so only the values are formatted per file."""
+        coords = itertools.product(*([str(i) for i in range(m)] for m in self.n))
+        return "".join(f"{','.join(c)},%.17g\n" for c in coords)
+
 
 @dataclass
 class Field:
@@ -171,34 +192,32 @@ def field_from_function(grid, fn):
     return Field(grid, np.asarray(fn(*grid.meshgrid()), dtype=np.float64))
 
 
-def face_differences(u, axis):
-    """Interior-face differences along ``axis`` (Neumann faces drop out)."""
-    return np.diff(u.data, axis=axis)
-
-
 def inner_product(space, u1, u2):
     """Inner product of two fields.
 
-    ``space="H"`` is the midpoint-rule L2 product ``h^d sum(u1*u2)``;
-    ``space="V"`` adds the face-centered gradient term.
+    ``space="H"`` is the midpoint-rule L2 product ``h^d sum(u1*u2)``,
+    one ``np.vdot`` reduction; ``space="V"`` adds the face-centered
+    gradient term.
     """
     _require_same_grid(u1, u2)
     if space == "H":
-        return u1.grid.cell_volume * float(np.sum(u1.data * u2.data))
+        return u1.grid.cell_volume * float(np.vdot(u1.data, u2.data))
     if space == "V":
         return inner_product("H", u1, u2) + grad_inner(u1, u2)
     raise ValueError(f"unknown space {space!r} (expected 'H' or 'V')")
 
 
 def grad_inner(u1, u2):
-    """Face-centered gradient product ``(grad u1, grad u2)_H``."""
+    """Face-centered gradient product ``(grad u1, grad u2)_H``: per axis,
+    one ``np.vdot`` of the interior-face differences (Neumann faces drop
+    out)."""
     _require_same_grid(u1, u2)
     vol = u1.grid.cell_volume
     total = 0.0
-    for axis, h in enumerate(u1.grid.spacing):
-        d1 = face_differences(u1, axis)
-        d2 = face_differences(u2, axis)
-        total += vol / (h * h) * float(np.sum(d1 * d2))
+    for lo, hi, h_sq in u1.grid.faces:
+        d1 = u1.data[hi] - u1.data[lo]
+        d2 = d1 if u2 is u1 else u2.data[hi] - u2.data[lo]
+        total += vol / h_sq * float(np.vdot(d1, d2))
     return total
 
 
@@ -217,30 +236,31 @@ def norm(u, space="H"):
 
 
 def neumann_laplacian(u):
-    """Second-difference Laplacian with reflected (Neumann) ghost cells.
+    """Second-difference Laplacian with reflected (Neumann) ghost cells,
+    as a field (see :func:`laplacian`)."""
+    return Field(u.grid, laplacian(u.grid, u.data))
 
-    Each interior face flux ``(u_{i+1} - u_i)/h^2`` is added to the cell
+
+def laplacian(grid, a):
+    """Neumann Laplacian of the array ``a`` of the grid's shape.
+
+    Each interior face flux ``(a_{i+1} - a_i)/h^2`` is added to the cell
     below the face and subtracted from the cell above it; boundary faces
     carry no flux.  The stencil is therefore conservative: the output sums
     to zero up to roundoff, and ``(-lap u, w)_H == (grad u, grad w)_H`` to
     machine precision.
     """
-    out = np.zeros_like(u.data)
-    below = [slice(None)] * u.data.ndim
-    above = [slice(None)] * u.data.ndim
-    for axis, h in enumerate(u.grid.spacing):
-        below[axis], above[axis] = slice(None, -1), slice(1, None)
-        lo, hi = tuple(below), tuple(above)
-        flux = (u.data[hi] - u.data[lo]) / (h * h)
+    out = np.zeros(grid.shape)
+    for lo, hi, h_sq in grid.faces:
+        flux = (a[hi] - a[lo]) / h_sq
         out[lo] += flux
         out[hi] -= flux
-        below[axis] = above[axis] = slice(None)
-    return Field(u.grid, out)
+    return out
 
 
 def riesz_apply(u):
     """Apply ``F = I - lap_N`` (the H1 Riesz map under the L2 pivot)."""
-    return Field(u.grid, u.data - neumann_laplacian(u).data)
+    return Field(u.grid, u.data - laplacian(u.grid, u.data))
 
 
 def neumann_solve(grid, rhs, a, b):
@@ -250,11 +270,13 @@ def neumann_solve(grid, rhs, a, b):
     diagonalizes ``lap_N``, so ``w`` is the inverse transform of the
     transformed ``rhs`` divided by ``a + b * grid.neumann_symbol``.  The
     constant mode is divided by ``a`` alone, which makes
-    ``sum(w) == sum(rhs) / a`` up to roundoff.
+    ``sum(w) == sum(rhs) / a`` up to roundoff.  A 1D grid calls the 1D
+    transforms, which give the same result with less call overhead.
     """
-    coeffs = dctn(rhs, type=2, norm="ortho")
+    forward, inverse = (dct, idct) if grid.dimension == 1 else (dctn, idctn)
+    coeffs = forward(rhs, type=2, norm="ortho")
     coeffs /= a + b * grid.neumann_symbol
-    return idctn(coeffs, type=2, norm="ortho")
+    return inverse(coeffs, type=2, norm="ortho", overwrite_x=True)
 
 
 def cg(matvec, b, rtol, maxiter, callback=None):
@@ -358,10 +380,7 @@ def write_field(u, path, fmt="csv"):
     (comma-joined cell indices, row-major order), or raw little-endian
     float64 in row-major order."""
     if fmt == "csv":
-        # row-major "i,j" prefixes, last axis fastest like ``u.data.ravel()``
-        coords = itertools.product(*([str(i) for i in range(m)] for m in u.grid.shape))
-        rows = zip(map(",".join, coords), u.data.ravel().tolist())
-        atomic_write(path, "".join(f"{c},{v:.17g}\n" for c, v in rows))
+        atomic_write(path, u.grid.csv_template % tuple(u.data.ravel().tolist()))
     elif fmt == "binary":
         atomic_write(path, u.data.astype("<f8").tobytes())
     else:

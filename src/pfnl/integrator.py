@@ -35,9 +35,16 @@ plus the dissipation ``dt (|grad theta|^2 + |v|^2)`` must match the work
 in one pass over the new state, and carries the previous step's total
 forward.  ``E(phi) = 1/2 (B phi, phi)_H`` reuses the ``B phi`` of the
 phase Newton's final residual, for the kernel operator and the Laplacian
-alike, so only the initial record applies ``B`` for its energy.
-:func:`total_energy` and :func:`energy_balance_residual` recompute the
-same quantities from two states alone.
+alike, so only the initial record applies ``B`` for its energy; the
+record's ``pi(phi)`` is carried into the next step's right-hand side, so
+``pi`` is evaluated once per step.  :func:`total_energy` and
+:func:`energy_balance_residual` recompute the same quantities from two
+states alone.
+
+Inside a step the phase Newton, its CG and the record work on bare
+arrays, and every H pairing is one ``np.vdot`` reduction; a
+:class:`~pfnl.fields.Field` (which validates its data) is built only for
+the components of each new :class:`State`.
 """
 
 from __future__ import annotations
@@ -53,19 +60,21 @@ from .fields import (
     cg,
     grad_inner,
     inner_product,
-    neumann_laplacian,
+    laplacian,
     neumann_solve,
     zeros,
 )
-from .operators import apply_B, energy_from_applied
+from .operators import apply_B_array, energy_from_applied
 
 
 @dataclass
 class State:
     """Solution triple at one time instant (``v`` is the phase velocity).
 
-    ``B_phi`` is ``B phi`` as the step computed it, or ``None``;
-    :func:`solve_trajectory` reads it for the energy record, then drops it.
+    ``B_phi`` and ``pi_phi`` are the arrays ``B phi`` and ``pi(phi)``, or
+    ``None``.  In :func:`solve_trajectory` the step sets ``B_phi`` for the
+    energy record, and the record sets ``pi_phi`` for the next step's
+    right-hand side; stored snapshots carry neither.
     """
 
     t: float
@@ -73,6 +82,7 @@ class State:
     phi: Field
     v: Field
     B_phi: np.ndarray = None
+    pi_phi: np.ndarray = None
 
 
 @dataclass(frozen=True)
@@ -165,32 +175,32 @@ def _phi_update(state, op, potential, cfg):
 
     Solves ``(1+dt) phi + dt^2 (B phi + beta(phi)) = b``, with ``B`` the
     operator ``op`` selects (``None`` for ``-lap_N``) and
-    ``b = (1+dt) phi^n + dt v^n + dt^2 (theta^n - pi(phi^n))`` by Newton;
-    the scaling keeps the residual comparable to the field itself, so the
-    H-norm tolerance is meaningful at small dt.  Returns ``(phi, v,
-    iterations, B_phi)``, where ``B_phi`` is the array ``B phi`` of the
-    accepted iterate, taken from its residual.
+    ``b = (1+dt) phi^n + dt v^n + dt^2 (theta^n - pi(phi^n))`` by Newton,
+    taking ``pi(phi^n)`` from ``state.pi_phi`` when set; the scaling keeps
+    the residual comparable to the field itself, so the H-norm tolerance
+    is meaningful at small dt.  Works on arrays throughout and returns the
+    arrays ``(phi, v, iterations, B_phi)``, where ``B_phi`` is ``B phi`` of
+    the accepted iterate, taken from its residual.
     """
     dt = cfg.dt
     grid = state.phi.grid
     vol = grid.cell_volume
-    pi_term = np.asarray(potential.pi(state.phi.data), dtype=np.float64)
-    b = (
-        (1.0 + dt) * state.phi.data
-        + dt * state.v.data
-        + dt * dt * (state.theta.data - pi_term)
-    )
-    b_scale = 1.0 + math.sqrt(vol * float(np.sum(b * b)))
+    phi_n, v_n = state.phi.data, state.v.data
+    pi_term = state.pi_phi
+    if pi_term is None:
+        pi_term = np.asarray(potential.pi(phi_n), dtype=np.float64)
+    b = (1.0 + dt) * phi_n + dt * v_n + dt * dt * (state.theta.data - pi_term)
+    b_scale = 1.0 + math.sqrt(vol * float(np.vdot(b, b)))
 
     def residual(phi_data):
-        Bphi = apply_B(op, Field(grid, phi_data)).data
+        Bphi = apply_B_array(op, grid, phi_data)
         beta_term = np.asarray(potential.beta(phi_data), dtype=np.float64)
         res = (1.0 + dt) * phi_data + dt * dt * (Bphi + beta_term) - b
-        res_norm = math.sqrt(vol * float(np.sum(res * res)))
+        res_norm = math.sqrt(vol * float(np.vdot(res, res)))
         return res, res_norm, Bphi
 
     # explicit predictor as the Newton seed
-    phi_data = state.phi.data + dt * state.v.data
+    phi_data = phi_n + dt * v_n
     res, res_norm, Bphi = residual(phi_data)
     # an overflowed norm would make every tolerance test below False and
     # return the predictor as if it had converged
@@ -220,7 +230,7 @@ def _phi_update(state, op, potential, cfg):
         )
 
         def matvec(x):
-            return (1.0 + dt) * x + dt * dt * (apply_B(op, Field(grid, x)).data + beta_slope * x)
+            return (1.0 + dt) * x + dt * dt * (apply_B_array(op, grid, x) + beta_slope * x)
 
         delta, info = cg(
             matvec, -res, rtol=cfg.phi_solver_tol, maxiter=20 * grid.num_cells
@@ -253,33 +263,39 @@ def _phi_update(state, op, potential, cfg):
             )
         iters += 1
 
-    phi_new = Field(grid, phi_data)
-    v_new = Field(grid, (phi_data - state.phi.data) / dt)
-    return phi_new, v_new, iters, Bphi
+    return phi_data, (phi_data - phi_n) / dt, iters, Bphi
 
 
 def _theta_update(state, v_new, f_next, cfg):
-    """Exact SPD solve ``(I - dt lap) theta = theta^n + dt (f - v^{n+1})``."""
+    """Exact SPD solve ``(I - dt lap) theta = theta^n + dt (f - v^{n+1})``
+    on the arrays ``v_new`` and ``f_next``; returns the array ``theta``."""
     dt = cfg.dt
-    grid = state.theta.grid
-    rhs = state.theta.data + dt * (f_next.data - v_new.data)
-    return Field(grid, neumann_solve(grid, rhs, 1.0, dt))
+    rhs = state.theta.data + dt * (f_next - v_new)
+    return neumann_solve(state.theta.grid, rhs, 1.0, dt)
+
+
+def _advance(state, op, potential, f_next, cfg):
+    """One semi-implicit step of the system ``op`` selects; the new state's
+    fields are the only ones the step builds, and it carries ``B phi`` for
+    its energy record."""
+    phi, v, _, B_phi = _phi_update(state, op, potential, cfg)
+    theta = _theta_update(state, v, f_next.data, cfg)
+    grid = state.phi.grid
+    return State(
+        state.t + cfg.dt, Field(grid, theta), Field(grid, phi), Field(grid, v), B_phi
+    )
 
 
 def step_nonlocal(state, op, potential, f_next, cfg):
     """One semi-implicit step of the kernel-operator system; the new state
     carries ``B_eps phi`` for its energy record."""
-    phi_new, v_new, _, B_phi = _phi_update(state, op, potential, cfg)
-    theta_new = _theta_update(state, v_new, f_next, cfg)
-    return State(state.t + cfg.dt, theta_new, phi_new, v_new, B_phi)
+    return _advance(state, op, potential, f_next, cfg)
 
 
 def step_local(state, potential, f_next, cfg):
     """One semi-implicit step of the Laplacian system (same scheme); the new
     state carries ``-lap_N phi`` for its energy record."""
-    phi_new, v_new, _, B_phi = _phi_update(state, None, potential, cfg)
-    theta_new = _theta_update(state, v_new, f_next, cfg)
-    return State(state.t + cfg.dt, theta_new, phi_new, v_new, B_phi)
+    return _advance(state, None, potential, f_next, cfg)
 
 
 # --- energy bookkeeping ---------------------------------------------------------
@@ -318,22 +334,24 @@ def _record(t, state, energy_phi, potential, f_next=None, dt=None, prev_total=No
     """Energy record of ``state`` with each balance term evaluated once, by
     the arithmetic of :func:`total_energy` and :func:`energy_balance_residual`
     given ``energy_phi = E(phi)`` and the previous record's ``prev_total``
-    (residual 0 without one).  Also returns ``|grad theta|^2`` and ``|v|^2``."""
+    (residual 0 without one).  With ``prev_total``, the work term's
+    ``pi(phi)`` is stored on ``state.pi_phi`` for the next step.  Also
+    returns ``|grad theta|^2`` and ``|v|^2``."""
     vol = state.phi.grid.cell_volume
     theta, phi, v = state.theta.data, state.phi.data, state.v.data
-    theta_sq = vol * float(np.sum(theta * theta))
+    theta_sq = vol * float(np.vdot(theta, theta))
     grad_sq = grad_inner(state.theta, state.theta)
-    phi_sq = vol * float(np.sum(phi * phi))
-    v_sq = vol * float(np.sum(v * v))
+    phi_sq = vol * float(np.vdot(phi, phi))
+    v_sq = vol * float(np.vdot(v, v))
     int_beta_hat = vol * float(
         np.sum(np.asarray(potential.beta_hat(phi), dtype=np.float64))
     )
     total = 0.5 * theta_sq + 0.5 * phi_sq + 0.5 * v_sq + energy_phi + int_beta_hat
     residual = 0.0
     if prev_total is not None:
-        pi_term = np.asarray(potential.pi(phi), dtype=np.float64)
-        work = vol * float(np.sum(f_next.data * theta)) + vol * float(
-            np.sum((phi - pi_term) * v)
+        state.pi_phi = np.asarray(potential.pi(phi), dtype=np.float64)
+        work = vol * float(np.vdot(f_next.data, theta)) + vol * float(
+            np.vdot(phi - state.pi_phi, v)
         )
         residual = abs(total - prev_total + dt * (grad_sq + v_sq) - dt * work)
     record = EnergyRecord(
@@ -373,9 +391,13 @@ def solve_trajectory(op, data, potential, cfg, source=None):
 
     mass = float(np.sum(state.theta.data + state.phi.data))
     times = [0.0]
-    states = [State(0.0, state.theta.copy(), state.phi.copy(), state.v.copy())]
+    # snapshots share the running state's fields: a step builds new ones
+    # and nothing modifies a field's data in place
+    states = [State(0.0, state.theta, state.phi, state.v)]
     phi_tt_snaps = [None]
-    energy0 = energy_from_applied(op, state.phi, apply_B(op, state.phi).data)
+    energy0 = energy_from_applied(
+        op, state.phi, apply_B_array(op, grid, state.phi.data)
+    )
     records = [_record(0.0, state, energy0, potential)[0]]
     aux = {
         "int_thetat_sq": 0.0,
@@ -409,9 +431,9 @@ def solve_trajectory(op, data, potential, cfg, source=None):
         records.append(record)
 
         thetat = (state.theta.data - prev.theta.data) / dt
-        lap = neumann_laplacian(state.theta).data
-        aux["int_thetat_sq"] += dt * vol * float(np.sum(thetat * thetat))
-        aux["int_laptheta_sq"] += dt * (vol * float(np.sum(lap * lap)))
+        lap = laplacian(grid, state.theta.data)
+        aux["int_thetat_sq"] += dt * vol * float(np.vdot(thetat, thetat))
+        aux["int_laptheta_sq"] += dt * (vol * float(np.vdot(lap, lap)))
         aux["int_gradtheta_sq"] += dt * grad_sq
         aux["int_v_sq"] += dt * v_sq
         aux["max_step_residual"] = max(aux["max_step_residual"], record.residual)
@@ -424,9 +446,7 @@ def solve_trajectory(op, data, potential, cfg, source=None):
 
         if k % stride == 0 or k == n_steps:
             times.append(t_next)
-            states.append(
-                State(t_next, state.theta.copy(), state.phi.copy(), state.v.copy())
-            )
+            states.append(State(t_next, state.theta, state.phi, state.v))
             phi_tt_snaps.append(Field(grid, (state.v.data - prev.v.data) / dt))
 
     return Trajectory(

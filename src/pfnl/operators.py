@@ -3,9 +3,11 @@ counterparts.
 
 One convention picks the problem everywhere: an ``op`` argument is either
 a :class:`NonlocalOperator`, meaning ``B = B_eps`` of that operator, or
-``None``, meaning the Laplacian limit ``B = -lap_N``.  :func:`apply_B` and
+``None``, meaning the Laplacian limit ``B = -lap_N``.  :func:`apply_B`
+(on fields), :func:`apply_B_array` (on arrays) and
 :func:`energy_from_applied` dispatch on it, and the integrator and the
-sweep studies pass it down unchanged.
+sweep studies pass it down unchanged.  :func:`apply_B_eps` takes and
+returns arrays, so the time step applies ``B`` without building fields.
 
 The domain-restricted convolution ``(J_eps * u)(x) = int_D J_eps(x-y) u(y) dy``
 is computed by zero-extending ``u`` and performing a linear (padded) FFT
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import fft as sfft
@@ -40,7 +43,7 @@ from .fields import (
     Field,
     dual_norm,
     inner_product,
-    neumann_laplacian,
+    laplacian,
     ones,
 )
 from .kernels import EvaluatedKernel, tabulate_kernel
@@ -57,6 +60,8 @@ class ConvolutionPlan:
 
     ``padded_shape`` and ``kernel_hat`` describe the FFT lattice; a 1D
     plan with ``direct`` set convolves by the taps and leaves them unused.
+    ``tap_window`` (1D plans only) cuts the box out of the full
+    ``np.convolve`` output.
     """
 
     grid: object
@@ -64,14 +69,14 @@ class ConvolutionPlan:
     padded_shape: tuple
     kernel_hat: np.ndarray
     direct: bool
+    tap_window: slice
 
     def apply(self, data):
         """Linear convolution with the kernel window, truncated to the box:
         direct taps for a ``direct`` plan, otherwise the circular product on
         the padded lattice."""
         if self.direct:
-            w = self.kernel.halfwidth[0]
-            return np.convolve(data, self.kernel.values)[w : w + self.grid.n[0]]
+            return np.convolve(data, self.kernel.values)[self.tap_window]
         out = sfft.irfftn(
             sfft.rfftn(data, s=self.padded_shape) * self.kernel_hat, s=self.padded_shape
         )
@@ -95,7 +100,11 @@ def build_plan(kernel):
         kernel.values
     )
     direct = grid.dimension == 1 and kernel.values.size <= MAX_DIRECT_TAPS
-    return ConvolutionPlan(grid, kernel, padded_shape, sfft.rfftn(wrapped), direct)
+    # the full 1D convolution starts w cells before the box
+    tap_window = slice(w[0], w[0] + grid.n[0]) if grid.dimension == 1 else None
+    return ConvolutionPlan(
+        grid, kernel, padded_shape, sfft.rfftn(wrapped), direct, tap_window
+    )
 
 
 def convolve(plan, u):
@@ -118,6 +127,22 @@ class NonlocalOperator:
     def eps(self):
         return self.plan.kernel.eps
 
+    @cached_property
+    def kernel_matrix(self):
+        """Dense matrix ``J_eps(x_i - x_j)`` over all cell pairs (small
+        grids), built once per operator and read-only."""
+        kernel = self.plan.kernel
+        # a ring of zeros around the window: offsets beyond the support read 0
+        ringed = np.pad(kernel.values, 1)
+        cells = np.indices(self.grid.shape).reshape(self.grid.dimension, -1)
+        idx = tuple(
+            np.clip(c[:, None] - c[None, :] + k + 1, 0, 2 * k + 2)
+            for c, k in zip(cells, kernel.halfwidth)
+        )
+        J = ringed[idx]
+        J.flags.writeable = False
+        return J
+
 
 def build_nonlocal_operator(family, eps, grid):
     kernel = tabulate_kernel(family, eps, grid)
@@ -125,21 +150,32 @@ def build_nonlocal_operator(family, eps, grid):
     return NonlocalOperator(plan, convolve(plan, ones(grid)))
 
 
-def apply_B_eps(op, u):
-    """Apply the nonlocal operator; annihilates constants exactly."""
-    conv = op.plan.apply(u.data) * u.grid.cell_volume
-    return Field(u.grid, op.a_eps.data * u.data - conv)
+def apply_B_eps(op, a):
+    """Apply the nonlocal operator to the array ``a`` of the operator
+    grid's shape and return the array ``B_eps a``; annihilates constants
+    exactly.  Every ``B_eps`` application goes through here."""
+    conv = op.plan.apply(a) * op.grid.cell_volume
+    return op.a_eps.data * a - conv
+
+
+def apply_B_array(op, grid, a):
+    """``B a`` on the array ``a`` of ``grid``'s shape, for the problem ``op``
+    selects: ``B_eps`` of ``op``, or ``-lap_N`` when ``op`` is ``None``."""
+    if op is None:
+        out = laplacian(grid, a)
+        return np.negative(out, out=out)
+    return apply_B_eps(op, a)
 
 
 def apply_B(op, u):
-    """``B u`` for the problem ``op`` selects: ``B_eps`` of ``op``, or
-    ``-lap_N`` when ``op`` is ``None``."""
-    return apply_B_local(u) if op is None else apply_B_eps(op, u)
+    """``B u`` as a field, for the problem ``op`` selects (see
+    :func:`apply_B_array`)."""
+    return Field(u.grid, apply_B_array(op, u.grid, u.data))
 
 
 def energy_nonlocal(op, u):
     """Nonlocal energy through the quadratic form ``1/2 (B_eps u, u)_H``."""
-    return energy_from_applied(op, u, apply_B_eps(op, u).data)
+    return energy_from_applied(op, u, apply_B_eps(op, u.data))
 
 
 def energy_from_applied(op, u, Bu):
@@ -149,7 +185,7 @@ def energy_from_applied(op, u, Bu):
     Negative roundoff is clamped; a value below ``-1e-14`` times the largest
     diagonal entry of ``B`` (at least 1) raises.
     """
-    val = 0.5 * u.grid.cell_volume * float(np.sum(Bu * u.data))
+    val = 0.5 * u.grid.cell_volume * float(np.vdot(Bu, u.data))
     if op is None:
         diagonal = sum(2.0 / (h * h) for h in u.grid.spacing)
     else:
@@ -159,22 +195,9 @@ def energy_from_applied(op, u, Bu):
     return max(val, 0.0)
 
 
-def pairwise_kernel_matrix(op):
-    """Dense matrix ``J_eps(x_i - x_j)`` over all cell pairs (small grids)."""
-    kernel = op.plan.kernel
-    # a ring of zeros around the window: offsets beyond the support read 0
-    ringed = np.pad(kernel.values, 1)
-    cells = np.indices(op.grid.shape).reshape(op.grid.dimension, -1)
-    idx = tuple(
-        np.clip(c[:, None] - c[None, :] + k + 1, 0, 2 * k + 2)
-        for c, k in zip(cells, kernel.halfwidth)
-    )
-    return ringed[idx]
-
-
 def energy_double_sum(op, u):
     """Direct quartic double sum for the nonlocal energy (O(N^2) check)."""
-    J = pairwise_kernel_matrix(op)
+    J = op.kernel_matrix
     uu = u.data.ravel()
     diff = uu[:, None] - uu[None, :]
     return 0.25 * op.grid.cell_volume**2 * float(np.sum(J * diff * diff))
@@ -187,8 +210,8 @@ def frechet_identity_residual(op, u, v):
     with the double sum formed pairwise; both routes share one kernel
     tabulation, so agreement is a pure algebra/roundoff statement.
     """
-    pairing = inner_product("H", apply_B_eps(op, u), v)
-    J = pairwise_kernel_matrix(op)
+    pairing = inner_product("H", apply_B(op, u), v)
+    J = op.kernel_matrix
     uu, vv = u.data.ravel(), v.data.ravel()
     double = 0.5 * op.grid.cell_volume**2 * float(
         np.sum(J * (uu[:, None] - uu[None, :]) * (vv[:, None] - vv[None, :]))
@@ -202,7 +225,7 @@ def frechet_fd_residual(op, u, v, delta=1e-6):
     The energy is quadratic, so the centered difference is exact up to
     roundoff amplified by ``1/delta``.
     """
-    pairing = inner_product("H", apply_B_eps(op, u), v)
+    pairing = inner_product("H", apply_B(op, u), v)
     plus = energy_nonlocal(op, Field(u.grid, u.data + delta * v.data))
     minus = energy_nonlocal(op, Field(u.grid, u.data - delta * v.data))
     return abs(pairing - (plus - minus) / (2.0 * delta))
@@ -210,15 +233,13 @@ def frechet_fd_residual(op, u, v, delta=1e-6):
 
 def apply_B_local(u):
     """Strong Neumann form of the local operator (minus the Laplacian)."""
-    out = neumann_laplacian(u)
-    np.negative(out.data, out=out.data)
-    return out
+    return apply_B(None, u)
 
 
 def energy_local(u):
     """Dirichlet energy ``1/2 (-lap_N u, u)_H``; it equals the face-gradient
     form ``1/2 (grad u, grad u)_H`` up to roundoff (exact summation by parts)."""
-    return energy_from_applied(None, u, apply_B_local(u).data)
+    return energy_from_applied(None, u, apply_B_array(None, u.grid, u.data))
 
 
 def bbm_bound_ratio(op, u):
@@ -231,4 +252,4 @@ def bbm_bound_ratio(op, u):
     scale = inner_product("H", u, u) * float(np.max(op.a_eps.data))
     if energy <= 1e-28 * max(1.0, scale):
         raise DegenerateFieldError("degenerate: nonlocal energy vanishes")
-    return dual_norm(apply_B_eps(op, u)) / math.sqrt(energy)
+    return dual_norm(apply_B(op, u)) / math.sqrt(energy)

@@ -5,7 +5,7 @@ import pytest
 
 from pfnl import analysis, physics
 from pfnl.errors import ResolutionError
-from pfnl.fields import Grid, dual_norm, field_from_function
+from pfnl.fields import Field, Grid, dual_norm, field_from_function
 from pfnl.integrator import SchemeConfig, solve_trajectory
 from pfnl.kernels import build_kernel_family, make_profile
 from pfnl.operators import apply_B_eps, build_nonlocal_operator, energy_local
@@ -188,7 +188,9 @@ class TestEstimateMonitor:
             op, data, pot, SchemeConfig(dt=2e-3, T=0.1, snapshots=5)
         )
         mon = estimate_monitor(traj, "dual-derivative", potential=pot)
-        expected = max(dual_norm(apply_B_eps(op, s.phi)) for s in traj.states)
+        expected = max(
+            dual_norm(Field(grid, apply_B_eps(op, s.phi.data))) for s in traj.states
+        )
         assert mon["B_phi_LinfVstar"] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_beta_lq_pointwise_bound(self, family):

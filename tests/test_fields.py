@@ -105,6 +105,31 @@ class TestInnerProducts:
             rhs = grad_inner(u, w)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("grid", [Grid.line(40), Grid((1.0, 2.5), (12, 17))])
+    def test_vdot_reductions_match_sum_formulas(self, grid, rng):
+        # one np.vdot per pairing gives the np.sum(a*b) formulas to roundoff
+        vol = grid.cell_volume
+        close = lambda a, b: a == pytest.approx(b, rel=1e-14, abs=0.0)
+        for _ in range(5):
+            u, w = rough_field(grid, rng), rough_field(grid, rng)
+            h_uw = vol * float(np.sum(u.data * w.data))
+            grad_uw = sum(
+                vol / (h * h)
+                * float(np.sum(np.diff(u.data, axis=k) * np.diff(w.data, axis=k)))
+                for k, h in enumerate(grid.spacing)
+            )
+            grad_uu = sum(
+                vol / (h * h) * float(np.sum(np.diff(u.data, axis=k) ** 2))
+                for k, h in enumerate(grid.spacing)
+            )
+            h_uu = vol * float(np.sum(u.data * u.data))
+            assert close(inner_product("H", u, w), h_uw)
+            assert close(grad_inner(u, w), grad_uw)
+            assert close(grad_inner(u, u), grad_uu)
+            assert close(inner_product("V", u, w), h_uw + grad_uw)
+            assert close(norm(u, "H"), math.sqrt(h_uu))
+            assert close(norm(u, "V"), math.sqrt(h_uu + grad_uu))
+
 
 class TestLaplacian:
     def test_constant(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -349,6 +350,39 @@ class TestSinglePassRecords:
         expected["max_mass_residual"] = max(mass)
         for key, value in expected.items():
             assert close(traj.aux[key], value), key
+
+
+class TestStepCost:
+    """A step builds fields only for the new state and evaluates ``pi`` once."""
+
+    @pytest.mark.parametrize("problem", ["nonlocal", "local"])
+    def test_field_constructions_and_pi_calls(self, family, problem, monkeypatch):
+        grid = Grid.line(40)
+        pot = make_double_well()
+        data = build_initial_data("smooth-default", grid, [0.2], family, pot)
+        op = build_nonlocal_operator(family, 0.2, grid) if problem == "nonlocal" else None
+        cfg = SchemeConfig(dt=1e-3, T=0.02, snapshots=4)
+
+        pi_calls = [0]
+
+        def counting_pi(r):
+            pi_calls[0] += 1
+            return pot.pi(r)
+
+        fields_built = [0]
+        post_init = Field.__post_init__
+
+        def counting_post_init(self):
+            fields_built[0] += 1
+            post_init(self)
+
+        monkeypatch.setattr(Field, "__post_init__", counting_post_init)
+        traj = solve_trajectory(
+            op, data, dataclasses.replace(pot, pi=counting_pi), cfg
+        )
+        assert len(traj.records) == cfg.num_steps + 1 == 21
+        assert fields_built[0] <= 4 * cfg.num_steps
+        assert pi_calls[0] <= cfg.num_steps + 1
 
 
 class TestNewtonOverflow:

@@ -26,6 +26,7 @@ from pfnl.kernels import (
 )
 from pfnl.operators import (
     MAX_DIRECT_TAPS,
+    apply_B,
     apply_B_eps,
     apply_B_local,
     bbm_bound_ratio,
@@ -166,26 +167,26 @@ class TestConvolve:
 class TestApplyBEps:
     def test_annihilates_constants(self, op32):
         c = Field(op32.grid, np.full(op32.grid.shape, 2.7))
-        out = apply_B_eps(op32, c)
-        assert np.max(np.abs(out.data)) <= 1e-11
+        out = apply_B_eps(op32, c.data)
+        assert np.max(np.abs(out)) <= 1e-11
 
     def test_mass_conservation(self, op32, op2d, rng):
         for op in (op32, op2d):
             for _ in range(5):
                 u = rough_field(op.grid, rng)
-                assert abs(inner_product("H", apply_B_eps(op, u), ones(op.grid))) <= 1e-12
+                assert abs(inner_product("H", apply_B(op, u), ones(op.grid))) <= 1e-12
 
     def test_symmetric(self, op32, rng):
         for _ in range(5):
             u, w = rough_field(op32.grid, rng), rough_field(op32.grid, rng)
-            a = inner_product("H", apply_B_eps(op32, u), w)
-            b = inner_product("H", u, apply_B_eps(op32, w))
+            a = inner_product("H", apply_B(op32, u), w)
+            b = inner_product("H", u, apply_B(op32, w))
             assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
     def test_positive_semidefinite(self, op32, rng):
         for _ in range(5):
             u = rough_field(op32.grid, rng)
-            assert inner_product("H", apply_B_eps(op32, u), u) >= -1e-14
+            assert inner_product("H", apply_B(op32, u), u) >= -1e-14
 
     def test_converges_to_local_on_cosine(self, family1d):
         # oracle: the local operator; the gap shrinks along eps
@@ -195,7 +196,7 @@ class TestApplyBEps:
             u = field_from_function(grid, lambda x: np.cos(np.pi * x))
             op = build_nonlocal_operator(family1d, eps, grid)
             target = Field(grid, math.pi**2 * u.data)
-            errs.append(norm(apply_B_eps(op, u) - target, "H"))
+            errs.append(norm(apply_B(op, u) - target, "H"))
         assert errs[0] > errs[1] > errs[2]
         assert errs[1] <= 0.75  # measured 0.704
         assert errs[2] / errs[0] <= 0.6
@@ -264,8 +265,18 @@ class TestFrechetIdentity:
     def test_finite_difference_cross_check(self, op32, rng):
         for _ in range(5):
             u, v = rough_field(op32.grid, rng), rough_field(op32.grid, rng)
-            value = abs(inner_product("H", apply_B_eps(op32, u), v))
+            value = abs(inner_product("H", apply_B(op32, u), v))
             assert frechet_fd_residual(op32, u, v) <= 1e-6 * (1.0 + value)
+
+    def test_kernel_matrix_built_once(self, family1d):
+        op = build_nonlocal_operator(family1d, 0.25, Grid.line(16))
+        J = op.kernel_matrix
+        assert op.kernel_matrix is J
+        assert not J.flags.writeable
+        # row i holds J_eps(x_i - x_j): the stored window, zero beyond it
+        w = op.plan.kernel.halfwidth[0]
+        assert np.array_equal(J[w, : 2 * w + 1], op.plan.kernel.values[::-1])
+        assert np.all(J[0, w + 1 :] == 0.0)
 
 
 class TestApplyBLocal:
@@ -318,7 +329,7 @@ class TestOperatorConvergence:
             grid = Grid.line(round(8 / eps))
             v = field_from_function(grid, lambda x: np.cos(np.pi * x))
             op = build_nonlocal_operator(family1d, eps, grid)
-            gaps.append(dual_norm(apply_B_eps(op, v) - apply_B_local(v)))
+            gaps.append(dual_norm(apply_B(op, v) - apply_B_local(v)))
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
     def test_plan_reproduces_a_eps_on_reference_grid(self, family1d):
