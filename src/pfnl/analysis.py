@@ -45,7 +45,7 @@ from .operators import (
     frechet_fd_residual,
     frechet_identity_residual,
 )
-from .physics import build_initial_data
+from .physics import build_initial_data, sample
 
 DEFAULT_EPS_SWEEP = (0.2, 0.1, 0.05, 0.025)
 
@@ -467,7 +467,7 @@ def nonlocal_to_local_study(sweep):
     ref_B = [restrict(apply_B(ref_traj.op, s.phi), coarse) for s in ref_traj.states]
     ref_beta = [
         restrict(
-            Field(ref_traj.grid, np.asarray(sweep.potential.beta(s.phi.data))), coarse
+            Field(ref_traj.grid, sample(sweep.potential.beta, s.phi.data)), coarse
         )
         for s in ref_traj.states
     ]
@@ -492,7 +492,7 @@ def nonlocal_to_local_study(sweep):
             B_here = restrict(apply_B(traj.op, state.phi), coarse)
             e_B = max(e_B, dual_norm(B_here - ref_B[k]))
             beta_here = restrict(
-                Field(traj.grid, np.asarray(sweep.potential.beta(state.phi.data))),
+                Field(traj.grid, sample(sweep.potential.beta, state.phi.data)),
                 coarse,
             )
             for w in probe_on_coarse:

@@ -39,11 +39,11 @@ from .errors import (  # noqa: F401 (GridMismatchError caught below)
     ResolutionError,
     SolverError,
 )
-from .fields import atomic_write, read_field, write_field
+from .fields import atomic_write, read_field, scipy_fft, write_field
 from .integrator import CSV_COLUMNS, record_csv_row, solve_trajectory
 from .kernels import moment_check
 from .operators import build_nonlocal_operator
-from .physics import build_initial_data
+from .physics import build_initial_data, validate_potential
 
 CONFIG_EXIT = 2
 FAILURE_EXIT = 1
@@ -80,6 +80,17 @@ def _prepare_outdir(cfg):
     return cfg.output_dir
 
 
+def _make_potential(cfg):
+    """The configured potential, after checking the paper's assumptions on
+    it (monotone ``beta``, convex primitive, growth, Lipschitz ``pi``); a
+    violation is a configuration error."""
+    potential = cfg.make_potential()
+    violations = validate_potential(potential, d=cfg.grid_dimension)
+    if violations:
+        raise ConfigError([f"potential: {v}" for v in violations])
+    return potential
+
+
 def _load_custom_initial(cfg, grid):
     fmt = cfg.output_format
     return {
@@ -94,7 +105,7 @@ def cmd_simulate(cfg, eps=None, local=False):
     started = time.time()
     grid = cfg.make_grid()
     family = cfg.make_family()
-    potential = cfg.make_potential()
+    potential = _make_potential(cfg)
     scheme = cfg.make_scheme()
     source = cfg.make_source()
 
@@ -172,7 +183,7 @@ def cmd_converge(cfg):
     outdir = _prepare_outdir(cfg)
     sweep = SweepConfig(
         family=cfg.make_family(),
-        potential=cfg.make_potential(),
+        potential=_make_potential(cfg),
         scheme=cfg.make_scheme(),
         eps_list=cfg.sweep_eps,
         length=cfg.grid_length,
@@ -317,6 +328,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
+        if cfg.grid_dimension == 2:
+            # every 2D run needs scipy.fft (its FFT convolutions and cosine
+            # transforms); importing it here keeps the import in start-up
+            # rather than in the first timed solve or suite
+            scipy_fft()
         if args.command == "simulate":
             return cmd_simulate(cfg, eps=args.eps, local=args.local)
         if args.command == "converge":

@@ -8,8 +8,11 @@ precision; that exact integration-by-parts is what makes the energy
 identities downstream hold at the discrete level.
 
 Every ``(a I - b lap_N)`` solve goes through :func:`neumann_solve`: the
-orthonormal DCT-II diagonalizes the reflected-ghost-cell Laplacian exactly,
-so the solve is a transform pair and one division, in 1D and 2D alike.
+cosine basis diagonalizes the reflected-ghost-cell Laplacian exactly, so
+the solve is a transform pair and one division.  A 2D solve uses scipy's
+orthonormal DCT-II (``dctn``/``idctn``); a 1D solve uses numpy's real FFT
+of the even extension, which is the same transform up to scaling, so a
+1D run never imports ``scipy.fft`` (see :func:`scipy_fft`).
 
 Dual-space machinery: the pivot identification of L2 with its dual turns
 the H1 Riesz map into the SPD operator ``F = I - lap_N``.  ``dual_norm``
@@ -25,6 +28,7 @@ tested before each iteration: the rule of scipy's ``cg`` with
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import os
@@ -32,7 +36,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import dct, dctn, idct, idctn
 
 from .errors import ConfigError, GridMismatchError, SolverError
 
@@ -115,6 +118,14 @@ class Grid:
             for m, h in zip(self.n, self.spacing)
         ]
         return sum(np.ix_(*per_axis))
+
+    @cached_property
+    def even_extension_symbol(self):
+        """Eigenvalues of ``-lap_N`` on a 1D grid in the real-FFT basis of
+        the even extension (length ``2n``): ``(4/h^2) sin^2(pi k / 2n)`` for
+        ``k = 0 ... n``.  Cached like :attr:`neumann_symbol`."""
+        (m,), (h,) = self.n, self.spacing
+        return (4.0 / (h * h)) * np.sin(np.pi * np.arange(m + 1) / (2.0 * m)) ** 2
 
     @cached_property
     def faces(self):
@@ -263,20 +274,41 @@ def riesz_apply(u):
     return Field(u.grid, u.data - laplacian(u.grid, u.data))
 
 
+@functools.cache
+def scipy_fft():
+    """The ``scipy.fft`` module, imported on the first call.
+
+    Only 2D solves and FFT convolution plans need it; its import costs
+    about 0.3 s of start-up, which a 1D run skips.
+    """
+    import scipy.fft
+
+    return scipy.fft
+
+
 def neumann_solve(grid, rhs, a, b):
     """Solve ``(a I - b lap_N) w = rhs`` exactly for ``a > 0, b >= 0``.
 
-    ``rhs`` is an array of the grid's shape.  The orthonormal DCT-II
+    ``rhs`` is an array of the grid's shape.  The cosine basis
     diagonalizes ``lap_N``, so ``w`` is the inverse transform of the
-    transformed ``rhs`` divided by ``a + b * grid.neumann_symbol``.  The
-    constant mode is divided by ``a`` alone, which makes
-    ``sum(w) == sum(rhs) / a`` up to roundoff.  A 1D grid calls the 1D
-    transforms, which give the same result with less call overhead.
+    transformed ``rhs`` divided by ``a`` plus ``b`` times the symbol of
+    ``-lap_N``.  The constant mode is divided by ``a`` alone, which makes
+    ``sum(w) == sum(rhs) / a`` up to roundoff.
+
+    In 1D the transform is numpy's real FFT of the even extension
+    ``(rhs, rhs[::-1])``, on which the periodic second difference equals
+    the reflected-ghost-cell one (the DCT-II up to scaling; Strang, SIAM
+    Review 1999).  In 2D it is scipy's orthonormal ``dctn``/``idctn``.
     """
-    forward, inverse = (dct, idct) if grid.dimension == 1 else (dctn, idctn)
-    coeffs = forward(rhs, type=2, norm="ortho")
+    if grid.dimension == 1:
+        n = grid.n[0]
+        coeffs = np.fft.rfft(np.concatenate((rhs, rhs[::-1])))
+        coeffs /= a + b * grid.even_extension_symbol
+        return np.fft.irfft(coeffs, 2 * n)[:n]
+    sfft = scipy_fft()
+    coeffs = sfft.dctn(rhs, type=2, norm="ortho")
     coeffs /= a + b * grid.neumann_symbol
-    return inverse(coeffs, type=2, norm="ortho", overwrite_x=True)
+    return sfft.idctn(coeffs, type=2, norm="ortho", overwrite_x=True)
 
 
 def cg(matvec, b, rtol, maxiter, callback=None):

@@ -409,9 +409,14 @@ def solve_trajectory(op, data, potential, cfg, source=None):
     }
 
     zero = zeros(grid)
+    source_mass = 0.0  # h^d sum(f), fixed at 0 without a source
     for k in range(1, n_steps + 1):
         t_next = k * dt
-        f_next = source(grid, t_next) if source is not None else zero
+        if source is None:
+            f_next = zero
+        else:
+            f_next = source(grid, t_next)
+            source_mass = vol * float(np.sum(f_next.data))
         try:
             prev = state
             if op is None:
@@ -441,7 +446,7 @@ def solve_trajectory(op, data, potential, cfg, source=None):
         mass_rate = (mass - prev_mass) * vol / dt
         aux["max_mass_residual"] = max(
             aux["max_mass_residual"],
-            abs(mass_rate - vol * float(np.sum(f_next.data))),
+            abs(mass_rate - source_mass),
         )
 
         if k % stride == 0 or k == n_steps:

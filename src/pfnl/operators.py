@@ -18,7 +18,8 @@ kernel is stored and padded by its compact support, not by the box: the
 (rounded up to a fast FFT size), so the cost of an application depends
 on ``n + w`` rather than ``2n - 1``.  In 1D a window of at most
 ``MAX_DIRECT_TAPS`` (129) taps skips the FFT: ``np.convolve`` sums the
-``2w + 1`` taps directly.  A sweep with ``h`` proportional to ``eps`` keeps
+``2w + 1`` taps directly, and the plan never transforms its window or
+imports ``scipy.fft``.  A sweep with ``h`` proportional to ``eps`` keeps
 ``w`` fixed (17 taps at the default widths), where direct taps are several
 times faster than the FFT.  One
 quadrature (cell centers, with the origin cell of the kernel carrying its
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import DegenerateFieldError
 from .fields import (
@@ -45,6 +45,7 @@ from .fields import (
     inner_product,
     laplacian,
     ones,
+    scipy_fft,
 )
 from .kernels import EvaluatedKernel, tabulate_kernel
 
@@ -54,12 +55,27 @@ from .kernels import EvaluatedKernel, tabulate_kernel
 MAX_DIRECT_TAPS = 129
 
 
+def _fast_len(target):
+    """Smallest 11-smooth size ``>= target`` (no prime factor above 11),
+    the value ``scipy.fft.next_fast_len`` returns for real transforms."""
+    size = target
+    while True:
+        rest = size
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return size
+        size += 1
+
+
 @dataclass(frozen=True)
 class ConvolutionPlan:
     """Precomputed data for the padded linear convolution.
 
-    ``padded_shape`` and ``kernel_hat`` describe the FFT lattice; a 1D
-    plan with ``direct`` set convolves by the taps and leaves them unused.
+    ``padded_shape`` is the FFT lattice and :attr:`kernel_hat` the window's
+    transform on it, computed on the first FFT application; a 1D plan with
+    ``direct`` set convolves by the taps and never computes it.
     ``tap_window`` (1D plans only) cuts the box out of the full
     ``np.convolve`` output.
     """
@@ -67,9 +83,19 @@ class ConvolutionPlan:
     grid: object
     kernel: EvaluatedKernel
     padded_shape: tuple
-    kernel_hat: np.ndarray
     direct: bool
     tap_window: slice
+
+    @cached_property
+    def kernel_hat(self):
+        """Real FFT of the window wrapped onto the padded lattice."""
+        w = self.kernel.halfwidth
+        wrapped = np.zeros(self.padded_shape)
+        # offset o (stored at index o + w) goes to lattice index o mod padded size
+        wrapped[
+            np.ix_(*(np.arange(-k, k + 1) % p for k, p in zip(w, self.padded_shape)))
+        ] = self.kernel.values
+        return scipy_fft().rfftn(wrapped)
 
     def apply(self, data):
         """Linear convolution with the kernel window, truncated to the box:
@@ -77,6 +103,7 @@ class ConvolutionPlan:
         the padded lattice."""
         if self.direct:
             return np.convolve(data, self.kernel.values)[self.tap_window]
+        sfft = scipy_fft()
         out = sfft.irfftn(
             sfft.rfftn(data, s=self.padded_shape) * self.kernel_hat, s=self.padded_shape
         )
@@ -84,27 +111,21 @@ class ConvolutionPlan:
 
 
 def build_plan(kernel):
-    """Wrap the kernel's support window onto a padded lattice and cache its FFT.
+    """Plan the convolution with the kernel's support window.
 
     With support halfwidth ``w``, padding to at least ``n + w`` per axis
     keeps the circular product equal to the linear convolution for every
     in-box pair: an in-box offset ``o`` satisfies ``|o| <= n - 1``, so no
-    stored offset ``|o'| <= w`` aliases onto it.
+    stored offset ``|o'| <= w`` aliases onto it.  The window's FFT is left
+    to the first FFT application (:attr:`ConvolutionPlan.kernel_hat`).
     """
     grid = kernel.grid
     w = kernel.halfwidth
-    padded_shape = tuple(sfft.next_fast_len(m + k) for m, k in zip(grid.n, w))
-    wrapped = np.zeros(padded_shape)
-    # offset o (stored at index o + w) goes to lattice index o mod padded size
-    wrapped[np.ix_(*(np.arange(-k, k + 1) % p for k, p in zip(w, padded_shape)))] = (
-        kernel.values
-    )
+    padded_shape = tuple(_fast_len(m + k) for m, k in zip(grid.n, w))
     direct = grid.dimension == 1 and kernel.values.size <= MAX_DIRECT_TAPS
     # the full 1D convolution starts w cells before the box
     tap_window = slice(w[0], w[0] + grid.n[0]) if grid.dimension == 1 else None
-    return ConvolutionPlan(
-        grid, kernel, padded_shape, sfft.rfftn(wrapped), direct, tap_window
-    )
+    return ConvolutionPlan(grid, kernel, padded_shape, direct, tap_window)
 
 
 def convolve(plan, u):
@@ -126,6 +147,11 @@ class NonlocalOperator:
     @property
     def eps(self):
         return self.plan.kernel.eps
+
+    @cached_property
+    def a_eps_max(self):
+        """Largest entry of ``a_eps``, the largest diagonal entry of ``B_eps``."""
+        return float(np.max(self.a_eps.data))
 
     @cached_property
     def kernel_matrix(self):
@@ -189,7 +215,7 @@ def energy_from_applied(op, u, Bu):
     if op is None:
         diagonal = sum(2.0 / (h * h) for h in u.grid.spacing)
     else:
-        diagonal = float(np.max(op.a_eps.data))
+        diagonal = op.a_eps_max
     if val < -1e-14 * max(1.0, diagonal):
         raise DegenerateFieldError(f"energy 1/2 (B u, u)_H came out negative: {val}")
     return max(val, 0.0)
@@ -249,7 +275,7 @@ def bbm_bound_ratio(op, u):
     input where the energy degenerates.
     """
     energy = energy_nonlocal(op, u)
-    scale = inner_product("H", u, u) * float(np.max(op.a_eps.data))
+    scale = inner_product("H", u, u) * op.a_eps_max
     if energy <= 1e-28 * max(1.0, scale):
         raise DegenerateFieldError("degenerate: nonlocal energy vanishes")
     return dual_norm(apply_B(op, u)) / math.sqrt(energy)

@@ -31,9 +31,11 @@ from .operators import build_nonlocal_operator, energy_nonlocal
 class PotentialSpec:
     """Monotone/Lipschitz splitting of the potential derivative.
 
-    ``beta``, ``beta_hat``, ``pi`` are vectorized scalar maps; ``q`` and
-    ``c_beta`` calibrate the growth inequality; ``beta_prime`` (optional)
-    feeds the Newton Jacobian, with a finite-difference fallback.
+    ``beta``, ``beta_hat``, ``pi`` are vectorized scalar maps, whose value
+    may also be a scalar that broadcasts against the argument (see
+    :func:`sample`); ``q`` and ``c_beta`` calibrate the growth inequality;
+    ``beta_prime`` (optional) feeds the Newton Jacobian, with a
+    finite-difference fallback.
     """
 
     beta: callable
@@ -69,18 +71,30 @@ def make_double_well():
     )
 
 
+def _zero(r):
+    return 0.0
+
+
 def make_linear_potential(pi_slope=0.0):
     """Degenerate spec with ``beta = 0`` and linear ``pi``; used by the
-    linear/constant-data scenarios."""
+    linear/constant-data scenarios.  ``beta``, ``beta_hat`` and
+    ``beta_prime`` return the scalar ``0.0``, which broadcasts against any
+    field, so no zero array is allocated or summed per call."""
     return PotentialSpec(
-        beta=lambda r: np.zeros_like(np.asarray(r, dtype=np.float64)),
-        beta_hat=lambda r: np.zeros_like(np.asarray(r, dtype=np.float64)),
+        beta=_zero,
+        beta_hat=_zero,
         pi=lambda r: pi_slope * r,
         q=2.0,
         c_beta=1.0,
         pi_lipschitz=abs(pi_slope),
-        beta_prime=lambda r: np.zeros_like(np.asarray(r, dtype=np.float64)),
+        beta_prime=_zero,
     )
+
+
+def sample(fn, r):
+    """``fn(r)`` as a float array of ``r``'s shape; a scalar value, such as
+    the linear potential's ``0.0``, is broadcast (read-only, no copy)."""
+    return np.broadcast_to(np.asarray(fn(r), dtype=np.float64), np.shape(r))
 
 
 _LATTICE = np.linspace(-5.0, 5.0, 10_000)
@@ -94,15 +108,15 @@ def validate_potential(spec, d=None):
     """
     out = []
     r = _LATTICE
-    b = np.asarray(spec.beta(r), dtype=np.float64)
-    bh = np.asarray(spec.beta_hat(r), dtype=np.float64)
+    b = sample(spec.beta, r)
+    bh = sample(spec.beta_hat, r)
 
     steps = np.diff(b)
     if np.min(steps) < -1e-10:
         k = int(np.argmin(steps))
         out.append(f"monotonicity: beta decreases near r={r[k]:.3f}")
 
-    b0 = float(spec.beta_hat(np.array([0.0]))[0])
+    b0 = float(sample(spec.beta_hat, np.zeros(1))[0])
     if abs(b0) > 1e-12:
         out.append(f"primitive origin: beta_hat(0) = {b0:g} != 0")
     if np.min(bh) < -1e-12:
@@ -114,7 +128,7 @@ def validate_potential(spec, d=None):
         out.append(f"convexity: beta_hat second difference negative near r={r[k + 1]:.3f}")
 
     dr = 1e-4
-    fd = (spec.beta_hat(r + dr) - spec.beta_hat(r - dr)) / (2.0 * dr)
+    fd = (sample(spec.beta_hat, r + dr) - sample(spec.beta_hat, r - dr)) / (2.0 * dr)
     scale = np.max(np.abs(b))
     smooth = np.abs(b) >= 1e-3 * max(scale, 1e-12)
     if scale > 0 and np.any(smooth):
@@ -128,7 +142,7 @@ def validate_potential(spec, d=None):
         k = int(np.argmax(growth))
         out.append(f"growth: |beta|^q exceeds c_beta(1+beta_hat) at r={r[k]:.3f}")
 
-    p = np.asarray(spec.pi(r), dtype=np.float64)
+    p = sample(spec.pi, r)
     lip = np.abs(np.diff(p)) / np.diff(r)
     if np.max(lip) > spec.pi_lipschitz * (1.0 + 1e-10) + 1e-12:
         out.append(f"lipschitz: pi slope {np.max(lip):.6g} exceeds declared {spec.pi_lipschitz:g}")

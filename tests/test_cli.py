@@ -194,6 +194,21 @@ class TestSimulate:
         assert "Traceback" not in err and "RuntimeWarning" not in err
 
     @pytest.mark.parametrize(
+        "command", [["simulate", "--eps", "0.2"], ["converge"]], ids=["simulate", "converge"]
+    )
+    def test_growth_violation_exits_2(self, tmp_path, capsys, command):
+        # c_beta = 0.001 breaks |beta|^q <= c_beta (1 + beta_hat) for the
+        # double well, so the run must not start
+        cfg = write_config(
+            tmp_path,
+            SMALL_SIM.format(out=tmp_path / "out") + "potential.c_beta = 0.001\n",
+        )
+        assert cli.main([command[0], "--config", cfg, *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert "growth" in err and "Traceback" not in err
+        assert not any((tmp_path / "out").glob("*.csv"))
+
+    @pytest.mark.parametrize(
         "line", ["potential.pi_slope = -1e300", "potential.power = 5"]
     )
     def test_double_well_rejects_custom_polynomial_keys(self, tmp_path, capsys, line):
@@ -345,13 +360,76 @@ class TestVerifyLemmas:
             assert results[name]["pass"], name
 
 
-def test_import_leaves_scipy_sparse_unloaded():
-    # nothing in pfnl needs scipy.sparse; importing it would cost start-up
-    # time and resident memory in every run
+def _python_output(code):
+    """Standard output of ``python -c code`` run against this source tree."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(pfnl.__file__)))
-    code = "import sys, pfnl.cli; print('scipy.sparse' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=src),
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # nothing in pfnl needs scipy.sparse; importing it would cost start-up
+    # time and resident memory in every run
+    code = "import sys, pfnl.cli; print('scipy.sparse' in sys.modules)"
+    assert _python_output(code) == "False"
+
+
+class TestScipyFftImport:
+    """A 1D run never imports scipy.fft (about 0.3 s of start-up); a 2D run
+    imports it while it starts up, before any timed solve or suite."""
+
+    RUN = (
+        "import sys\n"
+        "from pfnl import cli\n"
+        "code = cli.main({argv!r})\n"
+        "print(code, 'scipy.fft' in sys.modules)\n"
+    )
+    # replace the CLI's entry into the work with a probe that reports
+    # whether scipy.fft is loaded, then stops the run
+    AT_ENTRY = (
+        "import sys\n"
+        "from pfnl import cli\n"
+        "def probe(*args, **kwargs):\n"
+        "    print('scipy.fft' in sys.modules)\n"
+        "    raise SystemExit(0)\n"
+        "setattr(cli, {entry!r}, probe)\n"
+        "cli.main({argv!r})\n"
+    )
+
+    def test_import_leaves_scipy_fft_unloaded(self):
+        code = "import sys, pfnl.cli; print('scipy.fft' in sys.modules)"
+        assert _python_output(code) == "False"
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            (["converge"], SMALL_SWEEP.replace("time.T = 0.2", "time.T = 0.02")),
+            (["simulate", "--eps", "0.2"], SMALL_SIM),
+        ],
+        ids=["converge", "simulate"],
+    )
+    def test_1d_run_leaves_scipy_fft_unloaded(self, tmp_path, command, config):
+        cfg = write_config(tmp_path, config.format(out=tmp_path / "out"))
+        argv = [command[0], "--config", cfg, *command[1:]]
+        assert _python_output(self.RUN.format(argv=argv)) == "0 False"
+
+    @pytest.mark.parametrize(
+        "entry, command",
+        [
+            ("solve_trajectory", ["simulate", "--eps", "0.25"]),
+            ("gamma_convergence_suite", ["verify-lemmas"]),
+        ],
+        ids=["simulate", "verify-lemmas"],
+    )
+    def test_2d_run_loads_scipy_fft_in_start_up(self, tmp_path, entry, command):
+        cfg = write_config(
+            tmp_path,
+            "grid.dimension = 2\ngrid.n = 16\n"
+            + SMALL_SIM.replace("grid.n = 64\n", "").format(out=tmp_path / "out"),
+        )
+        argv = [command[0], "--config", cfg, *command[1:]]
+        code = self.AT_ENTRY.format(entry=entry, argv=argv)
+        assert _python_output(code) == "True"

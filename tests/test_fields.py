@@ -218,6 +218,22 @@ class TestNeumannSolve:
         # the constant mode sees only ``a``: mass is conserved exactly
         assert np.sum(w) == pytest.approx(np.sum(rhs) / a, rel=0.0, abs=1e-13)
 
+    @pytest.mark.parametrize("n", [4, 5, 7, 64, 320, 1000])
+    @pytest.mark.parametrize("a,b", [(1.0, 1.0), (1.0, 1e-3)])
+    def test_1d_matches_scipy_dct(self, n, a, b, rng):
+        # the 1D solve runs on numpy's FFT of the even extension; scipy's
+        # orthonormal DCT-II pair is the oracle
+        from scipy.fft import dct, idct
+
+        grid = Grid.line(n)
+        rhs = rng.normal(size=n)
+        w = neumann_solve(grid, rhs, a, b)
+        symbol = (4.0 / grid.spacing[0] ** 2) * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
+        ref = idct(dct(rhs, norm="ortho") / (a + b * symbol), norm="ortho")
+        assert np.max(np.abs(w - ref)) <= 1e-13 * np.max(np.abs(ref))
+        roundoff = 16 * np.finfo(np.float64).eps * np.sum(np.abs(rhs))
+        assert np.sum(w) == pytest.approx(np.sum(rhs) / a, rel=0.0, abs=roundoff)
+
 
 class TestRiesz:
     def test_constant_fixed_point(self):

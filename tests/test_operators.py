@@ -26,6 +26,7 @@ from pfnl.kernels import (
 )
 from pfnl.operators import (
     MAX_DIRECT_TAPS,
+    _fast_len,
     apply_B,
     apply_B_eps,
     apply_B_local,
@@ -158,6 +159,41 @@ class TestConvolve:
 
     def test_2d_plans_use_fft(self, op2d):
         assert not op2d.plan.direct
+
+    def test_direct_plan_never_transforms_its_window(self, op32, rng):
+        u = rough_field(op32.grid, rng)
+        apply_B(op32, u)
+        energy_nonlocal(op32, u)
+        assert op32.plan.direct
+        assert "kernel_hat" not in vars(op32.plan)
+
+    def test_fft_plan_transforms_its_window_on_first_apply(self):
+        grid = Grid.line(128)
+        family = build_kernel_family(make_profile("polynomial-bump", 3.0), 1, 0.0)
+        plan = build_plan(tabulate_kernel(family, 0.5, grid))
+        assert not plan.direct and "kernel_hat" not in vars(plan)
+        plan.apply(np.ones(grid.shape))
+        assert vars(plan)["kernel_hat"].shape == (plan.padded_shape[0] // 2 + 1,)
+
+    @pytest.mark.parametrize("op", ["op32", "op2d"])
+    def test_padded_shape_is_fast_len_of_n_plus_w(self, op, request):
+        plan = request.getfixturevalue(op).plan
+        assert all(type(p) is int for p in plan.padded_shape)
+        assert plan.padded_shape == tuple(
+            _fast_len(m + k) for m, k in zip(plan.grid.n, plan.kernel.halfwidth)
+        )
+
+    def test_fast_len_matches_scipy(self):
+        from scipy.fft import next_fast_len
+
+        targets = range(1, 20001)
+        assert [_fast_len(t) for t in targets] == [next_fast_len(t) for t in targets]
+
+    @pytest.mark.parametrize("op", ["op32", "op2d"])
+    def test_a_eps_max_is_cached_max(self, op, request):
+        op = request.getfixturevalue(op)
+        assert op.a_eps_max == float(np.max(op.a_eps.data))
+        assert "a_eps_max" in vars(op)
 
     def test_a_eps_positive_and_symmetric(self, op32):
         assert np.min(op32.a_eps.data) > 0.0
