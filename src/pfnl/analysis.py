@@ -169,6 +169,9 @@ def _probe_suite(family, eps_list, length, dimension, max_n, fields, strict,
             row = {"field": probe.name, "eps": eps}
             row.update(evaluate(probe, v, op))
             probe_rows.append(row)
+            # release the operator, and its plan's FFT work array, before
+            # the next build
+            del op
         rows.extend(probe_rows)
         violations.extend(judge(probe.name, probe_rows))
     if strict and violations:

@@ -117,20 +117,25 @@ def cmd_simulate(cfg, eps=None, local=False):
         raise ConfigError([f"--eps must lie in (0, 1], got {eps}"])
     outdir = _prepare_outdir(cfg)
 
+    custom = (
+        _load_custom_initial(cfg, grid) if cfg.initial_kind == "custom" else None
+    )
     if eps is not None:
         eps_list = [eps]
-    else:
-        # local run: the uniform-bound monitor still wants one admissible
-        # kernel width for its energy term
+    elif custom is not None:
+        # local run on custom data: the c1_bound input check evaluates the
+        # uniform-bound monitor, whose energy term wants one admissible
+        # kernel width
         h4 = 4.0 * max(grid.spacing)
         if h4 > 1.0:
             raise ConfigError(
                 [f"grid too coarse for any admissible kernel width (4h = {h4} > 1)"]
             )
         eps_list = [max(max(cfg.sweep_eps), h4)]
-    custom = (
-        _load_custom_initial(cfg, grid) if cfg.initial_kind == "custom" else None
-    )
+    else:
+        # local run on the smooth default data: nothing reads a monitor,
+        # so no kernel operator is built
+        eps_list = []
     op = None if local else build_nonlocal_operator(family, eps, grid)
     data = build_initial_data(
         cfg.initial_kind,
@@ -329,9 +334,9 @@ def main(argv=None):
     try:
         cfg = parse_config(args.config)
         if cfg.grid_dimension == 2:
-            # every 2D run needs scipy.fft (its FFT convolutions and cosine
-            # transforms); importing it here keeps the import in start-up
-            # rather than in the first timed solve or suite
+            # every 2D run needs scipy.fft (its cosine transforms);
+            # importing it here keeps the import in start-up rather than
+            # in the first timed solve or suite
             scipy_fft()
         if args.command == "simulate":
             return cmd_simulate(cfg, eps=args.eps, local=args.local)

@@ -141,12 +141,19 @@ class Grid:
         return tuple(out)
 
     @cached_property
-    def csv_template(self):
-        """``%``-template of a snapshot CSV file: one ``"i[,j],%.17g"`` row
-        per cell in row-major order (last axis fastest, like ``ravel``).
-        Cached on the instance, so only the values are formatted per file."""
-        coords = itertools.product(*([str(i) for i in range(m)] for m in self.n))
-        return "".join(f"{','.join(c)},%.17g\n" for c in coords)
+    def csv_row_templates(self):
+        """``%``-templates of a snapshot CSV file, one per first-axis index
+        ``i``: its cells' ``"i[,j],%.17g"`` lines in row-major order (last
+        axis fastest, like ``ravel``).  Cached on the instance, so only the
+        values are formatted per file."""
+        # ",j" for each index j of the other axes ("" in 1D)
+        tails = [
+            "".join("," + str(j) for j in c)
+            for c in itertools.product(*(range(m) for m in self.n[1:]))
+        ]
+        return tuple(
+            "".join(f"{i}{tail},%.17g\n" for tail in tails) for i in range(self.n[0])
+        )
 
 
 @dataclass
@@ -278,8 +285,8 @@ def riesz_apply(u):
 def scipy_fft():
     """The ``scipy.fft`` module, imported on the first call.
 
-    Only 2D solves and FFT convolution plans need it; its import costs
-    about 0.3 s of start-up, which a 1D run skips.
+    Only 2D Neumann solves need it; its import costs about 0.3 s of
+    start-up, which a 1D run skips.
     """
     import scipy.fft
 
@@ -317,7 +324,9 @@ def cg(matvec, b, rtol, maxiter, callback=None):
     entries).
 
     Starts from ``x = 0`` and stops once ``|r|_2 < rtol |b|_2``, tested
-    before each iteration.  Calls ``callback(x)`` once per iteration.
+    before each iteration.  ``matvec``'s result is scaled in place, so it
+    must be an array that the caller does not read again.  Calls
+    ``callback(x)`` once per iteration.
     Returns ``(x, 0)`` on convergence, or ``(x, maxiter)`` with the last
     iterate when the budget runs out.
     """
@@ -340,7 +349,8 @@ def cg(matvec, b, rtol, maxiter, callback=None):
         q = matvec(p)
         alpha = rho / float(np.vdot(p, q))
         x += alpha * p
-        r -= alpha * q
+        q *= alpha  # q is not read again: scale it in place for r -= alpha q
+        r -= q
         rho_prev = rho
         if callback is not None:
             callback(x)
@@ -393,13 +403,15 @@ def restrict(u, coarse):
 
 
 def atomic_write(path, payload):
-    """Write ``payload`` (str or bytes) to a temp file, then rename it to
-    ``path``, so an interrupted write never leaves a partial file there."""
+    """Write ``payload`` (str, bytes, or an iterable of str chunks written
+    one after another) to a temp file, then rename it to ``path``, so an
+    interrupted write never leaves a partial file there."""
     tmp = f"{path}.tmp.{os.getpid()}"
     mode = "wb" if isinstance(payload, bytes) else "w"
+    chunks = (payload,) if isinstance(payload, (str, bytes)) else payload
     try:
         with open(tmp, mode) as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -410,9 +422,15 @@ def atomic_write(path, payload):
 def write_field(u, path, fmt="csv"):
     """Serialize a field atomically: CSV rows ``"{coords},{value:.17g}"``
     (comma-joined cell indices, row-major order), or raw little-endian
-    float64 in row-major order."""
+    float64 in row-major order.  The CSV is formatted and written one
+    first-axis index at a time, so no whole-file string is built."""
     if fmt == "csv":
-        atomic_write(path, u.grid.csv_template % tuple(u.data.ravel().tolist()))
+        # one row's values at a time become Python floats
+        rows = u.data.reshape(u.grid.n[0], -1)
+        atomic_write(
+            path,
+            (t % tuple(r.tolist()) for t, r in zip(u.grid.csv_row_templates, rows)),
+        )
     elif fmt == "binary":
         atomic_write(path, u.data.astype("<f8").tobytes())
     else:

@@ -12,7 +12,9 @@ for ``B_eps``, or ``None`` for ``-lap_N`` (see :func:`pfnl.operators.apply_B`).
 The phase subsystem is solved first, implicitly in
 ``B`` and ``beta`` (Newton with matrix-free CG, :func:`pfnl.fields.cg`;
 the Jacobian ``(1/dt^2 + 1/dt) I + B + beta'`` is SPD because ``beta`` is
-monotone), with ``pi`` and the temperature taken explicitly.  The
+monotone; its dt^2-scaled matvec is ``dt^2 B x + shift x``, with the diagonal
+``shift = (1 + dt) + dt^2 beta'`` formed once per Newton iteration), with
+``pi`` and the temperature taken explicitly.  The
 temperature subsystem then sees the fresh phase velocity and is one exact
 ``(I - dt lap_N)`` solve by the DCT (:func:`pfnl.fields.neumann_solve`).
 
@@ -35,11 +37,19 @@ plus the dissipation ``dt (|grad theta|^2 + |v|^2)`` must match the work
 in one pass over the new state, and carries the previous step's total
 forward.  ``E(phi) = 1/2 (B phi, phi)_H`` reuses the ``B phi`` of the
 phase Newton's final residual, for the kernel operator and the Laplacian
-alike, so only the initial record applies ``B`` for its energy; the
-record's ``pi(phi)`` is carried into the next step's right-hand side, so
-``pi`` is evaluated once per step.  :func:`total_energy` and
-:func:`energy_balance_residual` recompute the same quantities from two
-states alone.
+alike; the record's ``pi(phi)`` is carried into the next step's
+right-hand side, so ``pi`` is evaluated once per step.
+:func:`total_energy` and :func:`energy_balance_residual` recompute the
+same quantities from two states alone.
+
+``B`` is applied to the phase CG's directions and to each Newton trial,
+and otherwise only for the initial record and step 1's Newton seed.  From
+step 2 on the seed ``phi^n + dt v^n = 2 phi^n - phi^{n-1}`` takes the
+image ``2 B phi^n - B phi^{n-1}`` by linearity, from the accepted trials
+of the two previous steps, so every carried ``B phi`` is a direct
+application.  The ``int_laptheta_sq`` monitor reads
+``lap theta = (theta - rhs)/dt`` from the temperature solve, with no
+Laplacian of its own.
 
 Inside a step the phase Newton, its CG and the record work on bare
 arrays, and every H pairing is one ``np.vdot`` reduction; a
@@ -55,15 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError
-from .fields import (
-    Field,
-    cg,
-    grad_inner,
-    inner_product,
-    laplacian,
-    neumann_solve,
-    zeros,
-)
+from .fields import Field, cg, grad_inner, inner_product, neumann_solve
 from .operators import apply_B_array, energy_from_applied
 
 
@@ -71,10 +73,14 @@ from .operators import apply_B_array, energy_from_applied
 class State:
     """Solution triple at one time instant (``v`` is the phase velocity).
 
-    ``B_phi`` and ``pi_phi`` are the arrays ``B phi`` and ``pi(phi)``, or
-    ``None``.  In :func:`solve_trajectory` the step sets ``B_phi`` for the
-    energy record, and the record sets ``pi_phi`` for the next step's
-    right-hand side; stored snapshots carry neither.
+    ``B_phi``, ``B_phi_prev``, ``pi_phi`` and ``lap_theta`` are the arrays
+    ``B phi``, ``B phi`` of the previous state, ``pi(phi)`` and
+    ``lap theta``, or ``None``.  A step sets ``B_phi`` (a direct
+    application, for the energy record and the next step's predictor
+    image), ``B_phi_prev`` (the previous state's ``B_phi``, cleared by the
+    next step once read) and ``lap_theta``; in :func:`solve_trajectory`
+    the record sets ``pi_phi`` for the next step's right-hand side.  Stored
+    snapshots carry none of them.
     """
 
     t: float
@@ -83,6 +89,8 @@ class State:
     v: Field
     B_phi: np.ndarray = None
     pi_phi: np.ndarray = None
+    B_phi_prev: np.ndarray = None
+    lap_theta: np.ndarray = None
 
 
 @dataclass(frozen=True)
@@ -180,28 +188,45 @@ def _phi_update(state, op, potential, cfg):
     the residual comparable to the field itself, so the H-norm tolerance
     is meaningful at small dt.  Works on arrays throughout and returns the
     arrays ``(phi, v, iterations, B_phi)``, where ``B_phi`` is ``B phi`` of
-    the accepted iterate, taken from its residual.
+    the accepted iterate, a direct application.
+
+    ``B`` is applied to the CG directions and to each Newton trial only.
+    When ``state`` carries ``B_phi`` and ``B_phi_prev`` from the step
+    that made it, ``v^n = (phi^n - phi^{n-1})/dt``, so the seed
+    ``phi^n + dt v^n = 2 phi^n - phi^{n-1}`` has the image
+    ``2 B phi^n - B phi^{n-1}`` by linearity; both terms are direct
+    applications, so no error carries over from step to step; the solve
+    then clears ``state.B_phi_prev``.  Otherwise the seed's image is
+    applied directly.
     """
     dt = cfg.dt
+    dt_sq = dt * dt
     grid = state.phi.grid
     vol = grid.cell_volume
     phi_n, v_n = state.phi.data, state.v.data
     pi_term = state.pi_phi
     if pi_term is None:
         pi_term = np.asarray(potential.pi(phi_n), dtype=np.float64)
-    b = (1.0 + dt) * phi_n + dt * v_n + dt * dt * (state.theta.data - pi_term)
+    b = (1.0 + dt) * phi_n + dt * v_n + dt_sq * (state.theta.data - pi_term)
     b_scale = 1.0 + math.sqrt(vol * float(np.vdot(b, b)))
 
-    def residual(phi_data):
-        Bphi = apply_B_array(op, grid, phi_data)
-        beta_term = np.asarray(potential.beta(phi_data), dtype=np.float64)
-        res = (1.0 + dt) * phi_data + dt * dt * (Bphi + beta_term) - b
-        res_norm = math.sqrt(vol * float(np.vdot(res, res)))
-        return res, res_norm, Bphi
+    def residual(phi_data, Bphi):
+        res = Bphi + potential.beta(phi_data)
+        res *= dt_sq
+        res += (1.0 + dt) * phi_data
+        res -= b
+        return res, math.sqrt(vol * float(np.vdot(res, res)))
 
     # explicit predictor as the Newton seed
     phi_data = phi_n + dt * v_n
-    res, res_norm, Bphi = residual(phi_data)
+    by_linearity = state.B_phi is not None and state.B_phi_prev is not None
+    if by_linearity:
+        Bphi = 2.0 * state.B_phi
+        Bphi -= state.B_phi_prev
+        state.B_phi_prev = None  # read once: free it for the solve
+    else:
+        Bphi = apply_B_array(op, grid, phi_data)
+    res, res_norm = residual(phi_data, Bphi)
     # an overflowed norm would make every tolerance test below False and
     # return the predictor as if it had converged
     if not (math.isfinite(b_scale) and math.isfinite(res_norm)):
@@ -216,7 +241,7 @@ def _phi_update(state, op, potential, cfg):
     # to b alone would accept the raw predictor at small dt, silently
     # freezing the velocity.
     floor = 200.0 * np.finfo(np.float64).eps * b_scale
-    tol_res = max(cfg.newton_tol * (dt * dt + res_norm), floor)
+    tol_res = max(cfg.newton_tol * (dt_sq + res_norm), floor)
 
     iters = 0
     while res_norm > tol_res:
@@ -225,12 +250,15 @@ def _phi_update(state, op, potential, cfg):
                 f"phase Newton stalled after {iters} iterations "
                 f"(residual {res_norm:.3e} at t={state.t:.6g})"
             )
-        beta_slope = np.maximum(
-            np.asarray(potential.beta_derivative(phi_data), dtype=np.float64), 0.0
-        )
+        # the Jacobian is dt^2 B + diag(shift)
+        slope = np.maximum(potential.beta_derivative(phi_data), 0.0)
+        shift = (1.0 + dt) + dt_sq * slope
 
         def matvec(x):
-            return (1.0 + dt) * x + dt * dt * (apply_B_array(op, grid, x) + beta_slope * x)
+            q = apply_B_array(op, grid, x)
+            q *= dt_sq
+            q += shift * x
+            return q
 
         delta, info = cg(
             matvec, -res, rtol=cfg.phi_solver_tol, maxiter=20 * grid.num_cells
@@ -246,7 +274,8 @@ def _phi_update(state, op, potential, cfg):
         improved = False
         for _ in range(8):
             trial = phi_data + step * delta
-            trial_res, trial_norm, trial_Bphi = residual(trial)
+            trial_Bphi = apply_B_array(op, grid, trial)
+            trial_res, trial_norm = residual(trial, trial_Bphi)
             if trial_norm < res_norm:
                 phi_data, res, res_norm, Bphi = trial, trial_res, trial_norm, trial_Bphi
                 improved = True
@@ -263,38 +292,63 @@ def _phi_update(state, op, potential, cfg):
             )
         iters += 1
 
+    if by_linearity and iters == 0:
+        # the seed was accepted as it stands: store a direct application
+        Bphi = apply_B_array(op, grid, phi_data)
     return phi_data, (phi_data - phi_n) / dt, iters, Bphi
 
 
 def _theta_update(state, v_new, f_next, cfg):
     """Exact SPD solve ``(I - dt lap) theta = theta^n + dt (f - v^{n+1})``
-    on the arrays ``v_new`` and ``f_next``; returns the array ``theta``."""
+    on the arrays ``v_new`` and ``f_next`` (``None`` without a source).
+
+    Returns the arrays ``theta`` and ``lap theta = (theta - rhs)/dt``, the
+    latter computed in the right-hand side's buffer.
+    """
     dt = cfg.dt
-    rhs = state.theta.data + dt * (f_next - v_new)
-    return neumann_solve(state.theta.grid, rhs, 1.0, dt)
+    theta_n = state.theta.data
+    if f_next is None:
+        rhs = theta_n - dt * v_new
+    else:
+        rhs = theta_n + dt * (f_next - v_new)
+    theta = neumann_solve(state.theta.grid, rhs, 1.0, dt)
+    lap_theta = np.subtract(theta, rhs, out=rhs)
+    lap_theta /= dt
+    return theta, lap_theta
 
 
 def _advance(state, op, potential, f_next, cfg):
     """One semi-implicit step of the system ``op`` selects; the new state's
-    fields are the only ones the step builds, and it carries ``B phi`` for
-    its energy record."""
+    fields are the only ones the step builds.  It carries ``B phi`` and
+    the previous ``B phi`` for its energy record and the next predictor,
+    and ``lap theta`` from the temperature solve."""
     phi, v, _, B_phi = _phi_update(state, op, potential, cfg)
-    theta = _theta_update(state, v, f_next.data, cfg)
+    theta, lap_theta = _theta_update(
+        state, v, None if f_next is None else f_next.data, cfg
+    )
     grid = state.phi.grid
     return State(
-        state.t + cfg.dt, Field(grid, theta), Field(grid, phi), Field(grid, v), B_phi
+        state.t + cfg.dt,
+        Field(grid, theta),
+        Field(grid, phi),
+        Field(grid, v),
+        B_phi=B_phi,
+        B_phi_prev=state.B_phi,
+        lap_theta=lap_theta,
     )
 
 
 def step_nonlocal(state, op, potential, f_next, cfg):
-    """One semi-implicit step of the kernel-operator system; the new state
-    carries ``B_eps phi`` for its energy record."""
+    """One semi-implicit step of the kernel-operator system under the
+    source field ``f_next`` (``None`` for none); the new state carries
+    ``B_eps phi`` for its energy record and the next predictor."""
     return _advance(state, op, potential, f_next, cfg)
 
 
 def step_local(state, potential, f_next, cfg):
     """One semi-implicit step of the Laplacian system (same scheme); the new
-    state carries ``-lap_N phi`` for its energy record."""
+    state carries ``-lap_N phi`` for its energy record and the next
+    predictor."""
     return _advance(state, None, potential, f_next, cfg)
 
 
@@ -335,8 +389,9 @@ def _record(t, state, energy_phi, potential, f_next=None, dt=None, prev_total=No
     the arithmetic of :func:`total_energy` and :func:`energy_balance_residual`
     given ``energy_phi = E(phi)`` and the previous record's ``prev_total``
     (residual 0 without one).  With ``prev_total``, the work term's
-    ``pi(phi)`` is stored on ``state.pi_phi`` for the next step.  Also
-    returns ``|grad theta|^2`` and ``|v|^2``."""
+    ``pi(phi)`` is stored on ``state.pi_phi`` for the next step; a source
+    field ``f_next`` of ``None`` does no work.  Also returns
+    ``|grad theta|^2`` and ``|v|^2``."""
     vol = state.phi.grid.cell_volume
     theta, phi, v = state.theta.data, state.phi.data, state.v.data
     theta_sq = vol * float(np.vdot(theta, theta))
@@ -350,9 +405,9 @@ def _record(t, state, energy_phi, potential, f_next=None, dt=None, prev_total=No
     residual = 0.0
     if prev_total is not None:
         state.pi_phi = np.asarray(potential.pi(phi), dtype=np.float64)
-        work = vol * float(np.vdot(f_next.data, theta)) + vol * float(
-            np.vdot(phi - state.pi_phi, v)
-        )
+        work = vol * float(np.vdot(phi - state.pi_phi, v))
+        if f_next is not None:
+            work = vol * float(np.vdot(f_next.data, theta)) + work
         residual = abs(total - prev_total + dt * (grad_sq + v_sq) - dt * work)
     record = EnergyRecord(
         t=t,
@@ -395,9 +450,9 @@ def solve_trajectory(op, data, potential, cfg, source=None):
     # and nothing modifies a field's data in place
     states = [State(0.0, state.theta, state.phi, state.v)]
     phi_tt_snaps = [None]
-    energy0 = energy_from_applied(
-        op, state.phi, apply_B_array(op, grid, state.phi.data)
-    )
+    # B phi^0 serves the initial record and, with B phi^1, step 2's predictor
+    state.B_phi = apply_B_array(op, grid, state.phi.data)
+    energy0 = energy_from_applied(op, state.phi, state.B_phi)
     records = [_record(0.0, state, energy0, potential)[0]]
     aux = {
         "int_thetat_sq": 0.0,
@@ -408,13 +463,11 @@ def solve_trajectory(op, data, potential, cfg, source=None):
         "max_step_residual": 0.0,
     }
 
-    zero = zeros(grid)
+    f_next = None
     source_mass = 0.0  # h^d sum(f), fixed at 0 without a source
     for k in range(1, n_steps + 1):
         t_next = k * dt
-        if source is None:
-            f_next = zero
-        else:
+        if source is not None:
             f_next = source(grid, t_next)
             source_mass = vol * float(np.sum(f_next.data))
         try:
@@ -432,11 +485,10 @@ def solve_trajectory(op, data, potential, cfg, source=None):
             potential, f_next, dt,
             records[-1].total_energy,
         )
-        state.B_phi = None
         records.append(record)
 
         thetat = (state.theta.data - prev.theta.data) / dt
-        lap = laplacian(grid, state.theta.data)
+        lap, state.lap_theta = state.lap_theta, None
         aux["int_thetat_sq"] += dt * vol * float(np.vdot(thetat, thetat))
         aux["int_laptheta_sq"] += dt * (vol * float(np.vdot(lap, lap)))
         aux["int_gradtheta_sq"] += dt * grad_sq

@@ -16,14 +16,18 @@ for the restricted integral up to the shared midpoint quadrature.  The
 kernel is stored and padded by its compact support, not by the box: the
 ``(2w+1)^d`` window is wrapped onto a lattice of ``n + w`` cells per axis
 (rounded up to a fast FFT size), so the cost of an application depends
-on ``n + w`` rather than ``2n - 1``.  In 1D a window of at most
+on ``n + w`` rather than ``2n - 1``.  The transforms are numpy's, taken one
+axis at a time in a work array that the plan keeps (see
+:meth:`ConvolutionPlan.apply`).  In 1D a window of at most
 ``MAX_DIRECT_TAPS`` (129) taps skips the FFT: ``np.convolve`` sums the
-``2w + 1`` taps directly, and the plan never transforms its window or
-imports ``scipy.fft``.  A sweep with ``h`` proportional to ``eps`` keeps
-``w`` fixed (17 taps at the default widths), where direct taps are several
-times faster than the FFT.  One
-quadrature (cell centers, with the origin cell of the kernel carrying its
-cell average) is used for everything, so the discrete identity
+``2w + 1`` taps directly, and the plan never transforms its window.  A
+sweep with ``h`` proportional to ``eps`` keeps ``w`` fixed (17 taps at the
+default widths), where direct taps are several times faster than the
+FFT.  One quadrature (cell centers, with the origin cell of the kernel
+carrying its cell average) is used for everything: the plan's weights are
+the window times ``h^d`` and ``a_eps`` is the plan applied to ones, so
+``B_eps a = a_eps a - conv(a)`` annihilates constants exactly, and the
+discrete identity
 
     E_eps(u) = 1/2 (B_eps u, u)_H
 
@@ -45,13 +49,12 @@ from .fields import (
     inner_product,
     laplacian,
     ones,
-    scipy_fft,
 )
 from .kernels import EvaluatedKernel, tabulate_kernel
 
 # 1D windows of at most this many taps are convolved directly.  Against the
-# padded FFT (numpy 2.4, scipy 1.17, one core), direct taps won at 129 taps
-# for n = 512 ... 32768 and lost at 257 taps for n = 4096 and at 513 taps.
+# padded FFT (numpy 2.4, one core), direct taps won at 129 taps for
+# n = 512 ... 32768 and lost at 257 taps for n = 4096 and at 513 taps.
 MAX_DIRECT_TAPS = 129
 
 
@@ -73,11 +76,11 @@ def _fast_len(target):
 class ConvolutionPlan:
     """Precomputed data for the padded linear convolution.
 
-    ``padded_shape`` is the FFT lattice and :attr:`kernel_hat` the window's
-    transform on it, computed on the first FFT application; a 1D plan with
-    ``direct`` set convolves by the taps and never computes it.
-    ``tap_window`` (1D plans only) cuts the box out of the full
-    ``np.convolve`` output.
+    ``padded_shape`` is the FFT lattice and :attr:`kernel_hat` the
+    transform of the :attr:`weights` on it, computed on the first FFT
+    application; a 1D plan with ``direct`` set convolves by the taps and
+    never computes it.  ``tap_window`` (1D plans only) cuts the box out of
+    the full ``np.convolve`` output.
     """
 
     grid: object
@@ -87,27 +90,54 @@ class ConvolutionPlan:
     tap_window: slice
 
     @cached_property
+    def weights(self):
+        """The window times the cell volume ``h^d``: the midpoint-rule
+        weights that both paths convolve with."""
+        return self.kernel.values * self.grid.cell_volume
+
+    @cached_property
     def kernel_hat(self):
-        """Real FFT of the window wrapped onto the padded lattice."""
+        """Real FFT of the weights wrapped onto the padded lattice."""
         w = self.kernel.halfwidth
         wrapped = np.zeros(self.padded_shape)
         # offset o (stored at index o + w) goes to lattice index o mod padded size
         wrapped[
             np.ix_(*(np.arange(-k, k + 1) % p for k, p in zip(w, self.padded_shape)))
-        ] = self.kernel.values
-        return scipy_fft().rfftn(wrapped)
+        ] = self.weights
+        # the window is even along every axis, so its transform is real
+        return np.fft.rfftn(wrapped, axes=tuple(range(wrapped.ndim))).real.copy()
+
+    @cached_property
+    def _spectrum(self):
+        """The FFT path's complex work array, shaped like :attr:`kernel_hat`."""
+        return np.empty(self.kernel_hat.shape, dtype=complex)
 
     def apply(self, data):
-        """Linear convolution with the kernel window, truncated to the box:
-        direct taps for a ``direct`` plan, otherwise the circular product on
-        the padded lattice."""
+        """Midpoint-rule convolution ``h^d sum_k J(z_k) data(x - z_k)``,
+        truncated to the box: direct taps for a ``direct`` plan, otherwise
+        the circular product on the padded lattice.
+
+        The FFT path transforms one axis at a time, in place in a work
+        array that the plan keeps, so an application allocates only its
+        output; the padded lattice is never formed, and the transform
+        skips its all-zero rows.  One plan must therefore not be applied
+        from two threads at once.
+        """
         if self.direct:
-            return np.convolve(data, self.kernel.values)[self.tap_window]
-        sfft = scipy_fft()
-        out = sfft.irfftn(
-            sfft.rfftn(data, s=self.padded_shape) * self.kernel_hat, s=self.padded_shape
-        )
-        return out[tuple(slice(0, m) for m in self.grid.n)]
+            return np.convolve(data, self.weights)[self.tap_window]
+        n, last = self.grid.n, self.padded_shape[-1]
+        spectrum = self._spectrum
+        rows = tuple(slice(0, m) for m in n[:-1])  # the lattice rows holding the box
+        if rows:
+            # lattice rows past the box hold zeros, and so does their transform
+            spectrum[n[0] :] = 0.0
+        np.fft.rfft(data, n=last, out=spectrum[rows])
+        for axis in range(len(n) - 1):
+            np.fft.fft(spectrum, axis=axis, out=spectrum)
+        spectrum *= self.kernel_hat
+        for axis in range(len(n) - 1):
+            np.fft.ifft(spectrum, axis=axis, out=spectrum)
+        return np.fft.irfft(spectrum[rows], n=last)[..., : n[-1]]
 
 
 def build_plan(kernel):
@@ -130,7 +160,7 @@ def build_plan(kernel):
 
 def convolve(plan, u):
     """Midpoint-rule restricted convolution ``J_eps * u`` as a field."""
-    return Field(u.grid, plan.apply(u.data) * u.grid.cell_volume)
+    return Field(u.grid, plan.apply(u.data))
 
 
 @dataclass(frozen=True)
@@ -179,9 +209,11 @@ def build_nonlocal_operator(family, eps, grid):
 def apply_B_eps(op, a):
     """Apply the nonlocal operator to the array ``a`` of the operator
     grid's shape and return the array ``B_eps a``; annihilates constants
-    exactly.  Every ``B_eps`` application goes through here."""
-    conv = op.plan.apply(a) * op.grid.cell_volume
-    return op.a_eps.data * a - conv
+    exactly, since ``a_eps`` is the same plan applied to ones.  Every
+    ``B_eps`` application goes through here."""
+    out = op.a_eps.data * a
+    out -= op.plan.apply(a)
+    return out
 
 
 def apply_B_array(op, grid, a):

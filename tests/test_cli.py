@@ -3,13 +3,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import pfnl
 from pfnl import cli, physics
 from pfnl.config import default_config, parse_config_text
 from pfnl.errors import ConfigError
-from pfnl.fields import Grid, write_field, zeros
+from pfnl.fields import Field, Grid, write_field, zeros
 from pfnl.integrator import CSV_COLUMNS
 
 
@@ -144,6 +145,48 @@ class TestSimulate:
     def test_local_run(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_SIM.format(out=tmp_path / "out"))
         assert cli.main(["simulate", "--config", cfg, "--local"]) == 0
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        built = []
+        real = cli.build_nonlocal_operator
+
+        def counting(family, eps, grid):
+            built.append(eps)
+            return real(family, eps, grid)
+
+        monkeypatch.setattr(cli, "build_nonlocal_operator", counting)
+        monkeypatch.setattr(physics, "build_nonlocal_operator", counting)
+        return built
+
+    def test_local_run_on_default_data_builds_no_operator(self, tmp_path, monkeypatch):
+        built = self._count_builds(monkeypatch)
+        cfg = write_config(tmp_path, SMALL_SIM.format(out=tmp_path / "out"))
+        assert cli.main(["simulate", "--config", cfg, "--local"]) == 0
+        assert built == []
+
+    @pytest.mark.parametrize("c1, code", [(1e3, 0), (1e-3, 2)], ids=["within", "over"])
+    def test_local_run_on_custom_data_checks_c1_bound(
+        self, tmp_path, capsys, monkeypatch, c1, code
+    ):
+        grid = Grid.line(64)
+        paths = {}
+        for name in ("theta", "phi", "v"):
+            paths[name] = tmp_path / f"{name}0.csv"
+            write_field(Field(grid, np.full(grid.shape, 0.5)), paths[name])
+        cfg = write_config(
+            tmp_path,
+            SMALL_SIM.format(out=tmp_path / "out")
+            + f"initial.kind = custom\ninitial.c1 = {c1}\n"
+            + "".join(f"initial.{k}_file = {p}\n" for k, p in paths.items()),
+        )
+        built = self._count_builds(monkeypatch)
+        assert cli.main(["simulate", "--config", cfg, "--local"]) == code
+        assert len(built) == 1
+        err = capsys.readouterr().err
+        if code:
+            assert "uniform bound violated" in err and "Traceback" not in err
+            assert not (tmp_path / "out" / "energy.csv").exists()
 
     def test_under_resolved_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_SIM.format(out=tmp_path / "out"))

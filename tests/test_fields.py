@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rough_field, smooth_field
+from pfnl import fields as fields_module
 from pfnl.errors import ConfigError, GridMismatchError
 from pfnl.fields import (
     Field,
     Grid,
+    atomic_write,
     cg,
     dual_norm,
     field_from_function,
@@ -366,6 +368,53 @@ class TestRestrictionAndIO:
         with pytest.raises(OSError):
             write_field(ones(Grid.line(8)), path)
         assert not path.exists()
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            Grid.line(9),
+            Grid.box(6),
+            Grid((1.0, 2.0), (4, 7)),
+            Grid((3.0, 1.0), (11, 5)),
+        ],
+        ids=["1d", "square", "wide", "tall"],
+    )
+    def test_csv_streams_one_chunk_per_first_axis_index(
+        self, grid, tmp_path, rng, monkeypatch
+    ):
+        u = rough_field(grid, rng)
+        chunks = []
+        real_atomic_write = fields_module.atomic_write
+
+        def recording(path, payload):
+            payload = list(payload)
+            chunks.extend(payload)
+            real_atomic_write(path, payload)
+
+        monkeypatch.setattr(fields_module, "atomic_write", recording)
+        path = tmp_path / "u.csv"
+        write_field(u, path)
+        assert len(chunks) == len(grid.csv_row_templates) == grid.n[0]
+        # the per-cell oracle, row-major with the last axis fastest
+        if grid.dimension == 1:
+            expected = [f"{i},{u.data[i]:.17g}\n" for i in range(grid.n[0])]
+        else:
+            expected = [
+                "".join(f"{i},{j},{u.data[i, j]:.17g}\n" for j in range(grid.n[1]))
+                for i in range(grid.n[0])
+            ]
+        assert chunks == expected
+        assert path.read_text() == "".join(expected)
+
+    def test_chunked_write_failing_midway_leaves_no_file(self, tmp_path):
+        def chunks():
+            yield "0,1\n"
+            raise OSError("simulated formatting failure")
+
+        path = tmp_path / "phi.csv"
+        with pytest.raises(OSError, match="formatting"):
+            atomic_write(path, chunks())
         assert os.listdir(tmp_path) == []
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import rough_field
-from pfnl import fields, integrator
+from conftest import rough_field, smooth_field
+from pfnl import fields, integrator, operators
 from pfnl.errors import SolverError
 from pfnl.fields import (
     Field,
@@ -21,6 +21,7 @@ from pfnl.fields import (
 )
 from pfnl.kernels import build_kernel_family, make_profile
 from pfnl.operators import (
+    apply_B_array,
     build_nonlocal_operator,
     energy_local,
     energy_nonlocal,
@@ -383,6 +384,117 @@ class TestStepCost:
         assert len(traj.records) == cfg.num_steps + 1 == 21
         assert fields_built[0] <= 4 * cfg.num_steps
         assert pi_calls[0] <= cfg.num_steps + 1
+
+
+class TestAppliedOnlyToNewDirections:
+    """``B`` is applied to the CG directions and to each Newton trial only,
+    plus the initial record and step 1's seed: later seeds get their image
+    by linearity, and ``lap theta`` comes from the temperature solve."""
+
+    STEPS = 20
+
+    @pytest.fixture(scope="class")
+    def family2d(self):
+        return build_kernel_family(make_profile("polynomial-bump"), 2, 0.0)
+
+    @staticmethod
+    def smooth_problem(fam, dimension):
+        grid = Grid.line(40) if dimension == 1 else Grid.box(20)
+        pot = make_double_well()
+        return grid, pot, build_initial_data("smooth-default", grid, [0.2], fam, pot)
+
+    def counted_run(self, fam, dimension, problem, monkeypatch):
+        """Calls of ``B`` (``apply_B_eps``, or ``laplacian`` for the local
+        problem) in a smooth 20-step run, and its CG iterations plus its
+        Newton iterations and backtracks."""
+        grid, pot, data = self.smooth_problem(fam, dimension)
+        calls = {"B": 0, "beta": 0, "cg_iters": 0}
+
+        def counted(fn, key):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        def counting_cg(matvec, b, rtol, maxiter):
+            def tick(_x):
+                calls["cg_iters"] += 1
+
+            return fields.cg(matvec, b, rtol, maxiter, callback=tick)
+
+        if problem == "nonlocal":
+            op = build_nonlocal_operator(fam, 0.2, grid)
+            counting = counted(operators.apply_B_eps, "B")
+            monkeypatch.setattr(operators, "apply_B_eps", counting)
+        else:
+            op = None
+            lap = counted(fields.laplacian, "B")
+            monkeypatch.setattr(operators, "laplacian", lap)
+            monkeypatch.setattr(integrator, "laplacian", lap, raising=False)
+        monkeypatch.setattr(integrator, "cg", counting_cg)
+        cfg = SchemeConfig(dt=1e-3, T=self.STEPS * 1e-3, snapshots=4)
+        pot = dataclasses.replace(pot, beta=counted(pot.beta, "beta"))
+        traj = solve_trajectory(op, data, pot, cfg)
+        assert len(traj.records) == cfg.num_steps + 1 == self.STEPS + 1
+        # every residual evaluation calls beta once: each step's seed, then
+        # one per Newton iteration and one per backtrack
+        trials = calls["beta"] - cfg.num_steps
+        assert trials >= cfg.num_steps
+        return calls["B"], calls["cg_iters"] + trials
+
+    @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+    @pytest.mark.parametrize("problem", ["nonlocal", "local"])
+    def test_B_calls_within_budget(
+        self, family, family2d, dimension, problem, monkeypatch
+    ):
+        fam = family if dimension == 1 else family2d
+        calls, budget = self.counted_run(fam, dimension, problem, monkeypatch)
+        assert calls <= budget + 2
+
+    @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+    @pytest.mark.parametrize("problem", ["nonlocal", "local"])
+    def test_predictor_image_by_linearity(self, family, family2d, dimension, problem):
+        fam = family if dimension == 1 else family2d
+        grid, pot, data = self.smooth_problem(fam, dimension)
+        op = build_nonlocal_operator(fam, 0.2, grid) if problem == "nonlocal" else None
+        cfg = SchemeConfig(dt=1e-3, T=1.0)
+        state = State(0.0, data.theta0, data.phi0, data.v0)
+        for _ in range(3):
+            state = integrator._advance(state, op, pot, None, cfg)
+        image = 2.0 * state.B_phi - state.B_phi_prev
+        direct = apply_B_array(op, grid, state.phi.data + cfg.dt * state.v.data)
+        assert np.max(np.abs(image - direct)) <= 1e-12 * np.max(np.abs(direct))
+        # the carried B phi is a direct application
+        assert np.array_equal(state.B_phi, apply_B_array(op, grid, state.phi.data))
+
+    @pytest.mark.parametrize("grid", [Grid.line(64), Grid.box(24)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("dt", [1e-3, 1e-2])
+    def test_laplacian_from_temperature_solve(self, grid, dt, rng):
+        smooth = smooth_field(grid, rng)
+        state = State(0.0, smooth, smooth, smooth)
+        v_new = rough_field(grid, rng, 0.1).data
+        source = smooth_field(grid, rng).data
+        for f_next in (None, source):
+            theta, lap = integrator._theta_update(
+                state, v_new, f_next, SchemeConfig(dt=dt, T=1.0)
+            )
+            exact = fields.laplacian(grid, theta)
+            assert np.max(np.abs(lap - exact)) <= 1e-10 * np.max(np.abs(exact))
+
+    def test_no_source_matches_zero_source_bit_for_bit(self, family):
+        grid = Grid.line(40)
+        pot = make_double_well()
+        data = build_initial_data("smooth-default", grid, [0.2], family, pot)
+        op = build_nonlocal_operator(family, 0.2, grid)
+        cfg = SchemeConfig(dt=1e-3, T=0.02, snapshots=20)
+        bare = solve_trajectory(op, data, pot, cfg)
+        zero = solve_trajectory(op, data, pot, cfg, source=lambda g, t: zeros(g))
+        assert bare.records == zero.records
+        for a, b in zip(bare.states, zero.states):
+            assert np.array_equal(a.theta.data, b.theta.data)
+            assert np.array_equal(a.phi.data, b.phi.data)
+        assert bare.aux == zero.aux
 
 
 class TestNewtonOverflow:
