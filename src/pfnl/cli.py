@@ -39,7 +39,7 @@ from .errors import (  # noqa: F401 (GridMismatchError caught below)
     ResolutionError,
     SolverError,
 )
-from .fields import atomic_write, read_field, scipy_fft, write_field
+from .fields import atomic_write, read_field, write_field
 from .integrator import CSV_COLUMNS, record_csv_row, solve_trajectory
 from .kernels import moment_check
 from .operators import build_nonlocal_operator
@@ -333,11 +333,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
-        if cfg.grid_dimension == 2:
-            # every 2D run needs scipy.fft (its cosine transforms);
-            # importing it here keeps the import in start-up rather than
-            # in the first timed solve or suite
-            scipy_fft()
         if args.command == "simulate":
             return cmd_simulate(cfg, eps=args.eps, local=args.local)
         if args.command == "converge":

@@ -9,10 +9,11 @@ identities downstream hold at the discrete level.
 
 Every ``(a I - b lap_N)`` solve goes through :func:`neumann_solve`: the
 cosine basis diagonalizes the reflected-ghost-cell Laplacian exactly, so
-the solve is a transform pair and one division.  A 2D solve uses scipy's
-orthonormal DCT-II (``dctn``/``idctn``); a 1D solve uses numpy's real FFT
-of the even extension, which is the same transform up to scaling, so a
-1D run never imports ``scipy.fft`` (see :func:`scipy_fft`).
+the solve is a transform pair and one division.  Both paths run on
+numpy's FFT, so no run imports ``scipy.fft``.  A 1D solve transforms the
+even extension; a 2D solve goes through a :class:`CosinePlan`, Makhoul's
+DCT-II by a real FFT of the same size, kept per grid value
+(:func:`cosine_plan`) with its work arrays and gains.
 
 Dual-space machinery: the pivot identification of L2 with its dual turns
 the H1 Riesz map into the SPD operator ``F = I - lap_N``.  ``dual_norm``
@@ -38,6 +39,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError, SolverError
+
+# cells per chunk of a 1D snapshot CSV file (see Grid.csv_chunks)
+CSV_BLOCK_CELLS = 1024
 
 
 @dataclass(frozen=True)
@@ -107,23 +111,11 @@ class Grid:
         return np.meshgrid(*axes, indexing="ij")
 
     @cached_property
-    def neumann_symbol(self):
-        """Eigenvalues of ``-lap_N`` in the orthonormal DCT-II basis.
-
-        Per axis ``(4/h^2) sin^2(pi k / 2n)``, summed over the axes.  Cached
-        on the instance; the cache takes no part in equality or hashing.
-        """
-        per_axis = [
-            (4.0 / (h * h)) * np.sin(np.pi * np.arange(m) / (2.0 * m)) ** 2
-            for m, h in zip(self.n, self.spacing)
-        ]
-        return sum(np.ix_(*per_axis))
-
-    @cached_property
     def even_extension_symbol(self):
         """Eigenvalues of ``-lap_N`` on a 1D grid in the real-FFT basis of
         the even extension (length ``2n``): ``(4/h^2) sin^2(pi k / 2n)`` for
-        ``k = 0 ... n``.  Cached like :attr:`neumann_symbol`."""
+        ``k = 0 ... n``.  Cached on the instance; the cache takes no part
+        in equality or hashing."""
         (m,), (h,) = self.n, self.spacing
         return (4.0 / (h * h)) * np.sin(np.pi * np.arange(m + 1) / (2.0 * m)) ** 2
 
@@ -141,18 +133,24 @@ class Grid:
         return tuple(out)
 
     @cached_property
-    def csv_row_templates(self):
-        """``%``-templates of a snapshot CSV file, one per first-axis index
-        ``i``: its cells' ``"i[,j],%.17g"`` lines in row-major order (last
-        axis fastest, like ``ravel``).  Cached on the instance, so only the
+    def csv_chunks(self):
+        """``(cells, template)`` pairs that make up a snapshot CSV file:
+        ``cells`` slices the raveled data, and ``template`` is the
+        ``%``-template of those cells' ``"i[,j],%.17g"`` lines in row-major
+        order (last axis fastest, like ``ravel``).  A 2D file has one pair
+        per first-axis index, a 1D file one per block of
+        :data:`CSV_BLOCK_CELLS` cells.  Cached on the instance, so only the
         values are formatted per file."""
         # ",j" for each index j of the other axes ("" in 1D)
         tails = [
             "".join("," + str(j) for j in c)
             for c in itertools.product(*(range(m) for m in self.n[1:]))
         ]
+        lines = [f"{i}{tail},%.17g\n" for i in range(self.n[0]) for tail in tails]
+        size = CSV_BLOCK_CELLS if self.dimension == 1 else len(tails)
         return tuple(
-            "".join(f"{i}{tail},%.17g\n" for tail in tails) for i in range(self.n[0])
+            (slice(start, start + size), "".join(lines[start : start + size]))
+            for start in range(0, len(lines), size)
         )
 
 
@@ -281,16 +279,121 @@ def riesz_apply(u):
     return Field(u.grid, u.data - laplacian(u.grid, u.data))
 
 
-@functools.cache
-def scipy_fft():
-    """The ``scipy.fft`` module, imported on the first call.
+class CosinePlan:
+    """Kept data of the Neumann solve on an ``n[0] x n[1]`` grid.
 
-    Only 2D Neumann solves need it; its import costs about 0.3 s of
-    start-up, which a 1D run skips.
+    The solve runs Makhoul's two-dimensional DCT-II (J. Makhoul, "A fast
+    cosine transform in one and two dimensions", IEEE Trans. ASSP 28,
+    1980) on numpy's FFT.  Along each axis the cells are reordered as
+    ``v = (x_0, x_2, x_4, ..., x_5, x_3, x_1)``.  With ``H`` the real FFT
+    of ``v`` along axis 1 followed by the FFT along axis 0, and
+    ``A = w_0(k_0) w_1(k_1) H``, ``w_j(k) = exp(-i pi k / 2 n_j)``, the
+    cosine sums ``C = sum x cos(pi k_0 (2i+1)/2n_0) cos(pi k_1 (2j+1)/2n_1)``
+    are, for ``k_1 < m = n_1 // 2 + 1``::
+
+        2 C[k_0, k_1]       =  Re A[k_0, k_1] - Im A[-k_0, k_1]
+        2 C[k_0, n_1 - k_1] = -Re A[-k_0, k_1] - Im A[k_0, k_1]   (k_1 > 0)
+
+    where row ``-k_0`` is taken mod ``n_0``, except that row ``-0`` is row
+    ``n_0`` of ``A``, ``w_0(n_0) H[0] = -i w_0(0) H[0]``.  The inverse
+    recovers ``H`` from ``C`` as::
+
+        i w_0 w_1 H = (C[-k_0, k_1] + C[k_0, -k_1]) + i (C[k_0, k_1] - C[-k_0, -k_1])
+
+    where index ``-0`` reads a zero row or column.  The plan keeps:
+
+    * the twiddles ``w_0 w_1`` and ``-i conj(w_0 w_1)`` as tables of the
+      complex work array's shape;
+    * the per-axis Neumann symbols ``(4/h^2) sin^2(pi k / 2n)``;
+    * one real work array with a zero last row and column (index
+      ``-0`` above) and one complex work array with the extra row ``n_0``;
+    * the gains of the last :attr:`KEPT_GAINS` pairs ``(a, b)``: ``1/2``
+      over ``a + b lambda``, negated in the columns ``m ...`` that hold
+      ``-2C``.
+
+    A solve allocates only its result.  One plan must therefore not
+    solve from two threads at once.
     """
-    import scipy.fft
 
-    return scipy.fft
+    KEPT_GAINS = 4
+
+    def __init__(self, n, spacing):
+        n0, n1 = n
+        m = n1 // 2 + 1
+        self.n = n
+        self._work = np.zeros((n0 + 1, n1 + 1))
+        self._spectrum = np.empty((n0 + 1, m), dtype=complex)
+        # as tables: a multiply by a full table takes about half the time
+        # of two broadcast multiplies by the per-axis vectors
+        self._twiddle = np.outer(
+            np.exp(-0.5j * np.pi * np.arange(n0 + 1) / n0),
+            np.exp(-0.5j * np.pi * np.arange(m) / n1),
+        )
+        self._inverse_twiddle = -1j * np.conj(self._twiddle[:n0])
+        self._symbols = tuple(
+            (4.0 / (h * h)) * np.sin(np.pi * np.arange(k) / (2.0 * k)) ** 2
+            for k, h in zip(n, spacing)
+        )
+        # per axis: (reordered slice, cells) for the even cells in order,
+        # then the odd cells in reverse order
+        halves = [
+            (
+                (slice(0, (k + 1) // 2), slice(0, None, 2)),
+                (slice((k + 1) // 2, k), slice(k - 1 - k % 2, 0, -2)),
+            )
+            for k in n
+        ]
+        self._quadrants = tuple(
+            ((r0, r1), (c0, c1)) for r0, c0 in halves[0] for r1, c1 in halves[1]
+        )
+        self._gains = {}
+
+    def gains(self, a, b):
+        """The gains of ``(a I - b lap_N)`` (see the class docstring)."""
+        gains = self._gains.get((a, b))
+        if gains is None:
+            lam0, lam1 = self._symbols
+            gains = 0.5 / (a + b * lam0[:, None] + b * lam1)
+            gains[:, self.n[1] // 2 + 1 :] *= -1.0
+            if len(self._gains) >= self.KEPT_GAINS:
+                del self._gains[next(iter(self._gains))]
+            self._gains[(a, b)] = gains
+        return gains
+
+    def solve(self, rhs, a, b):
+        """``w`` with ``(a I - b lap_N) w = rhs``, as a new array."""
+        n0, n1 = self.n
+        m = n1 // 2 + 1
+        q = n1 - m  # columns m ... n1 - 1 hold k_1 = q ... 1
+        work, spectrum = self._work, self._spectrum
+        cells, half = work[:n0, :n1], spectrum[:n0]
+        for reordered, source in self._quadrants:
+            cells[reordered] = rhs[source]
+        np.fft.rfft(cells, axis=1, out=half)
+        np.fft.fft(half, axis=0, out=half)
+        spectrum[n0] = spectrum[0]  # H is periodic in k_0
+        spectrum *= self._twiddle
+        re, im = spectrum.real, spectrum.imag
+        # 2C, and -2C in the columns m ...
+        np.subtract(re[:n0], im[n0:0:-1], out=cells[:, :m])
+        np.add(re[n0:0:-1, q:0:-1], im[:n0, q:0:-1], out=cells[:, m:])
+        cells *= self.gains(a, b)
+        np.add(work[n0:0:-1, :m], work[:n0, n1:q:-1], out=half.real)
+        np.subtract(work[:n0, :m], work[n0:0:-1, n1:q:-1], out=half.imag)
+        half *= self._inverse_twiddle
+        np.fft.ifft(half, axis=0, out=half)
+        np.fft.irfft(half, n=n1, axis=1, out=cells)
+        w = np.empty(self.n)
+        for reordered, source in self._quadrants:
+            w[source] = cells[reordered]
+        return w
+
+
+@functools.lru_cache(maxsize=8)
+def cosine_plan(n, spacing):
+    """The :class:`CosinePlan` of a 2D grid's cell counts and spacing,
+    shared by equal grids; the last 8 are kept."""
+    return CosinePlan(n, spacing)
 
 
 def neumann_solve(grid, rhs, a, b):
@@ -305,17 +408,17 @@ def neumann_solve(grid, rhs, a, b):
     In 1D the transform is numpy's real FFT of the even extension
     ``(rhs, rhs[::-1])``, on which the periodic second difference equals
     the reflected-ghost-cell one (the DCT-II up to scaling; Strang, SIAM
-    Review 1999).  In 2D it is scipy's orthonormal ``dctn``/``idctn``.
+    Review 1999).  In 2D it is Makhoul's DCT-II on numpy's FFT, run by the
+    grid's :func:`cosine_plan` in the plan's kept work arrays, so a solve
+    allocates only its result; one plan, and so one grid value, must not
+    be solved on from two threads at once.
     """
     if grid.dimension == 1:
         n = grid.n[0]
         coeffs = np.fft.rfft(np.concatenate((rhs, rhs[::-1])))
         coeffs /= a + b * grid.even_extension_symbol
         return np.fft.irfft(coeffs, 2 * n)[:n]
-    sfft = scipy_fft()
-    coeffs = sfft.dctn(rhs, type=2, norm="ortho")
-    coeffs /= a + b * grid.neumann_symbol
-    return sfft.idctn(coeffs, type=2, norm="ortho", overwrite_x=True)
+    return cosine_plan(grid.n, grid.spacing).solve(rhs, a, b)
 
 
 def cg(matvec, b, rtol, maxiter, callback=None):
@@ -324,8 +427,10 @@ def cg(matvec, b, rtol, maxiter, callback=None):
     entries).
 
     Starts from ``x = 0`` and stops once ``|r|_2 < rtol |b|_2``, tested
-    before each iteration.  ``matvec``'s result is scaled in place, so it
-    must be an array that the caller does not read again.  Calls
+    before each iteration.  ``matvec``'s result is scaled in place and then
+    holds ``alpha p`` for the update of ``x``, so the loop itself
+    allocates nothing per iteration; it must be a new array that the
+    caller does not read again.  Calls
     ``callback(x)`` once per iteration.
     Returns ``(x, 0)`` on convergence, or ``(x, maxiter)`` with the last
     iterate when the budget runs out.
@@ -348,9 +453,9 @@ def cg(matvec, b, rtol, maxiter, callback=None):
             p += r
         q = matvec(p)
         alpha = rho / float(np.vdot(p, q))
-        x += alpha * p
         q *= alpha  # q is not read again: scale it in place for r -= alpha q
         r -= q
+        x += np.multiply(p, alpha, out=q)  # and reuse it for alpha p
         rho_prev = rho
         if callback is not None:
             callback(x)
@@ -423,13 +528,14 @@ def write_field(u, path, fmt="csv"):
     """Serialize a field atomically: CSV rows ``"{coords},{value:.17g}"``
     (comma-joined cell indices, row-major order), or raw little-endian
     float64 in row-major order.  The CSV is formatted and written one
-    first-axis index at a time, so no whole-file string is built."""
+    chunk of :attr:`Grid.csv_chunks` at a time, so no whole-file string is
+    built."""
     if fmt == "csv":
-        # one row's values at a time become Python floats
-        rows = u.data.reshape(u.grid.n[0], -1)
+        # one chunk's values at a time become Python floats
+        flat = u.data.ravel()
         atomic_write(
             path,
-            (t % tuple(r.tolist()) for t, r in zip(u.grid.csv_row_templates, rows)),
+            (t % tuple(flat[cells].tolist()) for cells, t in u.grid.csv_chunks),
         )
     elif fmt == "binary":
         atomic_write(path, u.data.astype("<f8").tobytes())

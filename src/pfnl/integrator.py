@@ -210,10 +210,13 @@ def _phi_update(state, op, potential, cfg):
     b = (1.0 + dt) * phi_n + dt * v_n + dt_sq * (state.theta.data - pi_term)
     b_scale = 1.0 + math.sqrt(vol * float(np.vdot(b, b)))
 
+    # one transient product at a time, (1+dt) phi or shift * x, kept for the solve
+    scratch = np.empty_like(phi_n)
+
     def residual(phi_data, Bphi):
         res = Bphi + potential.beta(phi_data)
         res *= dt_sq
-        res += (1.0 + dt) * phi_data
+        res += np.multiply(phi_data, 1.0 + dt, out=scratch)
         res -= b
         return res, math.sqrt(vol * float(np.vdot(res, res)))
 
@@ -251,13 +254,15 @@ def _phi_update(state, op, potential, cfg):
                 f"(residual {res_norm:.3e} at t={state.t:.6g})"
             )
         # the Jacobian is dt^2 B + diag(shift)
-        slope = np.maximum(potential.beta_derivative(phi_data), 0.0)
-        shift = (1.0 + dt) + dt_sq * slope
+        # shift = (1+dt) + dt^2 max(beta', 0), formed in the maximum's array
+        shift = np.maximum(potential.beta_derivative(phi_data), 0.0)
+        shift *= dt_sq
+        shift += 1.0 + dt
 
         def matvec(x):
             q = apply_B_array(op, grid, x)
             q *= dt_sq
-            q += shift * x
+            q += np.multiply(shift, x, out=scratch)
             return q
 
         delta, info = cg(

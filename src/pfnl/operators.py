@@ -17,7 +17,7 @@ kernel is stored and padded by its compact support, not by the box: the
 ``(2w+1)^d`` window is wrapped onto a lattice of ``n + w`` cells per axis
 (rounded up to a fast FFT size), so the cost of an application depends
 on ``n + w`` rather than ``2n - 1``.  The transforms are numpy's, taken one
-axis at a time in a work array that the plan keeps (see
+axis at a time in work arrays that the plan keeps (see
 :meth:`ConvolutionPlan.apply`).  In 1D a window of at most
 ``MAX_DIRECT_TAPS`` (129) taps skips the FFT: ``np.convolve`` sums the
 ``2w + 1`` taps directly, and the plan never transforms its window.  A
@@ -97,35 +97,62 @@ class ConvolutionPlan:
 
     @cached_property
     def kernel_hat(self):
-        """Real FFT of the weights wrapped onto the padded lattice."""
-        w = self.kernel.halfwidth
-        wrapped = np.zeros(self.padded_shape)
+        """Real FFT of the weights wrapped onto the padded lattice.
+
+        Taken like an application, in :attr:`_spectrum`: only the window's
+        rows are wrapped along the last axis and transformed, and the
+        lattice is never formed.
+        """
         # offset o (stored at index o + w) goes to lattice index o mod padded size
-        wrapped[
-            np.ix_(*(np.arange(-k, k + 1) % p for k, p in zip(w, self.padded_shape)))
-        ] = self.weights
+        wrapped_index = [
+            np.arange(-k, k + 1) % p
+            for k, p in zip(self.kernel.halfwidth, self.padded_shape)
+        ]
+        window_rows = np.zeros(self.weights.shape[:-1] + self.padded_shape[-1:])
+        window_rows[..., wrapped_index[-1]] = self.weights
+        spectrum = self._spectrum
+        if len(wrapped_index) == 1:
+            np.fft.rfft(window_rows, out=spectrum)
+        else:
+            spectrum[...] = 0.0
+            spectrum[np.ix_(*wrapped_index[:-1])] = np.fft.rfft(window_rows)
+            for axis in range(spectrum.ndim - 1):
+                np.fft.fft(spectrum, axis=axis, out=spectrum)
         # the window is even along every axis, so its transform is real
-        return np.fft.rfftn(wrapped, axes=tuple(range(wrapped.ndim))).real.copy()
+        return spectrum.real.copy()
 
     @cached_property
     def _spectrum(self):
         """The FFT path's complex work array, shaped like :attr:`kernel_hat`."""
-        return np.empty(self.kernel_hat.shape, dtype=complex)
+        *rows, last = self.padded_shape
+        return np.empty((*rows, last // 2 + 1), dtype=complex)
+
+    @cached_property
+    def _rows(self):
+        """The FFT path's real work array: the lattice rows holding the box."""
+        return np.empty(self.grid.n[:-1] + self.padded_shape[-1:])
 
     def apply(self, data):
         """Midpoint-rule convolution ``h^d sum_k J(z_k) data(x - z_k)``,
         truncated to the box: direct taps for a ``direct`` plan, otherwise
         the circular product on the padded lattice.
 
-        The FFT path transforms one axis at a time, in place in a work
-        array that the plan keeps, so an application allocates only its
+        The FFT path transforms one axis at a time, in place in work
+        arrays that the plan keeps, so an application allocates only its
         output; the padded lattice is never formed, and the transform
         skips its all-zero rows.  One plan must therefore not be applied
         from two threads at once.
         """
+        conv = self._convolution(data)
+        return conv if self.direct else conv.copy()
+
+    def _convolution(self, data):
+        """:meth:`apply`'s result; on the FFT path a view of :attr:`_rows`,
+        which the plan's next application overwrites."""
         if self.direct:
             return np.convolve(data, self.weights)[self.tap_window]
         n, last = self.grid.n, self.padded_shape[-1]
+        kernel_hat = self.kernel_hat  # computed in the work array: before its use
         spectrum = self._spectrum
         rows = tuple(slice(0, m) for m in n[:-1])  # the lattice rows holding the box
         if rows:
@@ -134,10 +161,11 @@ class ConvolutionPlan:
         np.fft.rfft(data, n=last, out=spectrum[rows])
         for axis in range(len(n) - 1):
             np.fft.fft(spectrum, axis=axis, out=spectrum)
-        spectrum *= self.kernel_hat
+        spectrum *= kernel_hat
         for axis in range(len(n) - 1):
             np.fft.ifft(spectrum, axis=axis, out=spectrum)
-        return np.fft.irfft(spectrum[rows], n=last)[..., : n[-1]]
+        np.fft.irfft(spectrum[rows], n=last, out=self._rows)
+        return self._rows[..., : n[-1]]
 
 
 def build_plan(kernel):
@@ -210,9 +238,10 @@ def apply_B_eps(op, a):
     """Apply the nonlocal operator to the array ``a`` of the operator
     grid's shape and return the array ``B_eps a``; annihilates constants
     exactly, since ``a_eps`` is the same plan applied to ones.  Every
-    ``B_eps`` application goes through here."""
+    ``B_eps`` application goes through here; it allocates only its
+    result."""
     out = op.a_eps.data * a
-    out -= op.plan.apply(a)
+    out -= op.plan._convolution(a)
     return out
 
 

@@ -206,7 +206,6 @@ class ProblemData:
     eps_list: tuple
     per_eps: dict
     a5_values: dict
-    a5_terms: dict
     data_gaps: dict
     c1_bound: float
     flags: list = field(default_factory=list)
@@ -262,13 +261,11 @@ def build_initial_data(
     else:
         raise ConfigError(f"unknown initial-data kind {kind!r}")
 
-    a5_values, a5_terms, gaps, flags = {}, {}, {}, []
+    a5_values, gaps, flags = {}, {}, []
     for eps in eps_list:
         op = (operators or {}).get(eps) or build_nonlocal_operator(family, eps, grid)
         te, pe, ve = per_eps[eps]
-        terms = _a5_terms(te, pe, ve, op, potential)
-        a5_terms[eps] = terms
-        a5_values[eps] = sum(terms.values())
+        a5_values[eps] = sum(_a5_terms(te, pe, ve, op, potential).values())
         gaps[eps] = (
             norm(te - theta0, "H"),
             norm(pe - phi0, "H"),
@@ -300,7 +297,6 @@ def build_initial_data(
         eps_list=tuple(eps_list),
         per_eps=per_eps,
         a5_values=a5_values,
-        a5_terms=a5_terms,
         data_gaps=gaps,
         c1_bound=c1_bound,
         flags=flags,

@@ -16,6 +16,7 @@ from pfnl.fields import (
     Grid,
     atomic_write,
     cg,
+    cosine_plan,
     dual_norm,
     field_from_function,
     grad_inner,
@@ -236,6 +237,55 @@ class TestNeumannSolve:
         roundoff = 16 * np.finfo(np.float64).eps * np.sum(np.abs(rhs))
         assert np.sum(w) == pytest.approx(np.sum(rhs) / a, rel=0.0, abs=roundoff)
 
+    @pytest.mark.parametrize(
+        "n",
+        [(4, 4), (5, 7), (16, 23), (160, 160), (320, 320)],
+        ids=lambda n: f"{n[0]}x{n[1]}",
+    )
+    @pytest.mark.parametrize("a,b", [(1.0, 1.0), (1.0, 1e-3)])
+    def test_2d_matches_scipy_dctn(self, n, a, b, rng):
+        # the 2D solve runs Makhoul's transform on numpy's FFT; scipy's
+        # orthonormal DCT-II pair is the oracle
+        from scipy.fft import dctn, idctn
+
+        grid = Grid((1.0, 2.5), n)
+        rhs = rng.normal(size=n)
+        w = neumann_solve(grid, rhs, a, b)
+        symbol = sum(
+            np.ix_(
+                *(
+                    (4.0 / h**2) * np.sin(np.pi * np.arange(m) / (2 * m)) ** 2
+                    for m, h in zip(grid.n, grid.spacing)
+                )
+            )
+        )
+        ref = idctn(dctn(rhs, norm="ortho") / (a + b * symbol), norm="ortho")
+        assert np.max(np.abs(w - ref)) <= 1e-13 * np.max(np.abs(ref))
+        roundoff = 16 * np.finfo(np.float64).eps * np.sum(np.abs(rhs))
+        assert np.sum(w) == pytest.approx(np.sum(rhs) / a, rel=0.0, abs=roundoff)
+
+    def test_2d_results_do_not_alias_the_plan(self, rng):
+        # the plan's work arrays are reused by every solve: each result
+        # must be a new array that the next solve leaves as it was
+        grid = Grid((1.0, 2.5), (16, 23))
+        matrix = np.eye(grid.num_cells) - 1e-2 * dense_laplacian(grid)
+        rhs1, rhs2 = rng.normal(size=grid.shape), rng.normal(size=grid.shape)
+        w1 = neumann_solve(grid, rhs1, 1.0, 1e-2)
+        kept = w1.copy()
+        w2 = neumann_solve(grid, rhs2, 1.0, 1e-2)
+        assert not np.shares_memory(w1, w2)
+        np.testing.assert_array_equal(w1, kept)
+        for w, rhs in ((w1, rhs1), (w2, rhs2)):
+            ref = np.linalg.solve(matrix, rhs.ravel()).reshape(grid.shape)
+            assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_equal_grids_share_one_plan(self):
+        first, second = Grid.box(12), Grid.box(12)
+        assert first is not second
+        plan = cosine_plan(first.n, first.spacing)
+        assert cosine_plan(second.n, second.spacing) is plan
+        assert cosine_plan((12, 13), first.spacing) is not plan
+
 
 class TestRiesz:
     def test_constant_fixed_point(self):
@@ -370,20 +420,9 @@ class TestRestrictionAndIO:
         assert not path.exists()
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize(
-        "grid",
-        [
-            Grid.line(9),
-            Grid.box(6),
-            Grid((1.0, 2.0), (4, 7)),
-            Grid((3.0, 1.0), (11, 5)),
-        ],
-        ids=["1d", "square", "wide", "tall"],
-    )
-    def test_csv_streams_one_chunk_per_first_axis_index(
-        self, grid, tmp_path, rng, monkeypatch
-    ):
-        u = rough_field(grid, rng)
+    @staticmethod
+    def _written_chunks(u, path, monkeypatch):
+        """The chunks that ``write_field(u, path)`` hands to ``atomic_write``."""
         chunks = []
         real_atomic_write = fields_module.atomic_write
 
@@ -393,19 +432,44 @@ class TestRestrictionAndIO:
             real_atomic_write(path, payload)
 
         monkeypatch.setattr(fields_module, "atomic_write", recording)
-        path = tmp_path / "u.csv"
         write_field(u, path)
-        assert len(chunks) == len(grid.csv_row_templates) == grid.n[0]
+        return chunks
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            Grid.box(6),
+            Grid((1.0, 2.0), (4, 7)),
+            Grid((3.0, 1.0), (11, 5)),
+        ],
+        ids=["square", "wide", "tall"],
+    )
+    def test_csv_streams_one_chunk_per_first_axis_index(
+        self, grid, tmp_path, rng, monkeypatch
+    ):
+        u = rough_field(grid, rng)
+        path = tmp_path / "u.csv"
+        chunks = self._written_chunks(u, path, monkeypatch)
+        assert len(chunks) == len(grid.csv_chunks) == grid.n[0]
         # the per-cell oracle, row-major with the last axis fastest
-        if grid.dimension == 1:
-            expected = [f"{i},{u.data[i]:.17g}\n" for i in range(grid.n[0])]
-        else:
-            expected = [
-                "".join(f"{i},{j},{u.data[i, j]:.17g}\n" for j in range(grid.n[1]))
-                for i in range(grid.n[0])
-            ]
+        expected = [
+            "".join(f"{i},{j},{u.data[i, j]:.17g}\n" for j in range(grid.n[1]))
+            for i in range(grid.n[0])
+        ]
         assert chunks == expected
         assert path.read_text() == "".join(expected)
+
+    @pytest.mark.parametrize("n", [9, fields_module.CSV_BLOCK_CELLS, 2500])
+    def test_1d_csv_streams_in_blocks(self, n, tmp_path, rng, monkeypatch):
+        u = rough_field(Grid.line(n), rng)
+        path = tmp_path / "u.csv"
+        chunks = self._written_chunks(u, path, monkeypatch)
+        block = fields_module.CSV_BLOCK_CELLS
+        assert len(chunks) == -(-n // block)
+        # the per-cell oracle, cut into blocks of cells
+        lines = [f"{i},{u.data[i]:.17g}\n" for i in range(n)]
+        assert chunks == ["".join(lines[s : s + block]) for s in range(0, n, block)]
+        assert path.read_text() == "".join(lines)
 
     def test_chunked_write_failing_midway_leaves_no_file(self, tmp_path):
         def chunks():
@@ -495,6 +559,30 @@ class TestCG:
         assert info == ref_info == 0
         assert len(ours) == len(theirs) > 10
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_iterates_match_the_allocating_loop(self, rng):
+        # cg writes alpha p into the matvec's result; the iterates must be
+        # bit-identical to the loop that allocates x += alpha * p
+        A, b = spd_system(rng, (6, 9), condition=1e4)
+
+        def matvec(p):
+            return (A @ p.ravel()).reshape(p.shape)
+
+        ours = []
+        cg(matvec, b, 1e-10, 1000, callback=lambda xk: ours.append(xk.copy()))
+        x, r, p, ref = np.zeros_like(b), b.copy(), None, []
+        for _ in ours:
+            rho = float(np.vdot(r, r))
+            p = r.copy() if p is None else p * (rho / rho_prev) + r
+            q = matvec(p)
+            alpha = rho / float(np.vdot(p, q))
+            x += alpha * p
+            r -= alpha * q
+            rho_prev = rho
+            ref.append(x.copy())
+        assert len(ours) > 10
+        for mine, theirs in zip(ours, ref):
+            np.testing.assert_array_equal(mine, theirs)
 
     def test_callback_once_per_iteration(self, rng):
         A, b = spd_system(rng, (40,), condition=1e4)
