@@ -24,13 +24,18 @@ go through :func:`cg`, plain conjugate gradients on arrays of the grid's
 shape.  It starts from ``x = 0`` and stops once ``|r|_2 < rtol |b|_2``,
 tested before each iteration: the rule of scipy's ``cg`` with
 ``atol = 0``, so it takes the same iterations.
+
+Snapshots go through :func:`write_field`.  Its CSV values carry the bytes
+of Python's ``'%.17g'`` but are formatted in NumPy, a block of cells at a
+time: the 17 digits come from a double-double product with a power of
+ten (:func:`_significands`), the few cells it cannot decide are handed to
+``'%.17g'`` itself, and the rows are gathered from a byte matrix.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -39,9 +44,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError, SolverError
-
-# cells per chunk of a 1D snapshot CSV file (see Grid.csv_chunks)
-CSV_BLOCK_CELLS = 1024
 
 
 @dataclass(frozen=True)
@@ -133,25 +135,29 @@ class Grid:
         return tuple(out)
 
     @cached_property
-    def csv_chunks(self):
-        """``(cells, template)`` pairs that make up a snapshot CSV file:
-        ``cells`` slices the raveled data, and ``template`` is the
-        ``%``-template of those cells' ``"i[,j],%.17g"`` lines in row-major
-        order (last axis fastest, like ``ravel``).  A 2D file has one pair
-        per first-axis index, a 1D file one per block of
-        :data:`CSV_BLOCK_CELLS` cells.  Cached on the instance, so only the
-        values are formatted per file."""
-        # ",j" for each index j of the other axes ("" in 1D)
-        tails = [
-            "".join("," + str(j) for j in c)
-            for c in itertools.product(*(range(m) for m in self.n[1:]))
-        ]
-        lines = [f"{i}{tail},%.17g\n" for i in range(self.n[0]) for tail in tails]
-        size = CSV_BLOCK_CELLS if self.dimension == 1 else len(tails)
-        return tuple(
-            (slice(start, start + size), "".join(lines[start : start + size]))
-            for start in range(0, len(lines), size)
-        )
+    def csv_prefixes(self):
+        """A ``(num_cells, width)`` ``uint8`` matrix whose row ``c``, its
+        NUL bytes dropped, is the ``"i[,j],"`` prefix of cell ``c`` of the
+        raveled data (last axis fastest, like ``ravel``).  Each index is
+        written right-aligned in its axis's width, NUL in place of its
+        leading zeros.  Built from per-axis digit columns by broadcasting
+        and cached on the instance, so only the values are formatted per
+        file."""
+        parts = []
+        for axis, m in enumerate(self.n):
+            width = len(str(m - 1))
+            place = 10 ** np.arange(width - 1, -1, -1)
+            i = np.arange(m)[:, None]
+            # the digits of i and a comma; a digit shows from i's first
+            # nonzero one on, and the units digit always
+            text = np.full((m, width + 1), ord(","), dtype=np.uint8)
+            text[:, :width] = np.where(
+                (i >= place) | (place == 1), ord("0") + i // place % 10, 0
+            )
+            view = [1] * self.dimension + [width + 1]
+            view[axis] = m
+            parts.append(np.broadcast_to(text.reshape(view), self.n + (width + 1,)))
+        return np.concatenate(parts, axis=-1).reshape(self.num_cells, -1)
 
 
 @dataclass
@@ -508,14 +514,16 @@ def restrict(u, coarse):
 
 
 def atomic_write(path, payload):
-    """Write ``payload`` (str, bytes, or an iterable of str chunks written
-    one after another) to a temp file, then rename it to ``path``, so an
-    interrupted write never leaves a partial file there."""
+    """Write ``payload`` (str, bytes, or an iterable of str or of bytes
+    chunks written one after another) to a temp file, then rename it to
+    ``path``, so an interrupted write never leaves a partial file there.
+    The file is opened in binary mode when the first chunk is bytes."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    mode = "wb" if isinstance(payload, bytes) else "w"
-    chunks = (payload,) if isinstance(payload, (str, bytes)) else payload
+    chunks = iter((payload,) if isinstance(payload, (str, bytes)) else payload)
     try:
-        with open(tmp, mode) as fh:
+        first = next(chunks, "")
+        with open(tmp, "wb" if isinstance(first, bytes) else "w") as fh:
+            fh.write(first)
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -527,20 +535,233 @@ def atomic_write(path, payload):
 def write_field(u, path, fmt="csv"):
     """Serialize a field atomically: CSV rows ``"{coords},{value:.17g}"``
     (comma-joined cell indices, row-major order), or raw little-endian
-    float64 in row-major order.  The CSV is formatted and written one
-    chunk of :attr:`Grid.csv_chunks` at a time, so no whole-file string is
-    built."""
+    float64 in row-major order.  The CSV is formatted and written in
+    blocks of :data:`_CSV_BLOCK_CELLS` cells (see :func:`_csv_blocks`), so
+    no whole-file string is built.  Every finite value gets the bytes of
+    ``'%.17g'``: the digits come from a double-double product off the exact
+    one by less than ``2^-47``, and a cell whose rounding fraction lies
+    within ``2^-30`` of ``1/2`` is formatted by ``'%.17g'`` itself (see
+    :func:`_significands`)."""
     if fmt == "csv":
-        # one chunk's values at a time become Python floats
-        flat = u.data.ravel()
-        atomic_write(
-            path,
-            (t % tuple(flat[cells].tolist()) for cells, t in u.grid.csv_chunks),
-        )
+        atomic_write(path, _csv_blocks(u))
     elif fmt == "binary":
         atomic_write(path, u.data.astype("<f8").tobytes())
     else:
         raise ValueError(f"unknown field format {fmt!r}")
+
+
+# --- snapshot CSV formatting -------------------------------------------------
+
+# cells per block of a snapshot CSV file; the largest temporary of a block
+# is the index array of its gather, 8 bytes per byte written
+_CSV_BLOCK_CELLS = 4096
+
+# the fast path takes |x| in [1e-280, 1e280], so that no product below
+# overflows or underflows; it scales by 10^p for p = 16 - k, k within one
+# of floor(log10 |x|)
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+_POW_MIN, _POW_MAX = -265, 298
+
+# one value's columns: sign, the "0.000" that fixed notation puts before
+# the digits of |x| < 1, the digits d_0 ... d_16 with a decimal point
+# after each of d_0 ... d_15, and the exponent "e+ddd"; a value keeps a
+# subset of them in order
+_VALUE_TEMPLATE = b"-0.000" + b"0." * 16 + b"0" + b"e+000"
+_LEAD = 6  # column of d_0
+_EXP = _LEAD + 33  # column of the "e"
+_LAYOUTS = 23  # fixed point for k = -4 ... 16, then "e+dd" and "e+ddd"
+
+
+@functools.cache
+def _powers_of_ten():
+    """Columns ``hi, lo, hi_big, hi_small`` for ``p = _POW_MIN ... _POW_MAX``.
+    ``hi`` is the double nearest ``10^p`` and ``lo`` the double nearest
+    ``10^p - hi``, both from exact integer arithmetic (CPython rounds
+    ``int / int`` and ``float(int)`` correctly), so ``hi + lo`` is ``10^p``
+    to within ``2^-106`` relative.  ``hi_big + hi_small == hi`` is
+    Veltkamp's split of ``hi``."""
+    rows = []
+    for p in range(_POW_MIN, _POW_MAX + 1):
+        if p >= 0:
+            hi = float(10**p)
+            lo = float(10**p - int(hi))
+        else:
+            q = 10**-p
+            hi = 1 / q
+            num, den = hi.as_integer_ratio()
+            lo = (den - num * q) / (den * q)
+        rows.append((hi, lo))
+    hi, lo = np.array(rows).T
+    return (hi, lo, *_veltkamp_split(hi))
+
+
+def _veltkamp_split(a):
+    """``(big, small)`` with ``big + small == a`` exactly, each of at most
+    26 significant bits, so the product of two halves is exact."""
+    t = a * 134217729.0  # 2^27 + 1
+    big = t - (t - a)
+    return big, a - big
+
+
+@functools.cache
+def _digit_groups():
+    """``(text, last)`` for ``g = 0 ... 9999``: ``text[g]`` is a ``uint32``
+    whose four bytes are the ASCII digits of ``g`` with leading zeros, and
+    ``last[g]`` the place (1 ... 4) of its last nonzero digit, or -99 for
+    ``g = 0``."""
+    g = np.arange(10000)
+    digits = (ord("0") + g[:, None] // [1000, 100, 10, 1] % 10).astype(np.uint8)
+    last = 4 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
+    return digits.view(np.uint32).ravel(), np.where(g > 0, last, -99).astype(np.int16)
+
+
+@functools.cache
+def _value_masks():
+    """Which :data:`_VALUE_TEMPLATE` columns a value keeps, by the ``%g``
+    rules, one row per ``(layout * 18 + s) * 2 + negative``; each row is
+    one void item, so a gather copies whole rows.
+
+    Layouts ``0 ... 20`` are fixed point with decimal exponent
+    ``k = layout - 4``: integer digits ``d_0 ... d_k`` (kept even when
+    zero), or ``"0."`` and ``-k - 1`` zeros when ``k < 0``.  Layouts 21 and
+    22 are ``d_0.d_1...e±dd`` and ``e±ddd``.  Of the 17 digits the first
+    ``s`` (the significant ones, at least 1) are kept, and the decimal
+    point only when a digit follows it."""
+    layout, s, neg = (
+        g.ravel()
+        for g in np.meshgrid(
+            np.arange(_LAYOUTS), np.arange(18), np.arange(2), indexing="ij"
+        )
+    )
+    fixed = layout < 21
+    k = layout - 4
+    small = fixed & (k < 0)
+    s = np.where(fixed & (k >= 0), np.maximum(s, k + 1), s)
+    point = np.where(fixed, np.where(k >= 0, k, -1), 0)  # digit before the point
+    i = np.arange(17)
+    keep = np.zeros((layout.size, len(_VALUE_TEMPLATE)), dtype=bool)
+    keep[:, 0] = neg
+    keep[:, 1:3] = small[:, None]
+    keep[:, 3:_LEAD] = small[:, None] & (i[:3] < (-k - 1)[:, None])
+    keep[:, _LEAD:_EXP:2] = i < s[:, None]
+    keep[:, _LEAD + 1 : _EXP : 2] = (i[:16] == point[:, None]) & (
+        i[:16] + 1 < s[:, None]
+    )
+    keep[:, _EXP : _EXP + 2] = ~fixed[:, None]
+    keep[:, _EXP + 2] = layout == 22
+    keep[:, _EXP + 3 :] = ~fixed[:, None]
+    return keep.view(np.dtype((np.void, keep.shape[1]))).ravel()
+
+
+def _significands(x):
+    """``(n, k, decided)``: the 17 significant digits ``'%.17g'`` prints
+    for each float64 in ``x``, as the integer ``n = round(|x| 10^(16-k))``
+    in ``[10^16, 10^17)``, and its decimal exponent ``k``, where
+    ``decided`` holds; elsewhere ``n = k = 0``, which is the text of
+    ``+-0.0``.
+
+    With ``k = floor(log10 |x|)``, ``|x| 10^(16-k)`` comes as ``P + r``
+    (see :func:`_times_power_of_ten`), ``P`` an integer and ``|r| < 20``,
+    off the exact product by less than ``2^-47``.  Rounding it is
+    therefore exact unless the fraction of ``r`` lies within ``2^-47`` of
+    ``1/2``.  A cell is left undecided when that fraction is within
+    ``2^-30`` of ``1/2`` (ties), when ``floor(P + r)`` falls below
+    ``10^16`` or its rounding reaches ``10^17`` (``log10`` rounded across
+    a power of ten), or when ``|x|`` lies outside ``[1e-280, 1e280]``,
+    where the products could overflow or underflow.
+    """
+    a = np.abs(x)
+    inside = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    a[~inside] = 1.0
+    k = np.floor(np.log10(a)).astype(np.int64)
+    whole, rest = _times_power_of_ten(a, 16 - k)
+    floor = np.floor(rest)
+    rest -= floor  # now the fraction
+    n = whole.astype(np.int64) + floor.astype(np.int64)
+    decided = inside & (n >= 10**16) & (np.abs(rest - 0.5) > 2.0**-30)
+    n += rest > 0.5
+    decided &= n < 10**17
+    return np.where(decided, n, 0), np.where(decided, k, 0), decided
+
+
+def _times_power_of_ten(a, p):
+    """``a 10^p`` for ``1e-280 <= a <= 1e280`` and ``a 10^p`` in about
+    ``[10^16, 10^17]``, as a double-double ``(P, r)``: Dekker's product
+    (Numer. Math. 18, 1971) gives ``a hi`` exactly as ``P + e`` (``P``
+    exceeds ``2^53``, so it is an integer), and ``r = e + a lo``.  The
+    error is below ``2^-47``: the ``2^-106`` relative error of ``hi + lo``,
+    one rounding of ``a lo`` and one of the sum, each at most ``2^-49``
+    since ``P < 10^17 < 2^57`` and ``|r| < 20``."""
+    hi, lo, hi_big, hi_small = (t.take(p - _POW_MIN) for t in _powers_of_ten())
+    big, small = _veltkamp_split(a)
+    whole = a * hi
+    rest = (
+        ((big * hi_big - whole) + big * hi_small) + small * hi_big
+    ) + small * hi_small
+    rest += a * lo
+    return whole, rest
+
+
+def _format_values(x, value, keep):
+    """Write the ``'%.17g'`` text of each float64 in ``x`` into the rows
+    of ``value`` (preset to :data:`_VALUE_TEMPLATE`) and the columns it
+    keeps into ``keep``.
+
+    The digits come from :func:`_significands`.  The cells it leaves
+    undecided, other than ``+-0.0``, are formatted by Python's
+    ``'%.17g'`` and spliced in, so every finite value gets the bytes of
+    ``'%.17g'``.
+    """
+    text, last = _digit_groups()
+    n, k, decided = _significands(x)
+    # d_0 as the group "000d", then d_1 ... d_16 as four groups; s counts
+    # the digits up to the last nonzero one (1 for zero)
+    quads = np.empty((x.size, 5), dtype=np.uint32)
+    quads[:, 0] = text.take(n // 10**16)
+    s = np.ones(x.size, dtype=np.int16)
+    for j, scale in enumerate((10**12, 10**8, 10**4, 1)):
+        g = n // scale % 10**4
+        quads[:, j + 1] = text.take(g)
+        s = np.maximum(s, 4 * j + 1 + last.take(g))
+    value[:, _LEAD:_EXP:2] = quads.view(np.uint8)[:, 3:]
+    # the exponent's digits as "0ddd", whose "0" the sign overwrites
+    value[:, _EXP + 1 :] = text.take(np.abs(k)).view(np.uint8).reshape(-1, 4)
+    value[:, _EXP + 1] = np.where(k < 0, ord("-"), ord("+"))
+    exponential = (k < -4) | (k >= 17)
+    layout = np.where(exponential, 21 + (np.abs(k) >= 100), k + 4)
+    code = (layout * 18 + s) * 2 + np.signbit(x)
+    keep[:] = _value_masks().take(code).view(bool).reshape(keep.shape)
+
+    for c in np.flatnonzero(~decided & (x != 0.0)):
+        line = b"%.17g" % float(x[c])
+        value[c, : len(line)] = np.frombuffer(line, np.uint8)
+        keep[c] = False
+        keep[c, : len(line)] = True
+
+
+def _csv_blocks(u):
+    """The bytes of ``u``'s snapshot CSV, one chunk per block of
+    :data:`_CSV_BLOCK_CELLS` cells.  A block is a ``uint8`` matrix with
+    one row per cell (its :attr:`Grid.csv_prefixes` row, its value
+    columns from :func:`_format_values` and a newline) and a ``bool``
+    matrix of the bytes kept, which one ``np.compress`` gathers; so
+    temporaries stay within a few hundred bytes per cell of a block."""
+    text = u.grid.csv_prefixes
+    flat = u.data.ravel()
+    width = text.shape[1]
+    rows = np.empty(
+        (min(_CSV_BLOCK_CELLS, flat.size), width + len(_VALUE_TEMPLATE) + 1), np.uint8
+    )
+    take = np.empty(rows.shape, dtype=bool)
+    rows[:, -1], take[:, -1] = ord("\n"), True
+    for start in range(0, flat.size, _CSV_BLOCK_CELLS):
+        stop = min(start + _CSV_BLOCK_CELLS, flat.size)
+        block, mask = rows[: stop - start], take[: stop - start]
+        block[:, :width] = text[start:stop]
+        np.not_equal(block[:, :width], 0, out=mask[:, :width])
+        block[:, width:-1] = np.frombuffer(_VALUE_TEMPLATE, np.uint8)
+        _format_values(flat[start:stop], block[:, width:-1], mask[:, width:-1])
+        yield np.compress(mask.ravel(), block.ravel()).tobytes()
 
 
 def read_field(grid, path, fmt="csv"):

@@ -192,31 +192,6 @@ def make_profile(shape, support_radius=1.0):
     return MollifierProfile(shape, R, raw, draw)
 
 
-def profile_from_samples(s, values, support_radius=None):
-    """Build a profile from tabulated samples via a C1 (cubic) interpolant."""
-    from scipy.interpolate import CubicSpline
-
-    s = np.asarray(s, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    R = float(support_radius if support_radius is not None else s[-1])
-    spline = CubicSpline(s, values, bc_type=((1, 0.0), (1, 0.0)))
-    dspline = spline.derivative()
-
-    def raw(x):
-        out = np.zeros_like(x)
-        inside = x < R
-        out[inside] = np.maximum(spline(x[inside]), 0.0)
-        return out
-
-    def draw(x):
-        out = np.zeros_like(x)
-        inside = x < R
-        out[inside] = dspline(x[inside])
-        return out
-
-    return MollifierProfile("custom", R, raw, draw)
-
-
 # --- kernel family -----------------------------------------------------------
 
 

@@ -290,14 +290,16 @@ def energy_double_sum(op, u):
     return 0.25 * op.grid.cell_volume**2 * float(np.sum(J * diff * diff))
 
 
-def frechet_identity_residual(op, u, v):
+def frechet_identity_residual(op, u, v, pairing=None):
     """Gap between the operator pairing and the direct double sum.
 
     Evaluates ``|(B_eps u, v)_H - 1/2 sum_ij J_ij (u_i-u_j)(v_i-v_j) h^{2d}|``
     with the double sum formed pairwise; both routes share one kernel
     tabulation, so agreement is a pure algebra/roundoff statement.
+    ``pairing``, when given, is ``(B_eps u, v)_H`` already at hand.
     """
-    pairing = inner_product("H", apply_B(op, u), v)
+    if pairing is None:
+        pairing = inner_product("H", apply_B(op, u), v)
     J = op.kernel_matrix
     uu, vv = u.data.ravel(), v.data.ravel()
     double = 0.5 * op.grid.cell_volume**2 * float(
@@ -306,13 +308,15 @@ def frechet_identity_residual(op, u, v):
     return abs(pairing - double)
 
 
-def frechet_fd_residual(op, u, v, delta=1e-6):
+def frechet_fd_residual(op, u, v, delta=1e-6, pairing=None):
     """Gap between the pairing and a centered difference of the energy.
 
     The energy is quadratic, so the centered difference is exact up to
-    roundoff amplified by ``1/delta``.
+    roundoff amplified by ``1/delta``.  ``pairing``, when given, is
+    ``(B_eps u, v)_H`` already at hand.
     """
-    pairing = inner_product("H", apply_B(op, u), v)
+    if pairing is None:
+        pairing = inner_product("H", apply_B(op, u), v)
     plus = energy_nonlocal(op, Field(u.grid, u.data + delta * v.data))
     minus = energy_nonlocal(op, Field(u.grid, u.data - delta * v.data))
     return abs(pairing - (plus - minus) / (2.0 * delta))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pfnl import analysis, physics
+from pfnl import analysis, operators, physics
 from pfnl.errors import ResolutionError
 from pfnl.fields import Field, Grid, dual_norm, field_from_function
 from pfnl.integrator import SchemeConfig, solve_trajectory
@@ -17,6 +17,7 @@ from pfnl.analysis import (
     cauchy_in_h_diagnostic,
     estimate_monitor,
     estimates_csv,
+    frechet_identity_suite,
     gamma_convergence_suite,
     nonlocal_to_local_study,
     operator_convergence_suite,
@@ -146,6 +147,22 @@ class TestBBMSuite:
         rows, violations = bbm_ratio_suite(family)
         assert violations == []
         assert all(r["ratio"] > 0 for r in rows)
+
+
+class TestFrechetSuite:
+    def test_one_pairing_apply_per_trial(self, family, monkeypatch):
+        result = frechet_identity_suite(family, n=16, trials=5)
+        calls = []
+
+        def counting(op, a):
+            calls.append(a)
+            return apply_B_eps(op, a)
+
+        monkeypatch.setattr(operators, "apply_B_eps", counting)
+        assert frechet_identity_suite(family, n=16, trials=5) == result
+        # per trial: the pairing, then the two energies of the difference
+        assert len(calls) == 3 * 5
+        assert result["pass"]
 
 
 class TestEstimateMonitor:

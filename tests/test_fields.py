@@ -1,6 +1,7 @@
 import math
 import os
 import tempfile
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -441,45 +442,170 @@ class TestRestrictionAndIO:
             Grid.box(6),
             Grid((1.0, 2.0), (4, 7)),
             Grid((3.0, 1.0), (11, 5)),
+            Grid((1.0, 2.0), (100, 90)),
         ],
-        ids=["square", "wide", "tall"],
+        ids=["square", "wide", "tall", "several-blocks"],
     )
-    def test_csv_streams_one_chunk_per_first_axis_index(
-        self, grid, tmp_path, rng, monkeypatch
-    ):
+    def test_2d_csv_streams_in_blocks(self, grid, tmp_path, rng, monkeypatch):
         u = rough_field(grid, rng)
         path = tmp_path / "u.csv"
         chunks = self._written_chunks(u, path, monkeypatch)
-        assert len(chunks) == len(grid.csv_chunks) == grid.n[0]
-        # the per-cell oracle, row-major with the last axis fastest
-        expected = [
-            "".join(f"{i},{j},{u.data[i, j]:.17g}\n" for j in range(grid.n[1]))
+        block = fields_module._CSV_BLOCK_CELLS
+        assert len(chunks) == -(-grid.num_cells // block)
+        # the per-cell oracle, row-major with the last axis fastest, cut
+        # into blocks of cells
+        lines = [
+            f"{i},{j},{u.data[i, j]:.17g}\n".encode()
             for i in range(grid.n[0])
+            for j in range(grid.n[1])
         ]
-        assert chunks == expected
-        assert path.read_text() == "".join(expected)
+        assert chunks == [
+            b"".join(lines[s : s + block]) for s in range(0, grid.num_cells, block)
+        ]
+        assert path.read_bytes() == b"".join(lines)
 
-    @pytest.mark.parametrize("n", [9, fields_module.CSV_BLOCK_CELLS, 2500])
+    @pytest.mark.parametrize("n", [9, 1024, 2500, 4096, 10000])
     def test_1d_csv_streams_in_blocks(self, n, tmp_path, rng, monkeypatch):
         u = rough_field(Grid.line(n), rng)
         path = tmp_path / "u.csv"
         chunks = self._written_chunks(u, path, monkeypatch)
-        block = fields_module.CSV_BLOCK_CELLS
+        block = fields_module._CSV_BLOCK_CELLS
         assert len(chunks) == -(-n // block)
         # the per-cell oracle, cut into blocks of cells
-        lines = [f"{i},{u.data[i]:.17g}\n" for i in range(n)]
-        assert chunks == ["".join(lines[s : s + block]) for s in range(0, n, block)]
-        assert path.read_text() == "".join(lines)
+        lines = [f"{i},{u.data[i]:.17g}\n".encode() for i in range(n)]
+        assert chunks == [b"".join(lines[s : s + block]) for s in range(0, n, block)]
+        assert path.read_bytes() == b"".join(lines)
 
     def test_chunked_write_failing_midway_leaves_no_file(self, tmp_path):
-        def chunks():
-            yield "0,1\n"
-            raise OSError("simulated formatting failure")
+        for first in ("0,1\n", b"0,1\n"):
 
-        path = tmp_path / "phi.csv"
-        with pytest.raises(OSError, match="formatting"):
-            atomic_write(path, chunks())
-        assert os.listdir(tmp_path) == []
+            def chunks():
+                yield first
+                raise OSError("simulated formatting failure")
+
+            path = tmp_path / "phi.csv"
+            with pytest.raises(OSError, match="formatting"):
+                atomic_write(path, chunks())
+            assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "chunks", [["ab\n", "c"], [b"ab\n", b"c"], []], ids=["str", "bytes", "none"]
+    )
+    def test_chunk_type_sets_the_file_mode(self, chunks, tmp_path):
+        path = tmp_path / "u.csv"
+        atomic_write(path, iter(chunks))
+        assert path.read_bytes() == b"".join(
+            c.encode() if isinstance(c, str) else c for c in chunks
+        )
+
+
+def _csv_oracle(values):
+    """The per-cell ``'%.17g'`` oracle of a 1D snapshot CSV file."""
+    return "".join(f"{i},{float(v):.17g}\n" for i, v in enumerate(values)).encode()
+
+
+def _csv_bytes(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "u.csv")
+        write_field(Field(Grid.line(len(values)), np.asarray(values)), path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+class TestCsvValues:
+    """The block writer against the per-cell ``'%.17g'`` oracle."""
+
+    EDGES = [
+        0.0,
+        -0.0,
+        5e-324,
+        2.2250738585072014e-308,
+        1.7976931348623157e308,
+        1e-5,
+        9.9999999999999995e-05,
+        1e16,
+        1e17,
+        123456789012345678.0,
+        1171187299615171.25,  # an exact tie at 17 digits
+        # round up into the next power of ten
+        0.99999999999999999,
+        9.9999999999999999e-5,
+        99999999999999999.0,
+        9.99999999999999999e22,
+        np.nextafter(1e-4, 0.0),
+        np.nextafter(1e17, 0.0),
+        # the ends of the fast path's range, and just past them
+        1e-280,
+        1e280,
+        np.nextafter(1e-280, 0.0),
+        np.nextafter(1e280, np.inf),
+    ]
+
+    def test_edge_values(self):
+        values = np.array(self.EDGES + [-v for v in self.EDGES])
+        assert _csv_bytes(values) == _csv_oracle(values)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = 10.0 ** np.arange(-323, 309)
+        values = np.concatenate(
+            (powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf))
+        )
+        assert _csv_bytes(values) == _csv_oracle(values)
+
+    def test_one_block_mixes_every_layout(self, rng):
+        # both notations at every decimal exponent from -130 to 130, and 1
+        # to 17 significant digits (the powers of two), with both signs
+        # and zeros
+        exponents = np.arange(-130, 131)
+        values = np.concatenate(
+            (
+                10.0**exponents,
+                1.25 * 10.0**exponents,
+                rng.normal(size=exponents.size) * 10.0**exponents,
+                2.0 ** np.arange(-60, 80),
+                rng.integers(1, 10**17, 40).astype(float),
+            )
+        )
+        values = np.concatenate((values, -values, [0.0, -0.0]))
+        assert values.size <= fields_module._CSV_BLOCK_CELLS
+        assert _csv_bytes(values) == _csv_oracle(values)
+
+    def test_wide_random_values_in_several_blocks(self, rng):
+        n = 3 * fields_module._CSV_BLOCK_CELLS + 17
+        values = rng.normal(size=n) * 10.0 ** rng.uniform(-60.0, 60.0, n)
+        assert _csv_bytes(values) == _csv_oracle(values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=hnp.arrays(
+            np.float64,
+            st.integers(4, 64),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    def test_any_finite_values(self, values):
+        assert _csv_bytes(values) == _csv_oracle(values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=4, max_size=64))
+    def test_any_bit_pattern(self, bits):
+        # uniform over the bit patterns: every binade, subnormals included
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        values = values[np.isfinite(values)]
+        if values.size >= 4:
+            assert _csv_bytes(values) == _csv_oracle(values)
+
+    def test_first_write_on_a_fresh_grid_stays_small(self, tmp_path, rng):
+        # the first write on a 320^2 grid builds the row prefixes; the
+        # per-row template writer that this replaced peaked at 8.7 MB here
+        u = rough_field(Grid.box(320), rng)
+        tracemalloc.start()
+        try:
+            write_field(u, tmp_path / "u.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.35e6
 
 
 def _csv_rows(grid, tmp_path):

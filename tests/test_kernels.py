@@ -14,7 +14,6 @@ from pfnl.kernels import (
     kernel_value,
     make_profile,
     moment_check,
-    profile_from_samples,
     sphere_constant,
     tabulate_kernel,
     w11_integrals,
@@ -110,13 +109,6 @@ class TestBuildFamily:
         )
         with pytest.raises(KernelError):
             build_kernel_family(bad, 1, 0.0)
-
-    def test_profile_from_samples(self):
-        s = np.linspace(0.0, 1.0, 257)
-        ref = make_profile("polynomial-bump")
-        prof = profile_from_samples(s, ref(s))
-        fam = build_kernel_family(prof, 2, 0.0)
-        assert moment_check(fam) <= 1e-10
 
     def test_gaussian_truncated_is_c1_and_nonnegative(self):
         prof = make_profile("gaussian-truncated", 1.0)
