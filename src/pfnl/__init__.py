@@ -27,10 +27,8 @@ from .operators import (  # noqa: F401
     NonlocalOperator,
     apply_B,
     apply_B_eps,
-    apply_B_local,
     bbm_bound_ratio,
     build_nonlocal_operator,
-    convolve,
     energy_local,
     energy_nonlocal,
     frechet_identity_residual,
@@ -53,7 +51,6 @@ from .integrator import (  # noqa: F401
 from .analysis import (  # noqa: F401
     ConvergenceReport,
     SweepConfig,
-    cauchy_in_h_diagnostic,
     estimate_monitor,
     gamma_convergence_suite,
     nonlocal_to_local_study,

@@ -37,7 +37,6 @@ from .fields import (
 from .integrator import SchemeConfig, solve_trajectory
 from .operators import (
     apply_B,
-    apply_B_local,
     bbm_bound_ratio,
     build_nonlocal_operator,
     energy_local,
@@ -48,9 +47,6 @@ from .operators import (
 from .physics import build_initial_data, sample
 
 DEFAULT_EPS_SWEEP = (0.2, 0.1, 0.05, 0.025)
-
-#: monitor groups accepted by :func:`estimate_monitor`
-MONITOR_GROUPS = ("state-energy", "temperature-regularity", "dual-derivative")
 
 
 # --- sweep grids ----------------------------------------------------------------
@@ -228,7 +224,7 @@ def _operator_row(probe, v, op):
     )
     b_nl = apply_B(op, v)
     return {
-        "dual_gap": dual_norm(b_nl - apply_B_local(v)),
+        "dual_gap": dual_norm(b_nl - apply_B(None, v)),
         "pairing_nonlocal": inner_product("H", b_nl, w),
         "pairing_local": grad_inner(v, w),
     }
@@ -306,61 +302,41 @@ def frechet_identity_suite(family, eps=0.25, n=32, dimension=1, trials=50, seed=
 # --- uniform-estimate monitors ---------------------------------------------------------
 
 
-def estimate_monitor(traj, which="all", potential=None):
+def estimate_monitor(traj, potential):
     """Discrete analogues of the width-uniform a priori bounds.
 
-    Groups: ``state-energy`` (sup norms of the state, the kernel energy,
-    and the convex-primitive mass, plus the time-integrated dissipation),
-    ``temperature-regularity`` (temperature time derivative, V-norm,
-    Laplacian), ``dual-derivative`` (dual norms of the phase acceleration
-    and the operator image, and the L^q mass of the monotone term).
-    Sup-in-time quantities use the per-step records; dual norms are
-    evaluated at snapshot times, the operator image with the trajectory's
-    own ``B`` (``traj.op``).
+    The state and energy bounds (sup norms of the state, the kernel
+    energy, and the convex-primitive mass, plus the time-integrated
+    dissipation), the temperature regularity (time derivative, V-norm,
+    Laplacian), and the dual bounds (dual norms of the phase acceleration
+    and the operator image, and the L^q mass of the monotone term of
+    ``potential``).  Sup-in-time quantities use the per-step records; dual
+    norms are evaluated at snapshot times, the operator image with the
+    trajectory's own ``B`` (``traj.op``).
     """
-    if which != "all" and which not in MONITOR_GROUPS:
-        raise ValueError(f"unknown monitor group {which!r}")
-    out = {}
     recs = traj.records
-
-    if which in ("all", "state-energy"):
-        out.update(
-            {
-                "theta_LinfH": max(r.norm_theta_H for r in recs),
-                "grad_theta_L2H": math.sqrt(traj.aux["int_gradtheta_sq"]),
-                "phi_LinfH": max(r.norm_phi_H for r in recs),
-                "v_LinfH": max(r.norm_v_H for r in recs),
-                "v_L2H": math.sqrt(traj.aux["int_v_sq"]),
-                "energy_Linf": max(r.energy_phi for r in recs),
-                "beta_hat_L1_Linf": max(r.int_beta_hat for r in recs),
-            }
-        )
-    if which in ("all", "temperature-regularity"):
-        out.update(
-            {
-                "theta_t_L2H": math.sqrt(traj.aux["int_thetat_sq"]),
-                "theta_LinfV": max(norm(s.theta, "V") for s in traj.states),
-                "lap_theta_L2H": math.sqrt(traj.aux["int_laptheta_sq"]),
-            }
-        )
-    if which in ("all", "dual-derivative"):
-        if potential is None:
-            raise ValueError("dual-derivative monitors need the potential")
-        q = potential.q
-        vol = traj.grid.cell_volume
-        beta_lq = max(
-            (vol * float(np.sum(np.abs(potential.beta(s.phi.data)) ** q))) ** (1.0 / q)
-            for s in traj.states
-        )
-        phi_tt = [f for f in traj.phi_tt_snapshots if f is not None]
-        out.update(
-            {
-                "beta_Lq_Linf": beta_lq,
-                "phi_tt_LinfVstar": max(dual_norm(f) for f in phi_tt) if phi_tt else 0.0,
-                "B_phi_LinfVstar": max(dual_norm(apply_B(traj.op, s.phi)) for s in traj.states),
-            }
-        )
-    return out
+    q = potential.q
+    vol = traj.grid.cell_volume
+    beta_lq = max(
+        (vol * float(np.sum(np.abs(potential.beta(s.phi.data)) ** q))) ** (1.0 / q)
+        for s in traj.states
+    )
+    phi_tt = [f for f in traj.phi_tt_snapshots if f is not None]
+    return {
+        "theta_LinfH": max(r.norm_theta_H for r in recs),
+        "grad_theta_L2H": math.sqrt(traj.aux["int_gradtheta_sq"]),
+        "phi_LinfH": max(r.norm_phi_H for r in recs),
+        "v_LinfH": max(r.norm_v_H for r in recs),
+        "v_L2H": math.sqrt(traj.aux["int_v_sq"]),
+        "energy_Linf": max(r.energy_phi for r in recs),
+        "beta_hat_L1_Linf": max(r.int_beta_hat for r in recs),
+        "theta_t_L2H": math.sqrt(traj.aux["int_thetat_sq"]),
+        "theta_LinfV": max(norm(s.theta, "V") for s in traj.states),
+        "lap_theta_L2H": math.sqrt(traj.aux["int_laptheta_sq"]),
+        "beta_Lq_Linf": beta_lq,
+        "phi_tt_LinfVstar": max(dual_norm(f) for f in phi_tt) if phi_tt else 0.0,
+        "B_phi_LinfVstar": max(dual_norm(apply_B(traj.op, s.phi)) for s in traj.states),
+    }
 
 
 # --- the sweep study --------------------------------------------------------------------
@@ -517,7 +493,7 @@ def nonlocal_to_local_study(sweep):
         columns["err_v_C0Vstar"].append(e_v)
         columns["err_Beps_Vstar"].append(e_B)
         columns["err_beta_pairing"].append(e_beta)
-        estimates[eps] = estimate_monitor(traj, "all", potential=sweep.potential)
+        estimates[eps] = estimate_monitor(traj, sweep.potential)
         rows_extra[eps] = {
             "err_B_pairing": e_Bpair,
             "a5_monitor": data.a5_values[eps],
@@ -582,35 +558,6 @@ def nonlocal_to_local_study(sweep):
         violations=violations,
         notes=notes,
     )
-
-
-def cauchy_in_h_diagnostic(traj_a, traj_b):
-    """Pairwise closeness table for two kernel-width runs.
-
-    Per snapshot time: the squared H-distance of the phases on the common
-    (coarser) grid, the sum of the two kernel energies, and the squared
-    dual distance; the qualitative mechanism is that the first is
-    controlled by the other two.
-    """
-    if len(traj_a.times) != len(traj_b.times):
-        raise GridMismatchError("snapshot schedules differ")
-    ga, gb = traj_a.grid, traj_b.grid
-    target = ga if ga.num_cells <= gb.num_cells else gb
-    rows = []
-    for k, t in enumerate(traj_a.times):
-        pa = restrict(traj_a.states[k].phi, target)
-        pb = restrict(traj_b.states[k].phi, target)
-        diff = pa - pb
-        ea, eb = _record_at(traj_a, t), _record_at(traj_b, t)
-        rows.append(
-            {
-                "t": t,
-                "h_dist_sq": inner_product("H", diff, diff),
-                "energy_sum": ea.energy_phi + eb.energy_phi,
-                "dual_dist_sq": dual_norm(diff) ** 2,
-            }
-        )
-    return rows
 
 
 def _record_at(traj, t):

@@ -1,6 +1,7 @@
 """Command-line front end: subcommand dispatch and deterministic output.
 
-Exit codes: 0 success, 1 assertion/solver failure, 2 configuration error.
+Exit codes: 0 success, 1 assertion/solver failure or an output that
+cannot be written, 2 configuration error.
 All outputs are staged in memory and written atomically (temp file +
 rename), so a failed run leaves no partial files; a ``manifest.json``
 with the config hash, library versions, and wall time is written last.
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -68,16 +70,15 @@ def _write_manifest(outdir, cfg, command, started, extra=None):
     )
 
 
-def _prepare_outdir(cfg):
-    """Create the output directory; every command calls this before its
-    work, so an unusable ``output.dir`` fails fast as a config error."""
+def _prepare_outdir(path):
+    """Create an output directory; every command calls this before its
+    work, so an unusable ``output.dir`` (or ``snapshots`` in it) fails fast
+    as a config error that names it."""
     try:
-        os.makedirs(cfg.output_dir, exist_ok=True)
+        os.makedirs(path, exist_ok=True)
     except OSError as err:
-        raise ConfigError(
-            [f"cannot create output.dir {cfg.output_dir!r}: {err}"]
-        ) from err
-    return cfg.output_dir
+        raise ConfigError([f"cannot create output directory {path!r}: {err}"]) from err
+    return path
 
 
 def _make_potential(cfg):
@@ -115,7 +116,8 @@ def cmd_simulate(cfg, eps=None, local=False):
         raise ConfigError(["simulate needs --eps <real> or --local"])
     if eps is not None and not 0.0 < eps <= 1.0:
         raise ConfigError([f"--eps must lie in (0, 1], got {eps}"])
-    outdir = _prepare_outdir(cfg)
+    outdir = _prepare_outdir(cfg.output_dir)
+    snapdir = _prepare_outdir(os.path.join(outdir, "snapshots"))
 
     custom = (
         _load_custom_initial(cfg, grid) if cfg.initial_kind == "custom" else None
@@ -154,8 +156,6 @@ def cmd_simulate(cfg, eps=None, local=False):
     lines.extend(record_csv_row(r) for r in traj.records)
     atomic_write(os.path.join(outdir, "energy.csv"), "\n".join(lines) + "\n")
 
-    snapdir = os.path.join(outdir, "snapshots")
-    os.makedirs(snapdir, exist_ok=True)
     ext = "csv" if cfg.output_format == "csv" else "bin"
     for k, state in enumerate(traj.states):
         write_field(
@@ -185,7 +185,7 @@ def cmd_simulate(cfg, eps=None, local=False):
 def cmd_converge(cfg):
     """Run the width sweep against the local reference."""
     started = time.time()
-    outdir = _prepare_outdir(cfg)
+    outdir = _prepare_outdir(cfg.output_dir)
     sweep = SweepConfig(
         family=cfg.make_family(),
         potential=_make_potential(cfg),
@@ -220,7 +220,7 @@ def cmd_converge(cfg):
 def cmd_verify_kernel(cfg):
     """Print the kernel normalization constants and moment residual."""
     started = time.time()
-    outdir = _prepare_outdir(cfg)
+    outdir = _prepare_outdir(cfg.output_dir)
     family = cfg.make_family()
     residual = moment_check(family)
     csv = "c_d,normalization,moment_residual\n" + (
@@ -235,7 +235,7 @@ def cmd_verify_kernel(cfg):
 def cmd_verify_lemmas(cfg):
     """Run the analytic verification suites and emit pass/fail JSON."""
     started = time.time()
-    outdir = _prepare_outdir(cfg)
+    outdir = _prepare_outdir(cfg.output_dir)
     family = cfg.make_family()
     dim = cfg.grid_dimension
     results = {}
@@ -269,7 +269,7 @@ def cmd_verify_lemmas(cfg):
 def cmd_energy_report(cfg, run_dir):
     """Summarize the energy records of a previous simulate run."""
     started = time.time()
-    outdir = _prepare_outdir(cfg)
+    outdir = _prepare_outdir(cfg.output_dir)
     path = os.path.join(run_dir, "energy.csv")
     try:
         with open(path) as fh:
@@ -286,12 +286,16 @@ def cmd_energy_report(cfg, run_dir):
     for lineno, line in lines[1:]:
         parts = line.split(",")
         try:
-            residuals.append(float(parts[idx["residual_a1"]]))
-            totals.append(float(parts[idx["energy_phi"]]))
+            residual = float(parts[idx["residual_a1"]])
+            total = float(parts[idx["energy_phi"]])
+            if not (math.isfinite(residual) and math.isfinite(total)):
+                raise ValueError("non-finite value")
         except (IndexError, ValueError) as err:
             raise ConfigError(
                 [f"{path!r} line {lineno}: malformed energy record ({err})"]
             ) from err
+        residuals.append(residual)
+        totals.append(total)
     summary = {
         "steps": len(residuals) - 1,
         "max_residual": max(residuals),
@@ -347,7 +351,7 @@ def main(argv=None):
     except (ConfigError, ResolutionError, KernelError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return CONFIG_EXIT
-    except (SolverError, AnalysisError, GridMismatchError) as err:
+    except (SolverError, AnalysisError, GridMismatchError, OSError) as err:
         print(f"run failed: {err}", file=sys.stderr)
         return FAILURE_EXIT
     except PfnlError as err:

@@ -244,17 +244,8 @@ def grad_inner(u1, u2):
 
 
 def norm(u, space="H"):
-    """Norm of a field in H, V, or W (W uses the Neumann Laplacian)."""
-    if space == "H":
-        return math.sqrt(max(inner_product("H", u, u), 0.0))
-    if space == "V":
-        return math.sqrt(max(inner_product("V", u, u), 0.0))
-    if space == "W":
-        lap = neumann_laplacian(u)
-        return math.sqrt(
-            max(inner_product("H", lap, lap) + inner_product("H", u, u), 0.0)
-        )
-    raise ValueError(f"unknown space {space!r}")
+    """Norm of a field in H or V."""
+    return math.sqrt(max(inner_product(space, u, u), 0.0))
 
 
 def neumann_laplacian(u):
@@ -278,11 +269,6 @@ def laplacian(grid, a):
         out[lo] += flux
         out[hi] -= flux
     return out
-
-
-def riesz_apply(u):
-    """Apply ``F = I - lap_N`` (the H1 Riesz map under the L2 pivot)."""
-    return Field(u.grid, u.data - laplacian(u.grid, u.data))
 
 
 class CosinePlan:

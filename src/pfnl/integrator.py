@@ -434,18 +434,17 @@ def _record(t, state, energy_phi, potential, f_next=None, dt=None, prev_total=No
 def solve_trajectory(op, data, potential, cfg, source=None):
     """March the system ``op`` selects from the configured initial data.
 
-    ``op`` is the kernel operator, which solves the ``B_eps`` system from
-    the initial data of its width (``data.per_eps[op.eps]``), or ``None``,
-    which solves the Laplacian system from ``data``'s own initial data.
+    ``op`` is the kernel operator, which solves the ``B_eps`` system, or
+    ``None``, which solves the Laplacian system; both start from ``data``'s
+    initial triple.
     Snapshots are stored at roughly ``cfg.snapshots`` evenly spaced steps
     plus the initial and final states; an energy record is emitted every
     step.  Solver failures abort with the step index in the message.
     """
-    triple = (data.theta0, data.phi0, data.v0) if op is None else data.per_eps[op.eps]
     grid = data.grid
     vol = grid.cell_volume
     dt = cfg.dt
-    state = State(0.0, triple[0].copy(), triple[1].copy(), triple[2].copy())
+    state = State(0.0, data.theta0.copy(), data.phi0.copy(), data.v0.copy())
     n_steps = cfg.num_steps
     stride = max(1, n_steps // max(cfg.snapshots, 1)) if n_steps else 1
 

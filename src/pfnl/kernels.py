@@ -34,10 +34,6 @@ from .fields import Grid
 #: measure on {-1,+1}), pi, and 4*pi/3 for d = 1, 2, 3.
 _SPHERE_SECOND_MOMENT = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 
-#: full surface measure of S^(d-1), used for radial reductions of
-#: d-dimensional kernel integrals.
-_SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
-
 
 def sphere_constant(d):
     """Moment-normalization constant ``c_d`` (1, 2/pi, 3/(2*pi))."""
@@ -215,10 +211,6 @@ class KernelFamily:
             self.normalization / eps**self.dimension
         )
 
-    def derivative(self, s):
-        """Derivative of the normalized profile."""
-        return self.normalization * self.profile.derivative(s)
-
 
 def _moment_integrand(profile, exponent):
     def f(s):
@@ -338,34 +330,6 @@ def _radial_values(family, eps, r):
     else:
         out[inside] = family.rho_eps(eps, ri) / scale
     return out
-
-
-def w11_integrals(family, eps):
-    """Quadrature estimates of ``int J_eps`` and ``int |grad J_eps|``.
-
-    Radial reduction over R^d; used as a finiteness sanity check of the
-    kernel family (both integrals are finite for admissible alpha).
-    """
-    d, alpha = family.dimension, family.alpha
-    area = _SPHERE_AREA[d]
-    R = eps * family.profile.support_radius
-    scale = eps ** (2.0 - alpha)
-
-    def jrad(r):
-        return family.rho_eps(eps, r) / (scale * r**alpha)
-
-    def jrad_prime(r):
-        drho = family.derivative(r / eps) * (family.normalization / eps ** (d + 1))
-        return (drho * r**alpha - alpha * r ** (alpha - 1.0) * family.rho_eps(eps, r)) / (
-            scale * r ** (2.0 * alpha)
-        )
-
-    eta = 1e-10 * R
-    mass = area * _cutoff_integral(lambda r: jrad(r) * r ** (d - 1), eta, R)
-    grad_mass = area * _cutoff_integral(
-        lambda r: np.abs(jrad_prime(r)) * r ** (d - 1), eta, R
-    )
-    return mass, grad_mass
 
 
 # --- tabulation on a grid ----------------------------------------------------

@@ -48,7 +48,6 @@ from .fields import (
     dual_norm,
     inner_product,
     laplacian,
-    ones,
 )
 from .kernels import EvaluatedKernel, tabulate_kernel
 
@@ -186,11 +185,6 @@ def build_plan(kernel):
     return ConvolutionPlan(grid, kernel, padded_shape, direct, tap_window)
 
 
-def convolve(plan, u):
-    """Midpoint-rule restricted convolution ``J_eps * u`` as a field."""
-    return Field(u.grid, plan.apply(u.data))
-
-
 @dataclass(frozen=True)
 class NonlocalOperator:
     """``B_eps u = a_eps u - J_eps * u`` with the precomputed ``a_eps``."""
@@ -231,7 +225,8 @@ class NonlocalOperator:
 def build_nonlocal_operator(family, eps, grid):
     kernel = tabulate_kernel(family, eps, grid)
     plan = build_plan(kernel)
-    return NonlocalOperator(plan, convolve(plan, ones(grid)))
+    # apply copies out of the FFT work array, so a_eps owns its array
+    return NonlocalOperator(plan, Field(grid, plan.apply(np.ones(grid.shape))))
 
 
 def apply_B_eps(op, a):
@@ -320,11 +315,6 @@ def frechet_fd_residual(op, u, v, delta=1e-6, pairing=None):
     plus = energy_nonlocal(op, Field(u.grid, u.data + delta * v.data))
     minus = energy_nonlocal(op, Field(u.grid, u.data - delta * v.data))
     return abs(pairing - (plus - minus) / (2.0 * delta))
-
-
-def apply_B_local(u):
-    """Strong Neumann form of the local operator (minus the Laplacian)."""
-    return apply_B(None, u)
 
 
 def energy_local(u):

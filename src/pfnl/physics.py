@@ -11,8 +11,7 @@ Initial data come with a per-eps uniform-bound monitor: the sum
 
     |theta0|_V^2 + |phi0|_H^2 + E_eps(phi0) + int beta_hat(phi0) + |v0|_H^2
 
-must stay below a declared constant for every configured eps, and the
-gaps to the eps-independent limit data are recorded.
+must stay below a declared constant for every configured eps.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .fields import Field, dual_norm, field_from_function, inner_product, norm, zeros
+from .fields import Field, field_from_function, inner_product
 from .operators import build_nonlocal_operator, energy_nonlocal
 
 
@@ -157,14 +156,11 @@ def validate_potential(spec, d=None):
 # --- source terms -------------------------------------------------------------
 
 
-def make_source(kind="none", amplitude=1.0):
-    """Time-dependent source for the temperature equation.
-
-    ``none`` gives the zero field; ``cosine-decay`` gives
-    ``A cos(pi x_1) exp(-t)``.
+def make_source(kind, amplitude=1.0):
+    """Time-dependent source for the temperature equation: ``cosine-decay``
+    gives ``A cos(pi x_1) exp(-t)``.  ``source.kind = none`` builds no
+    source; the run gets ``source=None``.
     """
-    if kind == "none":
-        return lambda grid, t: zeros(grid)
     if kind == "cosine-decay":
 
         def f(grid, t):
@@ -197,16 +193,14 @@ def smooth_default_rule():
 
 @dataclass
 class ProblemData:
-    """Initial triples plus the per-eps uniform-bound bookkeeping."""
+    """Initial triple plus the per-eps uniform-bound bookkeeping."""
 
     grid: object
     theta0: Field
     phi0: Field
     v0: Field
     eps_list: tuple
-    per_eps: dict
     a5_values: dict
-    data_gaps: dict
     c1_bound: float
     flags: list = field(default_factory=list)
 
@@ -239,7 +233,7 @@ def build_initial_data(
     ``smooth-default`` uses eps-independent smooth data (cosine profiles,
     zero velocity), which keeps the bound trivially uniform; ``custom``
     takes explicit fields via ``custom={"theta0": ..., "phi0": ...,
-    "v0": ..., "per_eps": {eps: (t, p, v), ...}}``.  With ``strict`` a
+    "v0": ...}``.  Every width starts from the same triple.  With ``strict`` a
     monitor value above ``c1_bound`` raises; otherwise the violation is
     recorded in ``flags``.  ``operators`` maps a width to its already
     built kernel operator; widths it lacks get one built here.
@@ -249,28 +243,17 @@ def build_initial_data(
         theta0 = field_from_function(grid, rule.theta0)
         phi0 = field_from_function(grid, rule.phi0)
         v0 = field_from_function(grid, rule.v0)
-        per_eps = {eps: (theta0, phi0, v0) for eps in eps_list}
     elif kind == "custom":
         if custom is None:
             raise ConfigError("custom initial data requested but none supplied")
         theta0, phi0, v0 = custom["theta0"], custom["phi0"], custom["v0"]
-        per_eps = {
-            eps: custom.get("per_eps", {}).get(eps, (theta0, phi0, v0))
-            for eps in eps_list
-        }
     else:
         raise ConfigError(f"unknown initial-data kind {kind!r}")
 
-    a5_values, gaps, flags = {}, {}, []
+    a5_values, flags = {}, []
     for eps in eps_list:
         op = (operators or {}).get(eps) or build_nonlocal_operator(family, eps, grid)
-        te, pe, ve = per_eps[eps]
-        a5_values[eps] = sum(_a5_terms(te, pe, ve, op, potential).values())
-        gaps[eps] = (
-            norm(te - theta0, "H"),
-            norm(pe - phi0, "H"),
-            dual_norm(ve - v0),
-        )
+        a5_values[eps] = sum(_a5_terms(theta0, phi0, v0, op, potential).values())
         if a5_values[eps] > c1_bound:
             msg = (
                 f"uniform bound violated at eps={eps}: monitor "
@@ -295,9 +278,7 @@ def build_initial_data(
         phi0=phi0,
         v0=v0,
         eps_list=tuple(eps_list),
-        per_eps=per_eps,
         a5_values=a5_values,
-        data_gaps=gaps,
         c1_bound=c1_bound,
         flags=flags,
     )

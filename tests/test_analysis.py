@@ -14,7 +14,6 @@ from pfnl.analysis import (
     ProbeField,
     SweepConfig,
     bbm_ratio_suite,
-    cauchy_in_h_diagnostic,
     estimate_monitor,
     estimates_csv,
     frechet_identity_suite,
@@ -178,7 +177,7 @@ class TestEstimateMonitor:
         traj = solve_trajectory(
             op, data, pot, SchemeConfig(dt=1e-2, T=0.1, snapshots=5)
         )
-        mon = estimate_monitor(traj, "all", potential=pot)
+        mon = estimate_monitor(traj, pot)
         assert all(v == 0.0 for v in mon.values())
 
     def test_group_selection(self, family):
@@ -189,10 +188,16 @@ class TestEstimateMonitor:
         traj = solve_trajectory(
             op, data, pot, SchemeConfig(dt=2e-3, T=0.1, snapshots=5)
         )
-        m1 = estimate_monitor(traj, "state-energy")
-        assert "theta_LinfH" in m1 and "beta_Lq_Linf" not in m1
-        with pytest.raises(ValueError):
-            estimate_monitor(traj, "lemma")
+        mon = estimate_monitor(traj, pot)
+        # every run reads all three groups: state and energy, temperature
+        # regularity, dual bounds
+        assert set(mon) == {
+            "theta_LinfH", "grad_theta_L2H", "phi_LinfH", "v_LinfH", "v_L2H",
+            "energy_Linf", "beta_hat_L1_Linf",
+            "theta_t_L2H", "theta_LinfV", "lap_theta_L2H",
+            "beta_Lq_Linf", "phi_tt_LinfVstar", "B_phi_LinfVstar",
+        }
+        assert all(math.isfinite(v) and v >= 0.0 for v in mon.values())
 
     def test_operator_image_uses_trajectory_operator(self, family):
         # a kernel trajectory's B_phi monitor is the dual norm of B_eps phi,
@@ -204,7 +209,7 @@ class TestEstimateMonitor:
         traj = solve_trajectory(
             op, data, pot, SchemeConfig(dt=2e-3, T=0.1, snapshots=5)
         )
-        mon = estimate_monitor(traj, "dual-derivative", potential=pot)
+        mon = estimate_monitor(traj, pot)
         expected = max(
             dual_norm(Field(grid, apply_B_eps(op, s.phi.data))) for s in traj.states
         )
@@ -219,7 +224,7 @@ class TestEstimateMonitor:
         traj = solve_trajectory(
             op, data, pot, SchemeConfig(dt=2e-3, T=0.2, snapshots=10)
         )
-        mon = estimate_monitor(traj, "dual-derivative", potential=pot)
+        mon = estimate_monitor(traj, pot)
         volume = grid.lengths[0]
         cap = max(
             (pot.c_beta * (volume + r.int_beta_hat)) ** (1.0 / pot.q)
@@ -335,33 +340,3 @@ class TestStudy:
             rep = nonlocal_to_local_study(sweep)
             errs[dt] = rep.columns["err_theta_C0H"][0]
         assert abs(errs[1e-3] - errs[2e-3]) <= 0.1 * errs[2e-3]
-
-
-class TestCauchyDiagnostic:
-    def run_eps(self, family, eps, rule=None, dt=2e-3, T=0.2):
-        from pfnl.analysis import _solve
-
-        pot = make_double_well()
-        sweep = SweepConfig(
-            family=family,
-            potential=pot,
-            scheme=SchemeConfig(dt=dt, T=T, snapshots=10),
-            eps_list=(eps,),
-            rule=rule,
-        )
-        grids = sweep_grids((eps,))
-        op = build_nonlocal_operator(family, eps, grids[eps])
-        return _solve(sweep, grids[eps], op)[1]
-
-    def test_identical_pair_zero(self, family):
-        traj = self.run_eps(family, 0.1)
-        rows = cauchy_in_h_diagnostic(traj, traj)
-        assert all(r["h_dist_sq"] == 0.0 for r in rows)
-
-    def test_finer_pairs_closer(self, family):
-        t1 = self.run_eps(family, 0.2)
-        t2 = self.run_eps(family, 0.1)
-        t3 = self.run_eps(family, 0.05)
-        coarse_pair = max(r["h_dist_sq"] for r in cauchy_in_h_diagnostic(t1, t2))
-        fine_pair = max(r["h_dist_sq"] for r in cauchy_in_h_diagnostic(t2, t3))
-        assert fine_pair < coarse_pair

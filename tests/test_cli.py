@@ -299,8 +299,13 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "row",
-        ["0,1,2", ",".join("abc" if c == "residual_a1" else "0" for c in CSV_COLUMNS)],
-        ids=["short-row", "bad-number"],
+        [
+            "0,1,2",
+            ",".join("abc" if c == "residual_a1" else "0" for c in CSV_COLUMNS),
+            ",".join("nan" if c == "residual_a1" else "0" for c in CSV_COLUMNS),
+            ",".join("inf" if c == "energy_phi" else "0" for c in CSV_COLUMNS),
+        ],
+        ids=["short-row", "bad-number", "nan-residual", "inf-energy"],
     )
     def test_energy_report_malformed_row_exits_2(self, tmp_path, capsys, row):
         cfg = write_config(tmp_path, SMALL_SIM.format(out=tmp_path / "out"))
@@ -324,6 +329,28 @@ class TestSimulate:
         code = cli.main(["simulate", "--config", cfg, "--eps", "0.25"])
         assert code == 2
         assert str(blocker / "out") in capsys.readouterr().err
+
+    def test_unusable_snapshot_dir_exits_2(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "snapshots").write_text("")
+        cfg = write_config(tmp_path, SMALL_SIM.format(out=out))
+        monkeypatch.setattr(cli, "solve_trajectory", _must_not_run)
+        code = cli.main(["simulate", "--config", cfg, "--local"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "configuration error" in err and str(out / "snapshots") in err
+
+    def test_unwritable_snapshot_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "snapshots" / "phi_0000.csv").mkdir(parents=True)
+        cfg = write_config(tmp_path, SMALL_SIM.format(out=out))
+        code = cli.main(["simulate", "--config", cfg, "--local"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run failed:") and "phi_0000.csv" in err
+        assert os.listdir(out / "snapshots") == ["phi_0000.csv"]
 
     def test_truncated_custom_initial_exits_2(self, tmp_path, capsys):
         grid = Grid.line(64)
