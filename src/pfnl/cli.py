@@ -3,13 +3,15 @@
 Exit codes: 0 success, 1 assertion/solver failure or an output that
 cannot be written, 2 configuration error.
 All outputs are staged in memory and written atomically (temp file +
-rename), so a failed run leaves no partial files; a ``manifest.json``
-with the config hash, library versions, and wall time is written last.
+rename), and ``simulate`` removes the files it wrote when a later write
+fails, so a failed run leaves no partial files; a ``manifest.json`` with
+the config hash, library versions, and wall time is written last.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -18,7 +20,6 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .analysis import (
@@ -58,7 +59,6 @@ def _write_manifest(outdir, cfg, command, started, extra=None):
         "versions": {
             "pfnl": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
         "wall_time_s": time.time() - started,
@@ -154,31 +154,33 @@ def cmd_simulate(cfg, eps=None, local=False):
 
     lines = [",".join(CSV_COLUMNS)]
     lines.extend(record_csv_row(r) for r in traj.records)
-    atomic_write(os.path.join(outdir, "energy.csv"), "\n".join(lines) + "\n")
-
     ext = "csv" if cfg.output_format == "csv" else "bin"
-    for k, state in enumerate(traj.states):
-        write_field(
-            state.phi,
-            os.path.join(snapdir, f"phi_{k:04d}.{ext}"),
-            fmt=cfg.output_format,
+    written = []  # the files this run has written, removed if a later write fails
+    try:
+        path = os.path.join(outdir, "energy.csv")
+        atomic_write(path, "\n".join(lines) + "\n")
+        written.append(path)
+        for k, state in enumerate(traj.states):
+            for name, field in (("phi", state.phi), ("theta", state.theta)):
+                path = os.path.join(snapdir, f"{name}_{k:04d}.{ext}")
+                write_field(field, path, fmt=cfg.output_format)
+                written.append(path)
+        _write_manifest(
+            outdir,
+            cfg,
+            "simulate",
+            started,
+            extra={
+                "problem": "local" if local else f"nonlocal eps={eps}",
+                "steps": scheme.num_steps,
+                "max_energy_residual": traj.aux["max_step_residual"],
+            },
         )
-        write_field(
-            state.theta,
-            os.path.join(snapdir, f"theta_{k:04d}.{ext}"),
-            fmt=cfg.output_format,
-        )
-    _write_manifest(
-        outdir,
-        cfg,
-        "simulate",
-        started,
-        extra={
-            "problem": "local" if local else f"nonlocal eps={eps}",
-            "steps": scheme.num_steps,
-            "max_energy_residual": traj.aux["max_step_residual"],
-        },
-    )
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
     return 0
 
 

@@ -9,11 +9,12 @@ identities downstream hold at the discrete level.
 
 Every ``(a I - b lap_N)`` solve goes through :func:`neumann_solve`: the
 cosine basis diagonalizes the reflected-ghost-cell Laplacian exactly, so
-the solve is a transform pair and one division.  Both paths run on
-numpy's FFT, so no run imports ``scipy.fft``.  A 1D solve transforms the
-even extension; a 2D solve goes through a :class:`CosinePlan`, Makhoul's
-DCT-II by a real FFT of the same size, kept per grid value
-(:func:`cosine_plan`) with its work arrays and gains.
+the solve is a transform pair and one multiply by kept gains.  Both
+paths run on numpy's FFT, so no run imports ``scipy``.  A 1D solve
+transforms the even extension, with gains kept per ``(grid, a, b)``; a
+2D solve goes through a :class:`CosinePlan`, Makhoul's DCT-II by a real
+FFT of the same size, kept per grid value (:func:`cosine_plan`) with its
+work arrays and gains.
 
 Dual-space machinery: the pivot identification of L2 with its dual turns
 the H1 Riesz map into the SPD operator ``F = I - lap_N``.  ``dual_norm``
@@ -111,15 +112,6 @@ class Grid:
     def meshgrid(self):
         axes = [self.axis_centers(k) for k in range(self.dimension)]
         return np.meshgrid(*axes, indexing="ij")
-
-    @cached_property
-    def even_extension_symbol(self):
-        """Eigenvalues of ``-lap_N`` on a 1D grid in the real-FFT basis of
-        the even extension (length ``2n``): ``(4/h^2) sin^2(pi k / 2n)`` for
-        ``k = 0 ... n``.  Cached on the instance; the cache takes no part
-        in equality or hashing."""
-        (m,), (h,) = self.n, self.spacing
-        return (4.0 / (h * h)) * np.sin(np.pi * np.arange(m + 1) / (2.0 * m)) ** 2
 
     @cached_property
     def faces(self):
@@ -232,8 +224,9 @@ def inner_product(space, u1, u2):
 def grad_inner(u1, u2):
     """Face-centered gradient product ``(grad u1, grad u2)_H``: per axis,
     one ``np.vdot`` of the interior-face differences (Neumann faces drop
-    out)."""
-    _require_same_grid(u1, u2)
+    out).  The grid check is skipped when both arguments are one field."""
+    if u2 is not u1:
+        _require_same_grid(u1, u2)
     vol = u1.grid.cell_volume
     total = 0.0
     for lo, hi, h_sq in u1.grid.faces:
@@ -381,6 +374,20 @@ class CosinePlan:
         return w
 
 
+@functools.lru_cache(maxsize=16)
+def _even_extension_gains(grid, a, b):
+    """The gains ``1/(a + b lambda_k)`` of the 1D solve, where
+    ``lambda_k = (4/h^2) sin^2(pi k / 2n)``, ``k = 0 ... n``, are the
+    eigenvalues of ``-lap_N`` in the real-FFT basis of the even extension
+    (length ``2n``).  Kept read-only per ``(grid, a, b)`` value, the last
+    16."""
+    (m,), (h,) = grid.n, grid.spacing
+    symbol = (4.0 / (h * h)) * np.sin(np.pi * np.arange(m + 1) / (2.0 * m)) ** 2
+    gains = 1.0 / (a + b * symbol)
+    gains.flags.writeable = False
+    return gains
+
+
 @functools.lru_cache(maxsize=8)
 def cosine_plan(n, spacing):
     """The :class:`CosinePlan` of a 2D grid's cell counts and spacing,
@@ -400,15 +407,17 @@ def neumann_solve(grid, rhs, a, b):
     In 1D the transform is numpy's real FFT of the even extension
     ``(rhs, rhs[::-1])``, on which the periodic second difference equals
     the reflected-ghost-cell one (the DCT-II up to scaling; Strang, SIAM
-    Review 1999).  In 2D it is Makhoul's DCT-II on numpy's FFT, run by the
-    grid's :func:`cosine_plan` in the plan's kept work arrays, so a solve
-    allocates only its result; one plan, and so one grid value, must not
-    be solved on from two threads at once.
+    Review 1999), and the coefficients are multiplied by gains kept per
+    ``(grid, a, b)`` (:func:`_even_extension_gains`).  In 2D it is
+    Makhoul's DCT-II on numpy's FFT, run by the grid's :func:`cosine_plan`
+    in the plan's kept work arrays, so a solve allocates only its result;
+    one plan, and so one grid value, must not be solved on from two
+    threads at once.
     """
     if grid.dimension == 1:
         n = grid.n[0]
         coeffs = np.fft.rfft(np.concatenate((rhs, rhs[::-1])))
-        coeffs /= a + b * grid.even_extension_symbol
+        coeffs *= _even_extension_gains(grid, a, b)
         return np.fft.irfft(coeffs, 2 * n)[:n]
     return cosine_plan(grid.n, grid.spacing).solve(rhs, a, b)
 

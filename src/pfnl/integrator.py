@@ -12,10 +12,11 @@ for ``B_eps``, or ``None`` for ``-lap_N`` (see :func:`pfnl.operators.apply_B`).
 The phase subsystem is solved first, implicitly in
 ``B`` and ``beta`` (Newton with matrix-free CG, :func:`pfnl.fields.cg`;
 the Jacobian ``(1/dt^2 + 1/dt) I + B + beta'`` is SPD because ``beta`` is
-monotone; its dt^2-scaled matvec is ``dt^2 B x + shift x``, with the diagonal
-``shift = (1 + dt) + dt^2 beta'`` formed once per Newton iteration), with
-``pi`` and the temperature taken explicitly.  The
-temperature subsystem then sees the fresh phase velocity and is one exact
+monotone; CG's matvec ``B x + D x``, with the diagonal
+``D = (1 + dt)/dt^2 + max(beta', 0)`` folded in once per Newton iteration,
+is one application of ``B``, see :func:`pfnl.operators.shifted_matvec`),
+with ``pi`` and the temperature taken explicitly.  The temperature
+subsystem then sees the fresh phase velocity and is one exact
 ``(I - dt lap_N)`` solve by the DCT (:func:`pfnl.fields.neumann_solve`).
 
 Implicit treatment of ``B`` matters: the nonlocal operator norm grows
@@ -66,7 +67,11 @@ import numpy as np
 
 from .errors import SolverError
 from .fields import Field, cg, grad_inner, inner_product, neumann_solve
-from .operators import apply_B_array, energy_from_applied
+from .operators import apply_B_array, energy_from_applied, shifted_matvec
+
+# The phase Newton's residual floor relative to 1 + |b|_H: below it the
+# residual evaluation is at its cancellation level.
+RESIDUAL_FLOOR = 200.0 * np.finfo(np.float64).eps
 
 
 @dataclass
@@ -190,6 +195,12 @@ def _phi_update(state, op, potential, cfg):
     arrays ``(phi, v, iterations, B_phi)``, where ``B_phi`` is ``B phi`` of
     the accepted iterate, a direct application.
 
+    Each Newton increment solves the unscaled system
+    ``(B + D) delta = -res/dt^2`` with ``D = (1+dt)/dt^2 + max(beta', 0)``:
+    the dt^2-scaled Jacobian divided by dt^2, so CG's relative stopping
+    test accepts the same iterate, and each CG product is one application
+    of ``B`` (see :func:`pfnl.operators.shifted_matvec`).
+
     ``B`` is applied to the CG directions and to each Newton trial only.
     When ``state`` carries ``B_phi`` and ``B_phi_prev`` from the step
     that made it, ``v^n = (phi^n - phi^{n-1})/dt``, so the seed
@@ -207,11 +218,18 @@ def _phi_update(state, op, potential, cfg):
     pi_term = state.pi_phi
     if pi_term is None:
         pi_term = np.asarray(potential.pi(phi_n), dtype=np.float64)
-    b = (1.0 + dt) * phi_n + dt * v_n + dt_sq * (state.theta.data - pi_term)
+    # one transient product at a time, kept for the solve: dt v^n and
+    # dt^2 (theta^n - pi) for b, then (1+dt) phi or D x
+    scratch = np.multiply(v_n, dt)
+    # the explicit predictor phi^n + dt v^n, the Newton seed, and
+    # b = ((1+dt) phi^n + dt v^n) + dt^2 (theta^n - pi) in one buffer
+    phi_data = np.add(phi_n, scratch)
+    b = np.multiply(phi_n, 1.0 + dt)
+    b += scratch
+    np.subtract(state.theta.data, pi_term, out=scratch)
+    scratch *= dt_sq
+    b += scratch
     b_scale = 1.0 + math.sqrt(vol * float(np.vdot(b, b)))
-
-    # one transient product at a time, (1+dt) phi or shift * x, kept for the solve
-    scratch = np.empty_like(phi_n)
 
     def residual(phi_data, Bphi):
         res = Bphi + potential.beta(phi_data)
@@ -220,8 +238,6 @@ def _phi_update(state, op, potential, cfg):
         res -= b
         return res, math.sqrt(vol * float(np.vdot(res, res)))
 
-    # explicit predictor as the Newton seed
-    phi_data = phi_n + dt * v_n
     by_linearity = state.B_phi is not None and state.B_phi_prev is not None
     if by_linearity:
         Bphi = 2.0 * state.B_phi
@@ -243,9 +259,10 @@ def _phi_update(state, op, potential, cfg):
     # the evaluation hits its cancellation floor.  A tolerance relative
     # to b alone would accept the raw predictor at small dt, silently
     # freezing the velocity.
-    floor = 200.0 * np.finfo(np.float64).eps * b_scale
+    floor = RESIDUAL_FLOOR * b_scale
     tol_res = max(cfg.newton_tol * (dt_sq + res_norm), floor)
 
+    diagonal_base = (1.0 + dt) / dt_sq
     iters = 0
     while res_norm > tol_res:
         if iters >= cfg.newton_max_iter:
@@ -253,20 +270,15 @@ def _phi_update(state, op, potential, cfg):
                 f"phase Newton stalled after {iters} iterations "
                 f"(residual {res_norm:.3e} at t={state.t:.6g})"
             )
-        # the Jacobian is dt^2 B + diag(shift)
-        # shift = (1+dt) + dt^2 max(beta', 0), formed in the maximum's array
-        shift = np.maximum(potential.beta_derivative(phi_data), 0.0)
-        shift *= dt_sq
-        shift += 1.0 + dt
-
-        def matvec(x):
-            q = apply_B_array(op, grid, x)
-            q *= dt_sq
-            q += np.multiply(shift, x, out=scratch)
-            return q
-
+        # the residual's Jacobian over dt^2 is B + diag(D), with
+        # D = (1+dt)/dt^2 + max(beta', 0) formed in the maximum's array
+        diagonal = np.maximum(potential.beta_derivative(phi_data), 0.0)
+        diagonal += diagonal_base
         delta, info = cg(
-            matvec, -res, rtol=cfg.phi_solver_tol, maxiter=20 * grid.num_cells
+            shifted_matvec(op, grid, diagonal, scratch),
+            np.multiply(res, -1.0 / dt_sq),
+            rtol=cfg.phi_solver_tol,
+            maxiter=20 * grid.num_cells,
         )
         if info != 0:
             raise SolverError(
@@ -404,7 +416,7 @@ def _record(t, state, energy_phi, potential, f_next=None, dt=None, prev_total=No
     phi_sq = vol * float(np.vdot(phi, phi))
     v_sq = vol * float(np.vdot(v, v))
     int_beta_hat = vol * float(
-        np.sum(np.asarray(potential.beta_hat(phi), dtype=np.float64))
+        np.asarray(potential.beta_hat(phi), dtype=np.float64).sum()
     )
     total = 0.5 * theta_sq + 0.5 * phi_sq + 0.5 * v_sq + energy_phi + int_beta_hat
     residual = 0.0
@@ -448,7 +460,7 @@ def solve_trajectory(op, data, potential, cfg, source=None):
     n_steps = cfg.num_steps
     stride = max(1, n_steps // max(cfg.snapshots, 1)) if n_steps else 1
 
-    mass = float(np.sum(state.theta.data + state.phi.data))
+    mass = float((state.theta.data + state.phi.data).sum())
     times = [0.0]
     # snapshots share the running state's fields: a step builds new ones
     # and nothing modifies a field's data in place
@@ -473,7 +485,7 @@ def solve_trajectory(op, data, potential, cfg, source=None):
         t_next = k * dt
         if source is not None:
             f_next = source(grid, t_next)
-            source_mass = vol * float(np.sum(f_next.data))
+            source_mass = vol * float(f_next.data.sum())
         try:
             prev = state
             if op is None:
@@ -498,7 +510,7 @@ def solve_trajectory(op, data, potential, cfg, source=None):
         aux["int_gradtheta_sq"] += dt * grad_sq
         aux["int_v_sq"] += dt * v_sq
         aux["max_step_residual"] = max(aux["max_step_residual"], record.residual)
-        prev_mass, mass = mass, float(np.sum(state.theta.data + state.phi.data))
+        prev_mass, mass = mass, float((state.theta.data + state.phi.data).sum())
         mass_rate = (mass - prev_mass) * vol / dt
         aux["max_mass_residual"] = max(
             aux["max_mass_residual"],

@@ -4,10 +4,11 @@ counterparts.
 One convention picks the problem everywhere: an ``op`` argument is either
 a :class:`NonlocalOperator`, meaning ``B = B_eps`` of that operator, or
 ``None``, meaning the Laplacian limit ``B = -lap_N``.  :func:`apply_B`
-(on fields), :func:`apply_B_array` (on arrays) and
-:func:`energy_from_applied` dispatch on it, and the integrator and the
-sweep studies pass it down unchanged.  :func:`apply_B_eps` takes and
-returns arrays, so the time step applies ``B`` without building fields.
+(on fields), :func:`apply_B_array` (on arrays), :func:`shifted_matvec`
+(the phase Newton's product ``B x + D x``) and :func:`energy_from_applied`
+dispatch on it, and the integrator and the sweep studies pass it down
+unchanged.  :func:`apply_B_eps` takes and returns arrays, so the time
+step applies ``B`` without building fields.
 
 The domain-restricted convolution ``(J_eps * u)(x) = int_D J_eps(x-y) u(y) dy``
 is computed by zero-extending ``u`` and performing a linear (padded) FFT
@@ -229,13 +230,17 @@ def build_nonlocal_operator(family, eps, grid):
     return NonlocalOperator(plan, Field(grid, plan.apply(np.ones(grid.shape))))
 
 
-def apply_B_eps(op, a):
+def apply_B_eps(op, a, diagonal=None):
     """Apply the nonlocal operator to the array ``a`` of the operator
     grid's shape and return the array ``B_eps a``; annihilates constants
     exactly, since ``a_eps`` is the same plan applied to ones.  Every
     ``B_eps`` application goes through here; it allocates only its
-    result."""
-    out = op.a_eps.data * a
+    result.
+
+    With ``diagonal`` (an array of the grid's shape, or a scalar) in
+    place of ``a_eps``, it returns ``diagonal a - J_eps * a``, that is
+    ``B_eps a + (diagonal - a_eps) a``, at the cost of one application."""
+    out = (op.a_eps.data if diagonal is None else diagonal) * a
     out -= op.plan._convolution(a)
     return out
 
@@ -247,6 +252,30 @@ def apply_B_array(op, grid, a):
         out = laplacian(grid, a)
         return np.negative(out, out=out)
     return apply_B_eps(op, a)
+
+
+def shifted_matvec(op, grid, shift, scratch):
+    """The matvec ``x -> B x + shift x`` on arrays of ``grid``'s shape, for
+    the problem ``op`` selects, with the diagonal ``shift`` (an array of
+    the grid's shape, or a scalar) folded in once.
+
+    For the kernel operator ``a_eps + shift`` is formed here, once, and
+    each product is one :func:`apply_B_eps` with that diagonal:
+    ``(a_eps + shift) x - J_eps * x``.  For the Laplacian each product
+    subtracts :func:`~pfnl.fields.laplacian` from ``shift x``, formed in
+    ``scratch`` (an array of the grid's shape that the caller does not
+    read meanwhile), in the Laplacian's own output array.  Each product
+    is a new array.
+    """
+    if op is None:
+
+        def matvec(x):
+            out = laplacian(grid, x)
+            return np.subtract(np.multiply(shift, x, out=scratch), out, out=out)
+
+        return matvec
+    diagonal = op.a_eps.data + shift
+    return lambda x: apply_B_eps(op, x, diagonal)
 
 
 def apply_B(op, u):
@@ -327,10 +356,12 @@ def bbm_bound_ratio(op, u):
     """Ratio ``dual_norm(B_eps u) / sqrt(E_eps(u))``.
 
     Bounded uniformly in eps for fixed smooth fields; raises on constant
-    input where the energy degenerates.
+    input where the energy degenerates.  One application of ``B_eps``
+    serves the energy and the dual norm.
     """
-    energy = energy_nonlocal(op, u)
+    Bu = apply_B(op, u)
+    energy = energy_from_applied(op, u, Bu.data)
     scale = inner_product("H", u, u) * op.a_eps_max
     if energy <= 1e-28 * max(1.0, scale):
         raise DegenerateFieldError("degenerate: nonlocal energy vanishes")
-    return dual_norm(apply_B(op, u)) / math.sqrt(energy)
+    return dual_norm(Bu) / math.sqrt(energy)

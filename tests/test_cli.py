@@ -352,6 +352,20 @@ class TestSimulate:
         assert err.startswith("run failed:") and "phi_0000.csv" in err
         assert os.listdir(out / "snapshots") == ["phi_0000.csv"]
 
+    def test_failed_write_removes_this_runs_files(self, tmp_path, capsys):
+        # energy.csv and phi_0000.csv are written before the write of
+        # theta_0000.csv fails on the directory in its place
+        out = tmp_path / "out"
+        (out / "snapshots" / "theta_0000.csv").mkdir(parents=True)
+        (out / "notes.txt").write_text("kept\n")
+        cfg = write_config(tmp_path, SMALL_SIM.format(out=out))
+        code = cli.main(["simulate", "--config", cfg, "--local"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("run failed:")
+        assert sorted(os.listdir(out)) == ["notes.txt", "snapshots"]
+        assert (out / "notes.txt").read_text() == "kept\n"
+        assert os.listdir(out / "snapshots") == ["theta_0000.csv"]
+
     def test_truncated_custom_initial_exits_2(self, tmp_path, capsys):
         grid = Grid.line(64)
         paths = {}
@@ -445,6 +459,37 @@ def test_import_leaves_scipy_sparse_unloaded():
     # time and resident memory in every run
     code = "import sys, pfnl.cli; print('scipy.sparse' in sys.modules)"
     assert _python_output(code) == "False"
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # scipy serves only the tests' oracles; every CLI command runs without
+    # importing it
+    sim = write_config(tmp_path, SMALL_SIM.format(out=tmp_path / "sim"), "sim.cfg")
+    sweep = write_config(
+        tmp_path,
+        SMALL_SWEEP.replace("time.T = 0.2", "time.T = 0.02").format(
+            out=tmp_path / "sweep"
+        ),
+        "sweep.cfg",
+    )
+    commands = [
+        ["simulate", "--config", sim, "--eps", "0.2"],
+        ["energy-report", "--config", sim, "--run", str(tmp_path / "sim")],
+        ["converge", "--config", sweep],
+        ["verify-kernel", "--config", sweep],
+        ["verify-lemmas", "--config", sweep],
+    ]
+    code = (
+        "import sys\n"
+        "from pfnl import cli\n"
+        f"for argv in {commands!r}:\n"
+        "    code = cli.main(argv)\n"
+        "    print('probe', argv[0], code, 'scipy' in sys.modules)\n"
+    )
+    probes = [
+        line for line in _python_output(code).splitlines() if line.startswith("probe")
+    ]
+    assert probes == [f"probe {argv[0]} 0 False" for argv in commands]
 
 
 class TestScipyFftImport:

@@ -452,6 +452,41 @@ class TestAppliedOnlyToNewDirections:
         calls, budget = self.counted_run(fam, dimension, problem, monkeypatch)
         assert calls <= budget + 2
 
+    @pytest.mark.parametrize(
+        "dimension, problem, newton_iters, cg_iters",
+        [(1, "nonlocal", 40, 237), (1, "local", 40, 237),
+         (2, "nonlocal", 40, 240), (2, "local", 40, 177)],
+        ids=["1d-nonlocal", "1d-local", "2d-nonlocal", "2d-local"],
+    )
+    def test_iteration_totals(
+        self, family, family2d, dimension, problem, newton_iters, cg_iters,
+        monkeypatch,
+    ):
+        # Newton and CG totals of a fixed smooth 20-step run at dt = 1e-2;
+        # CG's relative stopping test does not see the Newton system's
+        # scale, so the dt^2-scaled system gives the same totals
+        fam = family if dimension == 1 else family2d
+        grid, pot, data = self.smooth_problem(fam, dimension)
+        op = build_nonlocal_operator(fam, 0.2, grid) if problem == "nonlocal" else None
+        totals = {"newton": 0, "cg": 0}
+        phi_update = integrator._phi_update
+
+        def counting_phi_update(*args):
+            out = phi_update(*args)
+            totals["newton"] += out[2]
+            return out
+
+        def counting_cg(matvec, b, rtol, maxiter):
+            def tick(_x):
+                totals["cg"] += 1
+
+            return fields.cg(matvec, b, rtol, maxiter, callback=tick)
+
+        monkeypatch.setattr(integrator, "_phi_update", counting_phi_update)
+        monkeypatch.setattr(integrator, "cg", counting_cg)
+        solve_trajectory(op, data, pot, SchemeConfig(dt=1e-2, T=0.2, snapshots=4))
+        assert totals == {"newton": newton_iters, "cg": cg_iters}
+
     @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
     @pytest.mark.parametrize("problem", ["nonlocal", "local"])
     def test_predictor_image_by_linearity(self, family, family2d, dimension, problem):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import rough_field, smooth_field
+from pfnl import operators
 from pfnl.errors import DegenerateFieldError
 from pfnl.fields import (
     Field,
@@ -37,6 +38,7 @@ from pfnl.operators import (
     energy_nonlocal,
     frechet_fd_residual,
     frechet_identity_residual,
+    shifted_matvec,
 )
 
 
@@ -341,6 +343,26 @@ class TestFrechetIdentity:
         assert np.all(J[0, w + 1 :] == 0.0)
 
 
+class TestShiftedMatvec:
+    """The phase Newton's product ``x -> B x + D x``, with ``D`` the size
+    of ``(1+dt)/dt^2 + beta'`` at dt = 0.1."""
+
+    @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+    @pytest.mark.parametrize("problem", ["nonlocal", "local"])
+    @pytest.mark.parametrize("kind", ["array", "scalar"])
+    def test_equals_B_plus_diagonal(self, op32, op2d, dimension, problem, kind, rng):
+        op = op32 if dimension == 1 else op2d
+        grid = op.grid
+        op = op if problem == "nonlocal" else None
+        x = rough_field(grid, rng).data
+        diagonal = 110.0 + (3.0 * rng.random(grid.shape) if kind == "array" else 0.0)
+        kept = np.copy(diagonal)
+        expected = apply_B(op, Field(grid, x)).data + diagonal * x
+        got = shifted_matvec(op, grid, diagonal, np.empty(grid.shape))(x)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+        assert np.array_equal(diagonal, kept)
+
+
 class TestApplyBLocal:
     def test_constant(self):
         out = apply_B(None, ones(Grid.line(16)))
@@ -376,6 +398,20 @@ class TestBBMRatio:
         c = Field(op32.grid, np.full(op32.grid.shape, 4.0))
         with pytest.raises(DegenerateFieldError):
             bbm_bound_ratio(op32, c)
+
+    def test_one_apply_per_ratio(self, op32, rng, monkeypatch):
+        u = smooth_field(op32.grid, rng)
+        ratio = bbm_bound_ratio(op32, u)
+        calls = []
+
+        def counting(op, a, *diagonal):
+            calls.append(a)
+            return apply_B_eps(op, a, *diagonal)
+
+        monkeypatch.setattr(operators, "apply_B_eps", counting)
+        assert bbm_bound_ratio(op32, u) == ratio
+        # one application serves the energy and the dual norm
+        assert len(calls) == 1
 
     def test_scale_invariance(self, op32, rng):
         u = smooth_field(op32.grid, rng)
