@@ -73,10 +73,7 @@ def sweep_grids(eps_list, length=1.0, dimension=1, max_n=512, cells_per_eps=8):
             raise ResolutionError(
                 f"cell budget leaves eps={eps} under-resolved (h={h}, need eps >= 4h)"
             )
-        if dimension == 1:
-            grids[eps] = Grid.line(n, length)
-        else:
-            grids[eps] = Grid.box(n, (length, length))
+        grids[eps] = Grid((length,) * dimension, (n,) * dimension)
     return grids
 
 
@@ -275,7 +272,7 @@ def frechet_identity_suite(family, eps=0.25, n=32, dimension=1, trials=50, seed=
     the energy (exact for a quadratic functional up to 1/delta-amplified
     roundoff).
     """
-    grid = Grid.line(n) if dimension == 1 else Grid.box(n)
+    grid = Grid((1.0,) * dimension, (n,) * dimension)
     op = build_nonlocal_operator(family, eps, grid)
     rng = np.random.default_rng(seed)
     max_double, max_fd_rel = 0.0, 0.0
@@ -389,11 +386,49 @@ REPORT_COLUMNS = (
 )
 
 
-def _solve(sweep, grid, op=None):
-    """One run of the sweep on ``grid``: the kernel system of ``op``, or
-    the Laplacian system when ``op`` is ``None`` (no width, so no a5
-    monitor).  ``op`` goes unchanged to :func:`solve_trajectory`, which
-    keeps it as ``traj.op``.  Returns ``(data, traj)``."""
+@dataclass
+class ReducedRun:
+    """A finished run reduced to what the sweep report reads: ``images``
+    maps theta, phi, v, ``B phi`` and ``beta(phi)`` to their restrictions
+    onto the comparison grid, one per snapshot, and ``energy`` holds the
+    run's energy at each snapshot.  A compared width also carries its
+    :func:`estimate_monitor` values and initial-data flags."""
+
+    images: dict
+    energy: list
+    estimates: dict = None
+    flags: tuple = ()
+
+
+def _reduce_run(traj, coarse, potential, estimates=None, flags=()):
+    """Reduce ``traj`` onto the grid ``coarse``, taking the operator image
+    with the run's own ``B`` (``traj.op``) and the monotone term of
+    ``potential``; ``estimates`` and ``flags`` are kept as given."""
+    states = traj.states
+    return ReducedRun(
+        images={
+            "theta": [restrict(s.theta, coarse) for s in states],
+            "phi": [restrict(s.phi, coarse) for s in states],
+            "v": [restrict(s.v, coarse) for s in states],
+            "B": [restrict(apply_B(traj.op, s.phi), coarse) for s in states],
+            "beta": [
+                restrict(Field(traj.grid, sample(potential.beta, s.phi.data)), coarse)
+                for s in states
+            ],
+        },
+        energy=[_record_at(traj, t).energy_phi for t in traj.times],
+        estimates=estimates,
+        flags=flags,
+    )
+
+
+def _solve(sweep, grid, coarse, op=None, monitor=False):
+    """One run of the sweep on ``grid``, reduced onto ``coarse`` as soon as
+    its solve returns, so the trajectory is released on return: the
+    kernel system of ``op``, or the Laplacian system when ``op`` is
+    ``None`` (no width, so no a5 monitor).  ``op`` goes unchanged to
+    :func:`solve_trajectory`, which keeps it as ``traj.op``.  With
+    ``monitor`` the run keeps the width's estimates and flags."""
     widths = {} if op is None else {op.eps: op}
     data = build_initial_data(
         "smooth-default",
@@ -408,7 +443,10 @@ def _solve(sweep, grid, op=None):
     )
     traj = solve_trajectory(op, data, sweep.potential, sweep.scheme,
                             source=sweep.source)
-    return data, traj
+    if monitor:
+        return _reduce_run(traj, coarse, sweep.potential,
+                           estimate_monitor(traj, sweep.potential), data.flags)
+    return _reduce_run(traj, coarse, sweep.potential)
 
 
 def nonlocal_to_local_study(sweep):
@@ -416,101 +454,60 @@ def nonlocal_to_local_study(sweep):
 
     The reference is the Laplacian solve on the finest grid of the sweep
     (or the finest-width kernel solve for self-convergence studies).
-    Fields are compared after cell-average restriction onto the coarsest
-    grid; C0-in-time norms are maxima over the common snapshot times.
-    Monotonicity findings are recorded in ``violations`` rather than
-    raised, so degenerate configurations stay inspectable.
+    Runs go one at a time, widths coarse to fine, then the reference, and
+    each is reduced to its images on the coarsest grid (cell-average
+    restriction) and released as soon as its solve returns.  C0-in-time
+    norms are maxima over the common snapshot times.  Monotonicity
+    findings are recorded in ``violations`` rather than raised, so
+    degenerate configurations stay inspectable.
     """
     grids = sweep_grids(sweep.eps_list, sweep.length, sweep.dimension, sweep.max_n)
     ordered = sorted(grids, reverse=True)
     coarse = grids[ordered[0]]
-    finest = grids[ordered[-1]]
+    local = sweep.reference == "local-solve"
+    compare_eps = ordered if local else ordered[:-1]
 
-    # widths coarse to fine, then the local reference
     runs = {
         eps: _solve(
-            sweep, grids[eps], build_nonlocal_operator(sweep.family, eps, grids[eps])
+            sweep, grids[eps], coarse,
+            build_nonlocal_operator(sweep.family, eps, grids[eps]),
+            monitor=eps in compare_eps,
         )
         for eps in ordered
     }
-    if sweep.reference == "finest-eps":
-        _, ref_traj = runs[ordered[-1]]
-        compare_eps = ordered[:-1]
-    else:
-        _, ref_traj = _solve(sweep, finest)
-        compare_eps = ordered
+    ref = _solve(sweep, grids[ordered[-1]], coarse) if local else runs[ordered[-1]]
 
-    probes = probe_fields(sweep.dimension)
-    probe_on_coarse = [p.on(coarse) for p in probes]
-
-    # reference snapshots restricted to the comparison grid, once
-    ref_theta = [restrict(s.theta, coarse) for s in ref_traj.states]
-    ref_phi = [restrict(s.phi, coarse) for s in ref_traj.states]
-    ref_v = [restrict(s.v, coarse) for s in ref_traj.states]
-    ref_B = [restrict(apply_B(ref_traj.op, s.phi), coarse) for s in ref_traj.states]
-    ref_beta = [
-        restrict(
-            Field(ref_traj.grid, sample(sweep.potential.beta, s.phi.data)), coarse
-        )
-        for s in ref_traj.states
-    ]
-
+    probes = [p.on(coarse) for p in probe_fields(sweep.dimension)]
     columns = {name: [] for name in REPORT_COLUMNS}
     estimates, rows_extra = {}, {}
     violations, notes = [], []
 
     for eps in compare_eps:
-        data, traj = runs[eps]
-        if len(traj.times) != len(ref_traj.times):
+        run = runs[eps]
+        if len(run.energy) != len(ref.energy):
             raise GridMismatchError("snapshot schedules differ between runs")
-        e_theta = e_phi = e_v = e_B = e_beta = e_Bpair = 0.0
-        energy_path = []
-        for k, state in enumerate(traj.states):
-            th = restrict(state.theta, coarse)
-            ph = restrict(state.phi, coarse)
-            vv = restrict(state.v, coarse)
-            e_theta = max(e_theta, norm(th - ref_theta[k], "H"))
-            e_phi = max(e_phi, norm(ph - ref_phi[k], "H"))
-            e_v = max(e_v, dual_norm(vv - ref_v[k]))
-            B_here = restrict(apply_B(traj.op, state.phi), coarse)
-            e_B = max(e_B, dual_norm(B_here - ref_B[k]))
-            beta_here = restrict(
-                Field(traj.grid, sample(sweep.potential.beta, state.phi.data)),
-                coarse,
-            )
-            for w in probe_on_coarse:
-                e_Bpair = max(
-                    e_Bpair, abs(inner_product("H", B_here - ref_B[k], w))
-                )
-                e_beta = max(
-                    e_beta, abs(inner_product("H", beta_here - ref_beta[k], w))
-                )
-            energy_path.append(_record_at(traj, traj.times[k]).energy_phi)
-
-        columns["eps"].append(eps)
-        columns["err_theta_C0H"].append(e_theta)
-        columns["err_phi_C0H"].append(e_phi)
-        columns["err_v_C0Vstar"].append(e_v)
-        columns["err_Beps_Vstar"].append(e_B)
-        columns["err_beta_pairing"].append(e_beta)
-        estimates[eps] = estimate_monitor(traj, sweep.potential)
-        rows_extra[eps] = {
-            "err_B_pairing": e_Bpair,
-            "a5_monitor": data.a5_values[eps],
-            "energy_path": energy_path,
+        d = {
+            name: [a - b for a, b in zip(images, ref.images[name])]
+            for name, images in run.images.items()
         }
+        columns["eps"].append(eps)
+        columns["err_theta_C0H"].append(max(norm(f, "H") for f in d["theta"]))
+        columns["err_phi_C0H"].append(max(norm(f, "H") for f in d["phi"]))
+        columns["err_v_C0Vstar"].append(max(dual_norm(f) for f in d["v"]))
+        columns["err_Beps_Vstar"].append(max(dual_norm(f) for f in d["B"]))
+        columns["err_beta_pairing"].append(
+            max(abs(inner_product("H", f, w)) for f in d["beta"] for w in probes)
+        )
+        estimates[eps] = run.estimates
+        e_Bpair = max(abs(inner_product("H", f, w)) for f in d["B"] for w in probes)
+        rows_extra[eps] = {"err_B_pairing": e_Bpair}
 
     # empirical decay rates of the phase error between consecutive widths
-    rates = [float("nan")]
-    for i in range(1, len(compare_eps)):
-        e0, e1 = columns["err_phi_C0H"][i - 1], columns["err_phi_C0H"][i]
-        if e0 > 0 and e1 > 0:
-            rates.append(
-                math.log(e1 / e0) / math.log(compare_eps[i] / compare_eps[i - 1])
-            )
-        else:
-            rates.append(float("nan"))
-    columns["rate_phi"] = rates
+    err_phi = columns["err_phi_C0H"]
+    columns["rate_phi"] = [float("nan")] + [
+        math.log(e1 / e0) / math.log(b / a) if e0 > 0 and e1 > 0 else float("nan")
+        for a, b, e0, e1 in zip(compare_eps, compare_eps[1:], err_phi, err_phi[1:])
+    ]
 
     if len(compare_eps) < 2:
         notes.append("single-width sweep: monotonicity assertions skipped")
@@ -527,14 +524,14 @@ def nonlocal_to_local_study(sweep):
         bpair = [rows_extra[e]["err_B_pairing"] for e in compare_eps]
         for a, b in _rises(bpair)[:1]:
             violations.append(f"err_B_pairing fails to decrease ({a:g} -> {b:g})")
-        if ref_traj.op is None:
+        if local:
             # lower-semicontinuity check: at each snapshot the limit energy
             # must not exceed the best width energy beyond the 10% slack
             energy_scale = max(estimates[e]["energy_Linf"] for e in compare_eps)
             worst = -np.inf
-            for k, t in enumerate(ref_traj.times):
-                best = min(rows_extra[e]["energy_path"][k] for e in compare_eps)
-                worst = max(worst, _record_at(ref_traj, t).energy_phi - best)
+            for k, ref_energy in enumerate(ref.energy):
+                best = min(runs[e].energy[k] for e in compare_eps)
+                worst = max(worst, ref_energy - best)
             if worst > 0.10 * max(energy_scale, 1e-14):
                 violations.append(
                     f"limit energy exceeds the best width energy by {worst:.3g}, "
@@ -542,7 +539,7 @@ def nonlocal_to_local_study(sweep):
                 )
 
     for eps in compare_eps:
-        for flag in runs[eps][0].flags:
+        for flag in runs[eps].flags:
             notes.append(f"eps={eps}: {flag}")
 
     for name in REPORT_COLUMNS[1:-1]:

@@ -8,7 +8,7 @@ anything omitted, so a minimal file can be empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -118,9 +118,8 @@ class RunConfig:
         )
 
     def make_grid(self):
-        if self.grid_dimension == 1:
-            return Grid.line(self.grid_n, self.grid_length)
-        return Grid.box(self.grid_n, (self.grid_length, self.grid_length))
+        d = self.grid_dimension
+        return Grid((self.grid_length,) * d, (self.grid_n,) * d)
 
     def make_scheme(self):
         return SchemeConfig(
@@ -151,15 +150,8 @@ class RunConfig:
                 pi_lipschitz=abs(slope),
                 beta_prime=lambda r: p * np.abs(r) ** (p - 1),
             )
-        if self.potential_q or self.potential_c_beta:
-            q = self.potential_q or spec.q
-            c = self.potential_c_beta or spec.c_beta
-            spec = PotentialSpec(
-                beta=spec.beta, beta_hat=spec.beta_hat, pi=spec.pi,
-                q=q, c_beta=c, pi_lipschitz=spec.pi_lipschitz,
-                beta_prime=spec.beta_prime,
-            )
-        return spec
+        return replace(spec, q=self.potential_q or spec.q,
+                       c_beta=self.potential_c_beta or spec.c_beta)
 
     def make_source(self):
         if self.source_kind == "none":

@@ -499,13 +499,9 @@ def restrict(u, coarse):
         factors.append(nf // nc)
     if all(f == 1 for f in factors):
         return Field(coarse, u.data.copy())
-    if fine.dimension == 1:
-        data = u.data.reshape(coarse.n[0], factors[0]).mean(axis=1)
-    else:
-        data = u.data.reshape(
-            coarse.n[0], factors[0], coarse.n[1], factors[1]
-        ).mean(axis=(1, 3))
-    return Field(coarse, data)
+    # one (coarse cell, factor) axis pair per grid axis; average the factors
+    blocks = u.data.reshape([m for pair in zip(coarse.n, factors) for m in pair])
+    return Field(coarse, blocks.mean(axis=tuple(range(1, blocks.ndim, 2))))
 
 
 def atomic_write(path, payload):

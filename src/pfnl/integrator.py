@@ -172,10 +172,6 @@ class Trajectory:
     phi_tt_snapshots: list
     aux: dict = field(default_factory=dict)
 
-    @property
-    def final(self):
-        return self.states[-1]
-
 
 # --- single-equation solves ----------------------------------------------------
 

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -326,6 +328,35 @@ class TestStudy:
         )
         nonlocal_to_local_study(sweep)
         assert sorted(built) == [0.1, 0.2]
+
+    @pytest.mark.parametrize("reference", ["local-solve", "finest-eps"])
+    def test_each_trajectory_released_before_the_next_solve(
+        self, family, monkeypatch, reference
+    ):
+        # each run is reduced to its comparison-grid images as soon as its
+        # solve returns, so no earlier trajectory outlives it
+        refs, alive_at_start = [], []
+
+        def tracking(*args, **kwargs):
+            gc.collect()
+            alive_at_start.append(sum(r() is not None for r in refs))
+            traj = solve_trajectory(*args, **kwargs)
+            refs.append(weakref.ref(traj))
+            return traj
+
+        monkeypatch.setattr(analysis, "solve_trajectory", tracking)
+        sweep = SweepConfig(
+            family=family,
+            potential=make_double_well(),
+            scheme=SchemeConfig(dt=4e-3, T=0.02, snapshots=5),
+            eps_list=(0.2, 0.1),
+            reference=reference,
+        )
+        nonlocal_to_local_study(sweep)
+        gc.collect()
+        assert len(refs) == (3 if reference == "local-solve" else 2)
+        assert alive_at_start == [0] * len(refs)
+        assert all(r() is None for r in refs)
 
     def test_theta_error_stable_under_dt_halving(self, family):
         # the measured width gap dominates the time-stepping error

@@ -394,6 +394,15 @@ sweep.eps = 0.2, 0.1, 0.05
 output.dir = {out}
 """
 
+SMALL_SWEEP_2D = """
+grid.dimension = 2
+sweep.eps = 0.2, 0.1, 0.05
+sweep.max_n = 160
+time.T = 0.05
+time.snapshots = 5
+output.dir = {out}
+"""
+
 
 class TestConverge:
     def test_small_sweep(self, tmp_path):
@@ -424,6 +433,21 @@ class TestConverge:
         assert (
             out_a / "estimates.csv"
         ).read_bytes() == (out_b / "estimates.csv").read_bytes()
+
+    def test_2d_sweep(self, tmp_path):
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            text = SMALL_SWEEP_2D.format(out=out)
+            cfg = write_config(tmp_path, text, f"{out.name}.cfg")
+            assert cli.main(["converge", "--config", cfg]) == 0
+        lines = (outs[0] / "report.csv").read_text().strip().split("\n")
+        header = lines[0].split(",")
+        rows = [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
+        assert len(rows) == 3
+        for name in ("err_phi_C0H", "err_theta_C0H"):
+            assert rows[0][name] > rows[1][name] > rows[2][name]
+        for name in ("report.csv", "estimates.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 class TestVerifyLemmas:
