@@ -299,7 +299,7 @@ def frechet_identity_suite(family, eps=0.25, n=32, dimension=1, trials=50, seed=
 # --- uniform-estimate monitors ---------------------------------------------------------
 
 
-def estimate_monitor(traj, potential):
+def estimate_monitor(traj, potential, applied=None):
     """Discrete analogues of the width-uniform a priori bounds.
 
     The state and energy bounds (sup norms of the state, the kernel
@@ -309,14 +309,16 @@ def estimate_monitor(traj, potential):
     and the operator image, and the L^q mass of the monotone term of
     ``potential``).  Sup-in-time quantities use the per-step records; dual
     norms are evaluated at snapshot times, the operator image with the
-    trajectory's own ``B`` (``traj.op``).
+    trajectory's own ``B`` (``traj.op``).  ``applied``, when given, is the
+    pair of per-snapshot lists ``(B phi, beta(phi))`` already at hand
+    (fields, then arrays; see :func:`_snapshot_images`).
     """
+    B_phi, beta = _snapshot_images(traj, potential) if applied is None else applied
     recs = traj.records
     q = potential.q
     vol = traj.grid.cell_volume
     beta_lq = max(
-        (vol * float(np.sum(np.abs(potential.beta(s.phi.data)) ** q))) ** (1.0 / q)
-        for s in traj.states
+        (vol * float(np.sum(np.abs(b) ** q))) ** (1.0 / q) for b in beta
     )
     phi_tt = [f for f in traj.phi_tt_snapshots if f is not None]
     return {
@@ -332,8 +334,18 @@ def estimate_monitor(traj, potential):
         "lap_theta_L2H": math.sqrt(traj.aux["int_laptheta_sq"]),
         "beta_Lq_Linf": beta_lq,
         "phi_tt_LinfVstar": max(dual_norm(f) for f in phi_tt) if phi_tt else 0.0,
-        "B_phi_LinfVstar": max(dual_norm(apply_B(traj.op, s.phi)) for s in traj.states),
+        "B_phi_LinfVstar": max(dual_norm(b) for b in B_phi),
     }
+
+
+def _snapshot_images(traj, potential):
+    """Per snapshot of ``traj``: ``B phi`` as a field, with the run's own
+    ``B`` (``traj.op``), and ``beta(phi)`` of ``potential`` as an array."""
+    states = traj.states
+    return (
+        [apply_B(traj.op, s.phi) for s in states],
+        [sample(potential.beta, s.phi.data) for s in states],
+    )
 
 
 # --- the sweep study --------------------------------------------------------------------
@@ -400,21 +412,19 @@ class ReducedRun:
     flags: tuple = ()
 
 
-def _reduce_run(traj, coarse, potential, estimates=None, flags=()):
-    """Reduce ``traj`` onto the grid ``coarse``, taking the operator image
-    with the run's own ``B`` (``traj.op``) and the monotone term of
-    ``potential``; ``estimates`` and ``flags`` are kept as given."""
+def _reduce_run(traj, coarse, applied, estimates=None, flags=()):
+    """Reduce ``traj`` onto the grid ``coarse``, with ``applied`` the
+    per-snapshot ``(B phi, beta(phi))`` of :func:`_snapshot_images`;
+    ``estimates`` and ``flags`` are kept as given."""
     states = traj.states
+    B_phi, beta = applied
     return ReducedRun(
         images={
             "theta": [restrict(s.theta, coarse) for s in states],
             "phi": [restrict(s.phi, coarse) for s in states],
             "v": [restrict(s.v, coarse) for s in states],
-            "B": [restrict(apply_B(traj.op, s.phi), coarse) for s in states],
-            "beta": [
-                restrict(Field(traj.grid, sample(potential.beta, s.phi.data)), coarse)
-                for s in states
-            ],
+            "B": [restrict(b, coarse) for b in B_phi],
+            "beta": [restrict(Field(traj.grid, b), coarse) for b in beta],
         },
         energy=[_record_at(traj, t).energy_phi for t in traj.times],
         estimates=estimates,
@@ -428,7 +438,9 @@ def _solve(sweep, grid, coarse, op=None, monitor=False):
     kernel system of ``op``, or the Laplacian system when ``op`` is
     ``None`` (no width, so no a5 monitor).  ``op`` goes unchanged to
     :func:`solve_trajectory`, which keeps it as ``traj.op``.  With
-    ``monitor`` the run keeps the width's estimates and flags."""
+    ``monitor`` the run keeps the width's estimates and flags.  ``B phi``
+    and ``beta(phi)`` are taken once per snapshot, for the estimates and
+    the images alike."""
     widths = {} if op is None else {op.eps: op}
     data = build_initial_data(
         "smooth-default",
@@ -443,10 +455,11 @@ def _solve(sweep, grid, coarse, op=None, monitor=False):
     )
     traj = solve_trajectory(op, data, sweep.potential, sweep.scheme,
                             source=sweep.source)
+    applied = _snapshot_images(traj, sweep.potential)
     if monitor:
-        return _reduce_run(traj, coarse, sweep.potential,
-                           estimate_monitor(traj, sweep.potential), data.flags)
-    return _reduce_run(traj, coarse, sweep.potential)
+        estimates = estimate_monitor(traj, sweep.potential, applied)
+        return _reduce_run(traj, coarse, applied, estimates, data.flags)
+    return _reduce_run(traj, coarse, applied)
 
 
 def nonlocal_to_local_study(sweep):

@@ -14,17 +14,18 @@ paths run on numpy's FFT, so no run imports ``scipy``.  A 1D solve
 transforms the even extension, with gains kept per ``(grid, a, b)``; a
 2D solve goes through a :class:`CosinePlan`, Makhoul's DCT-II by a real
 FFT of the same size, kept per grid value (:func:`cosine_plan`) with its
-work arrays and gains.
+work arrays and gains.  :func:`neumann_inverse` is the dense matrix of the
+1D solve, which small 1D time steps keep and apply in its place.
 
 Dual-space machinery: the pivot identification of L2 with its dual turns
 the H1 Riesz map into the SPD operator ``F = I - lap_N``.  ``dual_norm``
 evaluates ``sqrt((u, F^{-1} u)_H)``.
 
-SPD systems that no transform diagonalizes (the phase Newton's Jacobian)
-go through :func:`cg`, plain conjugate gradients on arrays of the grid's
-shape.  It starts from ``x = 0`` and stops once ``|r|_2 < rtol |b|_2``,
-tested before each iteration: the rule of scipy's ``cg`` with
-``atol = 0``, so it takes the same iterations.
+SPD systems that no transform diagonalizes (the phase Newton's Jacobian,
+outside small 1D grids) go through :func:`cg`, plain conjugate gradients
+on arrays of the grid's shape.  It starts from ``x = 0`` and stops once
+``|r|_2 < rtol |b|_2``, tested before each iteration: the rule of scipy's
+``cg`` with ``atol = 0``, so it takes the same iterations.
 
 Snapshots go through :func:`write_field`.  Its CSV values carry the bytes
 of Python's ``'%.17g'`` but are formatted in NumPy, a block of cells at a
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, GridMismatchError, SolverError
 
@@ -420,6 +422,24 @@ def neumann_solve(grid, rhs, a, b):
         coeffs *= _even_extension_gains(grid, a, b)
         return np.fft.irfft(coeffs, 2 * n)[:n]
     return cosine_plan(grid.n, grid.spacing).solve(rhs, a, b)
+
+
+def neumann_inverse(grid, a, b):
+    """``(a I - b lap_N)^{-1}`` on the 1D ``grid`` as a dense matrix: the
+    matrix that :func:`neumann_solve` applies, built from the same gains.
+
+    The 1D solve is the circular convolution of the even extension with
+    ``t = irfft(gains)`` (length ``2n``), so entry ``(i, j)`` is
+    ``t[i - j] + t[i + j + 1]``, indices mod ``2n``: a Toeplitz plus a
+    Hankel matrix.  Both are views of ``t``, added into the one ``n x n``
+    array this allocates.
+    """
+    (n,) = grid.n
+    t = np.fft.irfft(_even_extension_gains(grid, a, b), 2 * n)
+    # row i of the Toeplitz view reads t[(i - j) mod 2n] at column j
+    toeplitz = sliding_window_view(np.concatenate((t[n + 1 :], t[:n])), n)[:, ::-1]
+    hankel = sliding_window_view(t[1:], n)
+    return np.add(toeplitz, hankel)
 
 
 def cg(matvec, b, rtol, maxiter, callback=None):

@@ -13,11 +13,23 @@ The phase subsystem is solved first, implicitly in
 ``B`` and ``beta`` (Newton with matrix-free CG, :func:`pfnl.fields.cg`;
 the Jacobian ``(1/dt^2 + 1/dt) I + B + beta'`` is SPD because ``beta`` is
 monotone; CG's matvec ``B x + D x``, with the diagonal
-``D = (1 + dt)/dt^2 + max(beta', 0)`` folded in once per Newton iteration,
-is one application of ``B``, see :func:`pfnl.operators.shifted_matvec`),
-with ``pi`` and the temperature taken explicitly.  The temperature
-subsystem then sees the fresh phase velocity and is one exact
-``(I - dt lap_N)`` solve by the DCT (:func:`pfnl.fields.neumann_solve`).
+``D = D0 + max(beta', 0)``, ``D0 = (1 + dt)/dt^2``, folded in once per
+Newton iteration, is one application of ``B``, see
+:func:`pfnl.operators.shifted_matvec`), with ``pi`` and the temperature
+taken explicitly.  The temperature subsystem then sees the fresh phase
+velocity and is one exact ``(I - dt lap_N)`` solve by the DCT
+(:func:`pfnl.fields.neumann_solve`).
+
+Both systems have constant parts: ``I - dt lap_N`` and ``B + D0 I``.  On a
+1D grid of at most ``MAX_DENSE_CELLS`` cells (see :mod:`pfnl.operators`),
+:func:`solve_trajectory` keeps their dense inverses for the run
+(:class:`DenseInverses`), where one matrix-vector product costs less than
+NumPy's per-call overhead on a transform pair or a CG loop.  The
+temperature step is then one product, and each Newton increment is the
+Neumann series ``sum_j (-M diag(beta'+))^j M r`` with
+``M = (B + D0 I)^{-1}``, a few products that meet CG's relative residual
+a priori, because ``|M diag(beta'+)|_2 <= max(beta'+)/D0 = rho``.  A step
+with ``rho > MAX_SERIES_RATIO`` falls back to CG.
 
 Implicit treatment of ``B`` matters: the nonlocal operator norm grows
 like ``1/eps^2``, so an explicit coupling would put a dt ceiling
@@ -43,8 +55,9 @@ right-hand side, so ``pi`` is evaluated once per step.
 :func:`total_energy` and :func:`energy_balance_residual` recompute the
 same quantities from two states alone.
 
-``B`` is applied to the phase CG's directions and to each Newton trial,
-and otherwise only for the initial record and step 1's Newton seed.  From
+``B`` is applied to the phase CG's directions (none on the series) and to
+each Newton trial, and otherwise only for the initial record and step 1's
+Newton seed.  From
 step 2 on the seed ``phi^n + dt v^n = 2 phi^n - phi^{n-1}`` takes the
 image ``2 B phi^n - B phi^{n-1}`` by linearity, from the accepted trials
 of the two previous steps, so every carried ``B phi`` is a direct
@@ -62,16 +75,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SolverError
 from .fields import Field, cg, grad_inner, inner_product, neumann_solve
-from .operators import apply_B_array, energy_from_applied, shifted_matvec
+from .operators import (
+    MAX_DENSE_CELLS,
+    apply_B_array,
+    dense_inverse,
+    energy_from_applied,
+    shifted_matvec,
+)
 
 # The phase Newton's residual floor relative to 1 + |b|_H: below it the
 # residual evaluation is at its cancellation level.
 RESIDUAL_FLOOR = 200.0 * np.finfo(np.float64).eps
+
+# The Newton increment's series on the kept inverse is used while its
+# contraction factor rho is at most this; above it the step runs CG.
+MAX_SERIES_RATIO = 0.25
 
 
 @dataclass
@@ -173,13 +197,54 @@ class Trajectory:
     aux: dict = field(default_factory=dict)
 
 
+class DenseInverses(NamedTuple):
+    """The kept inverses of a step's two constant linear parts on a small
+    1D grid: ``temperature = (I - dt lap_N)^{-1}`` and
+    ``phase = (B + D0 I)^{-1}`` with ``D0 = (1 + dt)/dt^2``."""
+
+    temperature: np.ndarray
+    phase: np.ndarray
+
+
+def dense_inverses(op, grid, dt):
+    """The :class:`DenseInverses` of the problem ``op`` selects at time step
+    ``dt``, on a 1D grid of at most ``MAX_DENSE_CELLS`` cells; ``None``
+    otherwise."""
+    if grid.dimension != 1 or grid.num_cells > MAX_DENSE_CELLS:
+        return None
+    return DenseInverses(
+        temperature=dense_inverse(None, grid, 1.0, dt),
+        phase=dense_inverse(op, grid, (1.0 + dt) / (dt * dt)),
+    )
+
+
 # --- single-equation solves ----------------------------------------------------
+
+
+def _series_solve(inverse, beta_plus, rhs, rho, rtol):
+    """``(B + D0 I + diag(beta_plus)) delta = rhs`` on the kept
+    ``inverse = (B + D0 I)^{-1}``, with ``rho = max(beta_plus) / D0 < 1``.
+
+    Returns the partial sum ``delta = sum_{j<k} (-M P)^j M rhs``, with
+    ``M = inverse``, ``P = diag(beta_plus)`` and ``k`` the least integer
+    with ``rho^k <= rtol``.  Its residual is ``-(-P M)^k rhs``, and
+    ``|P M|_2 <= rho`` because ``B`` is positive semidefinite, so
+    ``|residual|_2 <= rtol |rhs|_2`` holds a priori: the bound CG stops on.
+    """
+    delta = term = inverse @ rhs
+    neg_beta = np.negative(beta_plus)
+    bound = rho
+    while bound > rtol:
+        term = inverse @ (neg_beta * term)
+        delta += term
+        bound *= rho
+    return delta
 
 
 # b, beta, beta' and the norms may overflow on a diverging run; the
 # finiteness and no-improvement guards report that as a SolverError
 @np.errstate(over="ignore", invalid="ignore")
-def _phi_update(state, op, potential, cfg):
+def _phi_update(state, op, potential, cfg, phase_inverse=None):
     """Implicit phase solve on the dt^2-scaled residual.
 
     Solves ``(1+dt) phi + dt^2 (B phi + beta(phi)) = b``, with ``B`` the
@@ -192,10 +257,15 @@ def _phi_update(state, op, potential, cfg):
     the accepted iterate, a direct application.
 
     Each Newton increment solves the unscaled system
-    ``(B + D) delta = -res/dt^2`` with ``D = (1+dt)/dt^2 + max(beta', 0)``:
-    the dt^2-scaled Jacobian divided by dt^2, so CG's relative stopping
-    test accepts the same iterate, and each CG product is one application
-    of ``B`` (see :func:`pfnl.operators.shifted_matvec`).
+    ``(B + D) delta = -res/dt^2`` with ``D = D0 + max(beta', 0)`` and
+    ``D0 = (1+dt)/dt^2``: the dt^2-scaled Jacobian divided by dt^2, solved
+    to the relative residual ``cfg.phi_solver_tol``.  With
+    ``phase_inverse = (B + D0 I)^{-1}`` (kept by :func:`solve_trajectory`
+    on small 1D grids) and ``rho = max(beta', 0)/D0 <= MAX_SERIES_RATIO``,
+    the increment is a few terms of a Neumann series, one matrix-vector
+    product each (:func:`_series_solve`), and ``B`` is not applied.
+    Otherwise CG solves it, and each CG product is one application of
+    ``B`` (see :func:`pfnl.operators.shifted_matvec`).
 
     ``B`` is applied to the CG directions and to each Newton trial only.
     When ``state`` carries ``B_phi`` and ``B_phi_prev`` from the step
@@ -258,7 +328,7 @@ def _phi_update(state, op, potential, cfg):
     floor = RESIDUAL_FLOOR * b_scale
     tol_res = max(cfg.newton_tol * (dt_sq + res_norm), floor)
 
-    diagonal_base = (1.0 + dt) / dt_sq
+    d0 = (1.0 + dt) / dt_sq
     iters = 0
     while res_norm > tol_res:
         if iters >= cfg.newton_max_iter:
@@ -267,20 +337,30 @@ def _phi_update(state, op, potential, cfg):
                 f"(residual {res_norm:.3e} at t={state.t:.6g})"
             )
         # the residual's Jacobian over dt^2 is B + diag(D), with
-        # D = (1+dt)/dt^2 + max(beta', 0) formed in the maximum's array
-        diagonal = np.maximum(potential.beta_derivative(phi_data), 0.0)
-        diagonal += diagonal_base
-        delta, info = cg(
-            shifted_matvec(op, grid, diagonal, scratch),
-            np.multiply(res, -1.0 / dt_sq),
-            rtol=cfg.phi_solver_tol,
-            maxiter=20 * grid.num_cells,
-        )
-        if info != 0:
-            raise SolverError(
-                f"phase CG did not converge in {info} iterations "
-                f"(Newton iteration {iters + 1} at t={state.t:.6g})"
+        # D = D0 + max(beta', 0)
+        beta_plus = np.maximum(potential.beta_derivative(phi_data), 0.0)
+        rhs = np.multiply(res, -1.0 / dt_sq)
+        rho = math.inf  # the series' factor, on a kept inverse only
+        if phase_inverse is not None:
+            rho = float(np.max(beta_plus)) / d0
+        if rho <= MAX_SERIES_RATIO:
+            delta = _series_solve(
+                phase_inverse, beta_plus, rhs, rho, cfg.phi_solver_tol
             )
+        else:
+            # D formed in the maximum's array
+            beta_plus += d0
+            delta, info = cg(
+                shifted_matvec(op, grid, beta_plus, scratch),
+                rhs,
+                rtol=cfg.phi_solver_tol,
+                maxiter=20 * grid.num_cells,
+            )
+            if info != 0:
+                raise SolverError(
+                    f"phase CG did not converge in {info} iterations "
+                    f"(Newton iteration {iters + 1} at t={state.t:.6g})"
+                )
 
         # monotone beta makes plain Newton reliable; backtrack defensively
         step = 1.0
@@ -311,9 +391,11 @@ def _phi_update(state, op, potential, cfg):
     return phi_data, (phi_data - phi_n) / dt, iters, Bphi
 
 
-def _theta_update(state, v_new, f_next, cfg):
+def _theta_update(state, v_new, f_next, cfg, temperature_inverse=None):
     """Exact SPD solve ``(I - dt lap) theta = theta^n + dt (f - v^{n+1})``
-    on the arrays ``v_new`` and ``f_next`` (``None`` without a source).
+    on the arrays ``v_new`` and ``f_next`` (``None`` without a source):
+    one product with the kept ``temperature_inverse = (I - dt lap_N)^{-1}``
+    when given, otherwise the cosine-basis solve.
 
     Returns the arrays ``theta`` and ``lap theta = (theta - rhs)/dt``, the
     latter computed in the right-hand side's buffer.
@@ -324,20 +406,25 @@ def _theta_update(state, v_new, f_next, cfg):
         rhs = theta_n - dt * v_new
     else:
         rhs = theta_n + dt * (f_next - v_new)
-    theta = neumann_solve(state.theta.grid, rhs, 1.0, dt)
+    if temperature_inverse is None:
+        theta = neumann_solve(state.theta.grid, rhs, 1.0, dt)
+    else:
+        theta = temperature_inverse @ rhs
     lap_theta = np.subtract(theta, rhs, out=rhs)
     lap_theta /= dt
     return theta, lap_theta
 
 
-def _advance(state, op, potential, f_next, cfg):
-    """One semi-implicit step of the system ``op`` selects; the new state's
-    fields are the only ones the step builds.  It carries ``B phi`` and
-    the previous ``B phi`` for its energy record and the next predictor,
-    and ``lap theta`` from the temperature solve."""
-    phi, v, _, B_phi = _phi_update(state, op, potential, cfg)
+def _advance(state, op, potential, f_next, cfg, dense=None):
+    """One semi-implicit step of the system ``op`` selects, on the kept
+    :class:`DenseInverses` ``dense`` when given; the new state's fields
+    are the only ones the step builds.  It carries ``B phi`` and the
+    previous ``B phi`` for its energy record and the next predictor, and
+    ``lap theta`` from the temperature solve."""
+    temperature, phase = dense or (None, None)
+    phi, v, _, B_phi = _phi_update(state, op, potential, cfg, phase)
     theta, lap_theta = _theta_update(
-        state, v, None if f_next is None else f_next.data, cfg
+        state, v, None if f_next is None else f_next.data, cfg, temperature
     )
     grid = state.phi.grid
     return State(
@@ -351,18 +438,19 @@ def _advance(state, op, potential, f_next, cfg):
     )
 
 
-def step_nonlocal(state, op, potential, f_next, cfg):
+def step_nonlocal(state, op, potential, f_next, cfg, dense=None):
     """One semi-implicit step of the kernel-operator system under the
-    source field ``f_next`` (``None`` for none); the new state carries
-    ``B_eps phi`` for its energy record and the next predictor."""
-    return _advance(state, op, potential, f_next, cfg)
+    source field ``f_next`` (``None`` for none), on the kept inverses
+    ``dense`` when given; the new state carries ``B_eps phi`` for its
+    energy record and the next predictor."""
+    return _advance(state, op, potential, f_next, cfg, dense)
 
 
-def step_local(state, potential, f_next, cfg):
+def step_local(state, potential, f_next, cfg, dense=None):
     """One semi-implicit step of the Laplacian system (same scheme); the new
     state carries ``-lap_N phi`` for its energy record and the next
     predictor."""
-    return _advance(state, None, potential, f_next, cfg)
+    return _advance(state, None, potential, f_next, cfg, dense)
 
 
 # --- energy bookkeeping ---------------------------------------------------------
@@ -448,6 +536,10 @@ def solve_trajectory(op, data, potential, cfg, source=None):
     Snapshots are stored at roughly ``cfg.snapshots`` evenly spaced steps
     plus the initial and final states; an energy record is emitted every
     step.  Solver failures abort with the step index in the message.
+
+    On a 1D grid of at most ``MAX_DENSE_CELLS`` cells the run keeps the
+    :class:`DenseInverses` of its two constant linear parts, built once
+    and dropped on return, and every step solves on them.
     """
     grid = data.grid
     vol = grid.cell_volume
@@ -475,6 +567,7 @@ def solve_trajectory(op, data, potential, cfg, source=None):
         "max_step_residual": 0.0,
     }
 
+    dense = dense_inverses(op, grid, dt)
     f_next = None
     source_mass = 0.0  # h^d sum(f), fixed at 0 without a source
     for k in range(1, n_steps + 1):
@@ -485,9 +578,9 @@ def solve_trajectory(op, data, potential, cfg, source=None):
         try:
             prev = state
             if op is None:
-                state = step_local(prev, potential, f_next, cfg)
+                state = step_local(prev, potential, f_next, cfg, dense)
             else:
-                state = step_nonlocal(prev, op, potential, f_next, cfg)
+                state = step_nonlocal(prev, op, potential, f_next, cfg, dense)
             state.t = t_next
         except SolverError as err:
             raise SolverError(f"step {k} (t={t_next:.6g}): {err}") from err

@@ -33,6 +33,13 @@ discrete identity
     E_eps(u) = 1/2 (B_eps u, u)_H
 
 holds to roundoff against the direct double sum.
+
+On a 1D grid of at most ``MAX_DENSE_CELLS`` cells the time step keeps
+dense inverses of ``a I + b B`` instead (:func:`dense_inverse`): one
+matrix-vector product there costs less than NumPy's per-call overhead on
+a transform pair or a CG loop.  The kernel matrix is assembled from the
+plan's weights and ``a_eps`` and inverted by banded elimination in
+NumPy; the Laplacian's is the matrix of the cosine-basis solve.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ from .fields import (
     dual_norm,
     inner_product,
     laplacian,
+    neumann_inverse,
 )
 from .kernels import EvaluatedKernel, tabulate_kernel
 
@@ -56,6 +64,15 @@ from .kernels import EvaluatedKernel, tabulate_kernel
 # padded FFT (numpy 2.4, one core), direct taps won at 129 taps for
 # n = 512 ... 32768 and lost at 257 taps for n = 4096 and at 513 taps.
 MAX_DIRECT_TAPS = 129
+
+# 1D grids of at most this many cells keep dense inverses of the time
+# step's two constant linear parts (:func:`dense_inverse`).  Against the
+# phase CG on direct taps and the temperature's FFT round trip (numpy 2.4,
+# one core, 500 steps at dt = 1e-3 and h = eps/8, the build included),
+# runs on the kept inverses won at 160 and 256 cells, kernel and
+# Laplacian alike; at 320 cells the two paths came within the host's
+# run-to-run noise of each other.
+MAX_DENSE_CELLS = 256
 
 
 def _fast_len(target):
@@ -276,6 +293,62 @@ def shifted_matvec(op, grid, shift, scratch):
         return matvec
     diagonal = op.a_eps.data + shift
     return lambda x: apply_B_eps(op, x, diagonal)
+
+
+def dense_inverse(op, grid, a, b=1.0):
+    """``(a I + b B)^{-1}`` as a dense matrix on the 1D ``grid``, for the
+    problem ``op`` selects: ``B_eps`` of ``op``, or ``-lap_N`` when ``op``
+    is ``None``; needs ``a > 0`` and ``b >= 0``.
+
+    For ``-lap_N`` it is the matrix :func:`~pfnl.fields.neumann_solve`
+    applies (:func:`~pfnl.fields.neumann_inverse`).  For ``B_eps`` the
+    matrix ``a I + b B_eps`` is assembled from the plan's weights (so a
+    rescaled window reaches it too) and ``a_eps``, as
+    ``diag(a + b a_eps)`` minus ``b`` times the banded Toeplitz matrix of
+    the window restricted to the box, and inverted by
+    :func:`_banded_inverse`.
+    """
+    if op is None:
+        return neumann_inverse(grid, a, b)
+    (n,) = grid.n
+    weights = op.plan.weights
+    (w,) = op.plan.kernel.halfwidth  # at most n - 1
+    matrix = np.zeros((n, n))
+    flat = matrix.reshape(-1)
+    for o in range(-w, w + 1):
+        # the entries (i, i + o) hold -b weights[w - o]: the full
+        # convolution sums weights[k] u[i + w - k]
+        start, stop = (o, n * (n - o)) if o >= 0 else (-o * n, None)
+        flat[start:stop : n + 1] = -b * weights[w - o]
+    flat[:: n + 1] += a + b * op.a_eps.data
+    return _banded_inverse(matrix, w)
+
+
+def _banded_inverse(matrix, w):
+    """Inverse of the symmetric positive definite ``matrix`` of
+    half-bandwidth ``w``, which is overwritten.
+
+    Gaussian elimination without pivoting (stable for such matrices)
+    leaves the upper factor ``U`` of ``matrix = L U`` in ``matrix`` and
+    builds ``L^{-1}`` in the result, a band of multipliers per pivot; back
+    substitution by ``U`` then turns the result into the inverse, one row
+    at a time.  No ``n x n`` work array beyond ``matrix`` and the result is
+    allocated, and no LAPACK routine is called: on the default 1D
+    ``converge``, ``np.linalg.inv`` raised the peak resident memory by
+    about 1 MB, the work buffers and code that it leaves resident.
+    """
+    n = len(matrix)
+    inverse = np.eye(n)
+    for k in range(n - 1):
+        rows = slice(k + 1, min(k + w + 1, n))
+        multipliers = matrix[rows, k] / matrix[k, k]
+        matrix[rows, rows] -= np.multiply.outer(multipliers, matrix[k, rows])
+        inverse[rows, : k + 1] -= np.multiply.outer(multipliers, inverse[k, : k + 1])
+    for k in range(n - 1, -1, -1):
+        rows = slice(k + 1, min(k + w + 1, n))
+        inverse[k] -= matrix[k, rows] @ inverse[rows]
+        inverse[k] /= matrix[k, k]
+    return inverse
 
 
 def apply_B(op, u):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -328,6 +329,42 @@ class TestStudy:
         )
         nonlocal_to_local_study(sweep)
         assert sorted(built) == [0.1, 0.2]
+
+    def test_one_B_and_beta_per_snapshot(self, family, monkeypatch):
+        # each run applies B and samples beta once per snapshot, and the
+        # compared widths' estimates share them with the images
+        calls = {"B": 0, "beta": 0}
+        real_B = analysis.apply_B
+
+        def counting_B(op, u):
+            calls["B"] += 1
+            return real_B(op, u)
+
+        pot = make_double_well()
+        real_beta = pot.beta
+
+        def counting_beta(r):
+            calls["beta"] += 1
+            return real_beta(r)
+
+        # the sweep's own potential samples only the snapshots; solve_trajectory
+        # gets the original, so its per-step calls are not counted
+        sweep_pot = dataclasses.replace(pot, beta=counting_beta)
+        real_solve = analysis.solve_trajectory
+        monkeypatch.setattr(analysis, "apply_B", counting_B)
+        monkeypatch.setattr(
+            analysis, "solve_trajectory",
+            lambda op, data, potential, *a, **k: real_solve(op, data, pot, *a, **k),
+        )
+        sweep = SweepConfig(
+            family=family,
+            potential=sweep_pot,
+            scheme=SchemeConfig(dt=4e-3, T=0.02, snapshots=5),
+            eps_list=(0.2, 0.1),
+        )
+        nonlocal_to_local_study(sweep)
+        snapshots = 1 + 5  # the initial state and five snapshots per run
+        assert calls == {"B": 3 * snapshots, "beta": 3 * snapshots}
 
     @pytest.mark.parametrize("reference", ["local-solve", "finest-eps"])
     def test_each_trajectory_released_before_the_next_solve(

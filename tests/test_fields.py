@@ -23,6 +23,7 @@ from pfnl.fields import (
     grad_inner,
     inner_product,
     laplacian,
+    neumann_inverse,
     neumann_laplacian,
     neumann_solve,
     norm,
@@ -237,6 +238,18 @@ class TestNeumannSolve:
         assert np.max(np.abs(w - ref)) <= 1e-13 * np.max(np.abs(ref))
         roundoff = 16 * np.finfo(np.float64).eps * np.sum(np.abs(rhs))
         assert np.sum(w) == pytest.approx(np.sum(rhs) / a, rel=0.0, abs=roundoff)
+
+    @pytest.mark.parametrize("n", [4, 5, 40, 161, 256])
+    @pytest.mark.parametrize("a,b", [(1.0, 1.0), (1.0, 1e-3), (1.001e6, 1.0)])
+    def test_1d_inverse_is_the_solve(self, n, a, b, rng):
+        # the dense matrix applies the 1D solve: equal to roundoff, with the
+        # column sums 1/a, so a product conserves mass like the solve
+        grid = Grid.line(n)
+        inverse = neumann_inverse(grid, a, b)
+        rhs = rng.normal(size=n)
+        w = neumann_solve(grid, rhs, a, b)
+        assert np.max(np.abs(inverse @ rhs - w)) <= 1e-14 * np.max(np.abs(w))
+        assert np.max(np.abs(inverse.sum(axis=0) * a - 1.0)) <= 1e-14
 
     @pytest.mark.parametrize(
         "n",

@@ -21,8 +21,10 @@ from pfnl.fields import (
 )
 from pfnl.kernels import build_kernel_family, make_profile
 from pfnl.operators import (
+    MAX_DENSE_CELLS,
     apply_B_array,
     build_nonlocal_operator,
+    dense_inverse,
     energy_local,
     energy_nonlocal,
 )
@@ -34,9 +36,11 @@ from pfnl.physics import (
     make_source,
 )
 from pfnl.integrator import (
+    MAX_SERIES_RATIO,
     SchemeConfig,
     State,
     _phi_update,
+    _series_solve,
     energy_balance_residual,
     solve_trajectory,
     step_local,
@@ -398,8 +402,10 @@ class TestAppliedOnlyToNewDirections:
         return build_kernel_family(make_profile("polynomial-bump"), 2, 0.0)
 
     @staticmethod
-    def smooth_problem(fam, dimension):
-        grid = Grid.line(40) if dimension == 1 else Grid.box(20)
+    def smooth_problem(fam, dimension, n=None):
+        if n is None:
+            n = 40 if dimension == 1 else 20
+        grid = Grid.line(n) if dimension == 1 else Grid.box(n)
         pot = make_double_well()
         return grid, pot, build_initial_data("smooth-default", grid, [0.2], fam, pot)
 
@@ -453,20 +459,26 @@ class TestAppliedOnlyToNewDirections:
         assert calls <= budget + 2
 
     @pytest.mark.parametrize(
-        "dimension, problem, newton_iters, cg_iters",
-        [(1, "nonlocal", 40, 237), (1, "local", 40, 237),
-         (2, "nonlocal", 40, 240), (2, "local", 40, 177)],
-        ids=["1d-nonlocal", "1d-local", "2d-nonlocal", "2d-local"],
+        "dimension, problem, n, newton_iters, cg_iters",
+        [(1, "nonlocal", 40, 40, 0), (1, "local", 40, 40, 0),
+         (1, "nonlocal", 320, 40, 238), (1, "local", 320, 40, 1376),
+         (2, "nonlocal", 20, 40, 240), (2, "local", 20, 40, 177)],
+        ids=["1d-nonlocal", "1d-local", "1d-nonlocal-above-cutoff",
+             "1d-local-above-cutoff", "2d-nonlocal", "2d-local"],
     )
     def test_iteration_totals(
-        self, family, family2d, dimension, problem, newton_iters, cg_iters,
+        self, family, family2d, dimension, problem, n, newton_iters, cg_iters,
         monkeypatch,
     ):
         # Newton and CG totals of a fixed smooth 20-step run at dt = 1e-2;
         # CG's relative stopping test does not see the Newton system's
-        # scale, so the dt^2-scaled system gives the same totals
+        # scale, so the dt^2-scaled system gives the same totals.  A 1D
+        # grid of at most MAX_DENSE_CELLS cells solves every Newton
+        # increment on its kept inverse and runs no CG.
+        if dimension == 1:
+            assert (n > operators.MAX_DENSE_CELLS) == (cg_iters > 0)
         fam = family if dimension == 1 else family2d
-        grid, pot, data = self.smooth_problem(fam, dimension)
+        grid, pot, data = self.smooth_problem(fam, dimension, n)
         op = build_nonlocal_operator(fam, 0.2, grid) if problem == "nonlocal" else None
         totals = {"newton": 0, "cg": 0}
         phi_update = integrator._phi_update
@@ -561,6 +573,96 @@ class TestPhaseCG:
         state = State(0.0, zeros(grid), phi, zeros(grid))
         with pytest.raises(SolverError, match="phase CG did not converge in 1 iter"):
             _phi_update(state, None, make_double_well(), SchemeConfig(dt=0.1, T=0.5))
+
+
+class TestDenseSolves:
+    """Small 1D grids solve both linear systems of a step on kept dense
+    inverses: the temperature by one product, each Newton increment by a
+    Neumann series on ``(B + D0 I)^{-1}``, with CG only when the series'
+    factor ``rho = max(beta', 0)/D0`` exceeds ``MAX_SERIES_RATIO``."""
+
+    @staticmethod
+    def counting_cg(monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return fields.cg(*args, **kwargs)
+
+        monkeypatch.setattr(integrator, "cg", counting)
+        return calls
+
+    @pytest.mark.parametrize("rho", [0.0, 1e-3, 0.1, MAX_SERIES_RATIO])
+    @pytest.mark.parametrize("rtol", [1e-12, 1e-8])
+    @pytest.mark.parametrize("problem", ["nonlocal", "local"])
+    def test_series_meets_cg_tolerance(self, family, problem, rho, rtol, rng):
+        grid = Grid.line(64)
+        op = build_nonlocal_operator(family, 0.1, grid) if problem == "nonlocal" else None
+        shift = (1.0 + 0.05) / 0.05**2
+        beta_plus = rng.random(grid.shape)
+        beta_plus *= rho * shift / beta_plus.max()
+        rhs = rough_field(grid, rng).data
+        delta = _series_solve(dense_inverse(op, grid, shift), beta_plus, rhs, rho, rtol)
+        residual = apply_B_array(op, grid, delta) + (shift + beta_plus) * delta - rhs
+        assert np.linalg.norm(residual) <= rtol * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("problem", ["nonlocal", "local"])
+    def test_large_rho_falls_back_to_cg(self, family, problem, monkeypatch):
+        # at dt = 0.1, D0 = 110: beta' = 3 phi^2 reaches 48 for phi = 4 cos(pi x),
+        # so rho = 0.44, while phi = cos(pi x) gives rho = 0.027
+        grid = Grid.line(64)
+        op = build_nonlocal_operator(family, 0.2, grid) if problem == "nonlocal" else None
+        cfg = SchemeConfig(dt=0.1, T=0.5)
+        inverse = dense_inverse(op, grid, (1.0 + cfg.dt) / cfg.dt**2)
+        calls = self.counting_cg(monkeypatch)
+        for amplitude, runs_cg in ((4.0, True), (1.0, False)):
+            phi = field_from_function(grid, lambda x: amplitude * np.cos(np.pi * x))
+            state = State(0.0, zeros(grid), phi, zeros(grid))
+            pot = make_double_well()
+            calls.clear()
+            dense = _phi_update(state, op, pot, cfg, inverse)
+            assert bool(calls) == runs_cg
+            reference = _phi_update(state, op, pot, cfg)
+            assert dense[2] == reference[2]
+            scale = np.max(np.abs(reference[0]))
+            assert np.max(np.abs(dense[0] - reference[0])) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("problem", ["nonlocal", "local"])
+    def test_trajectory_matches_cg_run(self, family, problem, monkeypatch):
+        grid = Grid.line(160)
+        pot = make_double_well()
+        data = build_initial_data("smooth-default", grid, [0.05], family, pot)
+        op = build_nonlocal_operator(family, 0.05, grid) if problem == "nonlocal" else None
+        cfg = SchemeConfig(dt=1e-3, T=0.05, snapshots=5)
+        calls = self.counting_cg(monkeypatch)
+        dense = solve_trajectory(op, data, pot, cfg)
+        assert calls == []
+        monkeypatch.setattr(integrator, "MAX_DENSE_CELLS", 0)
+        reference = solve_trajectory(op, data, pot, cfg)
+        assert len(calls) == cfg.num_steps
+        for a, b in zip(dense.states, reference.states):
+            for name in ("theta", "phi", "v"):
+                x, y = getattr(a, name).data, getattr(b, name).data
+                assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
+
+    @pytest.mark.parametrize(
+        "dimension, n, runs_cg",
+        [(1, 40, False), (1, MAX_DENSE_CELLS, False), (1, MAX_DENSE_CELLS + 1, True),
+         (2, 16, True)],
+        ids=["1d-small", "1d-at-cutoff", "1d-above-cutoff", "2d"],
+    )
+    @pytest.mark.parametrize("problem", ["nonlocal", "local"])
+    def test_routing(self, family, problem, dimension, n, runs_cg, monkeypatch):
+        fam = family if dimension == 1 else build_kernel_family(
+            make_profile("polynomial-bump"), 2, 0.0
+        )
+        grid = Grid.line(n) if dimension == 1 else Grid.box(n)
+        pot = make_double_well()
+        data = build_initial_data("smooth-default", grid, [0.25], fam, pot)
+        op = build_nonlocal_operator(fam, 0.25, grid) if problem == "nonlocal" else None
+        calls = self.counting_cg(monkeypatch)
+        solve_trajectory(op, data, pot, SchemeConfig(dt=1e-3, T=3e-3))
+        assert len(calls) == (3 if runs_cg else 0)
 
 
 class TestSchemeConfig:

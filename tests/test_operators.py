@@ -33,6 +33,7 @@ from pfnl.operators import (
     bbm_bound_ratio,
     build_nonlocal_operator,
     build_plan,
+    dense_inverse,
     energy_double_sum,
     energy_local,
     energy_nonlocal,
@@ -361,6 +362,25 @@ class TestShiftedMatvec:
         got = shifted_matvec(op, grid, diagonal, np.empty(grid.shape))(x)
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
         assert np.array_equal(diagonal, kept)
+
+
+class TestDenseInverse:
+    """The kept ``(a I + b B)^{-1}`` of a small 1D run, against ``B``
+    assembled column by column from :func:`apply_B`.  The pairs ``(a, b)``
+    are the phase shifts ``((1+dt)/dt^2, 1)`` at dt = 1e-3 and 0.1, and the
+    temperature's ``(1, dt)`` at dt = 1e-3."""
+
+    @pytest.mark.parametrize("a, b", [(1.001e6, 1.0), (110.0, 1.0), (1.0, 1e-3)])
+    @pytest.mark.parametrize("eps", [0.5, 0.1, None], ids=["eps0.5", "eps0.1", "local"])
+    def test_inverts_shifted_B(self, family1d, eps, a, b):
+        grid = Grid.line(64)
+        op = None if eps is None else build_nonlocal_operator(family1d, eps, grid)
+        identity = np.eye(grid.num_cells)
+        shifted = np.stack(
+            [a * e + b * apply_B(op, Field(grid, e)).data for e in identity], axis=1
+        )
+        inverse = dense_inverse(op, grid, a, b)
+        assert np.max(np.abs(shifted @ inverse - identity)) <= 1e-12
 
 
 class TestApplyBLocal:
