@@ -450,7 +450,6 @@ def _solve(sweep, grid, coarse, op=None, monitor=False):
         sweep.potential,
         c1_bound=sweep.c1_bound,
         rule=sweep.rule,
-        strict=False,
         operators=widths,
     )
     traj = solve_trajectory(op, data, sweep.potential, sweep.scheme,

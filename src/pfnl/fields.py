@@ -7,15 +7,18 @@ faces so that ``(-lap(u), w)_H == (grad u, grad w)_H`` holds to machine
 precision; that exact integration-by-parts is what makes the energy
 identities downstream hold at the discrete level.
 
-Every ``(a I - b lap_N)`` solve goes through :func:`neumann_solve`: the
+Every ``(a I - b lap_N)`` solve goes through :func:`neumann_solve`, the
+temperature step and the Riesz map behind every dual norm alike: the
 cosine basis diagonalizes the reflected-ghost-cell Laplacian exactly, so
 the solve is a transform pair and one multiply by kept gains.  Both
 paths run on numpy's FFT, so no run imports ``scipy``.  A 1D solve
 transforms the even extension, with gains kept per ``(grid, a, b)``; a
 2D solve goes through a :class:`CosinePlan`, Makhoul's DCT-II by a real
 FFT of the same size, kept per grid value (:func:`cosine_plan`) with its
-work arrays and gains.  :func:`neumann_inverse` is the dense matrix of the
-1D solve, which small 1D time steps keep and apply in its place.
+work arrays and gains.  On a 1D grid of at most :data:`MAX_DENSE_CELLS`
+cells (:func:`is_dense_grid`) the solve is instead one product with
+:func:`neumann_inverse`, the dense matrix of the 1D transform solve, kept
+per ``(grid, a, b)``.
 
 Dual-space machinery: the pivot identification of L2 with its dual turns
 the H1 Riesz map into the SPD operator ``F = I - lap_N``.  ``dual_norm``
@@ -47,6 +50,16 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, GridMismatchError, SolverError
+
+# 1D grids of at most this many cells apply dense inverses: the Neumann
+# solve's (:func:`neumann_inverse`) and the phase Newton's
+# (:func:`pfnl.operators.dense_inverse`).  Against the phase CG on direct
+# taps and the temperature's FFT round trip (numpy 2.4, one core, 500 steps
+# at dt = 1e-3 and h = eps/8, the build included), runs on the kept
+# inverses won at 160 and 256 cells, kernel and Laplacian alike; at 320
+# cells the two paths came within the host's run-to-run noise of each
+# other.
+MAX_DENSE_CELLS = 256
 
 
 @dataclass(frozen=True)
@@ -197,10 +210,6 @@ def _require_same_grid(u, w):
 
 def zeros(grid):
     return Field(grid, np.zeros(grid.shape))
-
-
-def ones(grid):
-    return Field(grid, np.ones(grid.shape))
 
 
 def field_from_function(grid, fn):
@@ -397,6 +406,14 @@ def cosine_plan(n, spacing):
     return CosinePlan(n, spacing)
 
 
+def is_dense_grid(grid):
+    """Whether ``grid`` is a 1D grid of at most :data:`MAX_DENSE_CELLS`
+    cells, on which a linear solve is one product with a kept dense
+    inverse: one matrix-vector product there costs less than NumPy's
+    per-call overhead on a transform pair or a CG loop."""
+    return grid.dimension == 1 and grid.num_cells <= MAX_DENSE_CELLS
+
+
 def neumann_solve(grid, rhs, a, b):
     """Solve ``(a I - b lap_N) w = rhs`` exactly for ``a > 0, b >= 0``.
 
@@ -410,12 +427,16 @@ def neumann_solve(grid, rhs, a, b):
     ``(rhs, rhs[::-1])``, on which the periodic second difference equals
     the reflected-ghost-cell one (the DCT-II up to scaling; Strang, SIAM
     Review 1999), and the coefficients are multiplied by gains kept per
-    ``(grid, a, b)`` (:func:`_even_extension_gains`).  In 2D it is
+    ``(grid, a, b)`` (:func:`_even_extension_gains`); on a grid that
+    :func:`is_dense_grid` accepts, the solve is one product with the kept
+    matrix of that transform solve (:func:`neumann_inverse`).  In 2D it is
     Makhoul's DCT-II on numpy's FFT, run by the grid's :func:`cosine_plan`
     in the plan's kept work arrays, so a solve allocates only its result;
     one plan, and so one grid value, must not be solved on from two
     threads at once.
     """
+    if is_dense_grid(grid):
+        return neumann_inverse(grid, a, b) @ rhs
     if grid.dimension == 1:
         n = grid.n[0]
         coeffs = np.fft.rfft(np.concatenate((rhs, rhs[::-1])))
@@ -424,9 +445,11 @@ def neumann_solve(grid, rhs, a, b):
     return cosine_plan(grid.n, grid.spacing).solve(rhs, a, b)
 
 
+@functools.lru_cache(maxsize=8)
 def neumann_inverse(grid, a, b):
     """``(a I - b lap_N)^{-1}`` on the 1D ``grid`` as a dense matrix: the
-    matrix that :func:`neumann_solve` applies, built from the same gains.
+    matrix of the even-extension transform solve, built from the same
+    gains.  Kept read-only per ``(grid, a, b)`` value, the last 8.
 
     The 1D solve is the circular convolution of the even extension with
     ``t = irfft(gains)`` (length ``2n``), so entry ``(i, j)`` is
@@ -439,7 +462,9 @@ def neumann_inverse(grid, a, b):
     # row i of the Toeplitz view reads t[(i - j) mod 2n] at column j
     toeplitz = sliding_window_view(np.concatenate((t[n + 1 :], t[:n])), n)[:, ::-1]
     hankel = sliding_window_view(t[1:], n)
-    return np.add(toeplitz, hankel)
+    inverse = np.add(toeplitz, hankel)
+    inverse.flags.writeable = False
+    return inverse
 
 
 def cg(matvec, b, rtol, maxiter, callback=None):

@@ -17,19 +17,17 @@ monotone; CG's matvec ``B x + D x``, with the diagonal
 Newton iteration, is one application of ``B``, see
 :func:`pfnl.operators.shifted_matvec`), with ``pi`` and the temperature
 taken explicitly.  The temperature subsystem then sees the fresh phase
-velocity and is one exact ``(I - dt lap_N)`` solve by the DCT
-(:func:`pfnl.fields.neumann_solve`).
+velocity and is one exact ``(I - dt lap_N)`` solve
+(:func:`pfnl.fields.neumann_solve`, which applies its kept dense matrix on
+small 1D grids).
 
-Both systems have constant parts: ``I - dt lap_N`` and ``B + D0 I``.  On a
-1D grid of at most ``MAX_DENSE_CELLS`` cells (see :mod:`pfnl.operators`),
-:func:`solve_trajectory` keeps their dense inverses for the run
-(:class:`DenseInverses`), where one matrix-vector product costs less than
-NumPy's per-call overhead on a transform pair or a CG loop.  The
-temperature step is then one product, and each Newton increment is the
-Neumann series ``sum_j (-M diag(beta'+))^j M r`` with
-``M = (B + D0 I)^{-1}``, a few products that meet CG's relative residual
-a priori, because ``|M diag(beta'+)|_2 <= max(beta'+)/D0 = rho``.  A step
-with ``rho > MAX_SERIES_RATIO`` falls back to CG.
+On a 1D grid that :func:`pfnl.fields.is_dense_grid` accepts,
+:func:`solve_trajectory` also keeps ``M = (B + D0 I)^{-1}`` for the run
+(:func:`pfnl.operators.dense_inverse`).  Each Newton increment is then
+the Neumann series ``sum_j (-M diag(beta'+))^j M r``, a few products that
+meet CG's relative residual a priori, because
+``|M diag(beta'+)|_2 <= max(beta'+)/D0 = rho``.  A step with
+``rho > MAX_SERIES_RATIO`` falls back to CG.
 
 Implicit treatment of ``B`` matters: the nonlocal operator norm grows
 like ``1/eps^2``, so an explicit coupling would put a dt ceiling
@@ -75,14 +73,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SolverError
 from .fields import Field, cg, grad_inner, inner_product, neumann_solve
 from .operators import (
-    MAX_DENSE_CELLS,
     apply_B_array,
     dense_inverse,
     energy_from_applied,
@@ -195,27 +191,6 @@ class Trajectory:
     records: list
     phi_tt_snapshots: list
     aux: dict = field(default_factory=dict)
-
-
-class DenseInverses(NamedTuple):
-    """The kept inverses of a step's two constant linear parts on a small
-    1D grid: ``temperature = (I - dt lap_N)^{-1}`` and
-    ``phase = (B + D0 I)^{-1}`` with ``D0 = (1 + dt)/dt^2``."""
-
-    temperature: np.ndarray
-    phase: np.ndarray
-
-
-def dense_inverses(op, grid, dt):
-    """The :class:`DenseInverses` of the problem ``op`` selects at time step
-    ``dt``, on a 1D grid of at most ``MAX_DENSE_CELLS`` cells; ``None``
-    otherwise."""
-    if grid.dimension != 1 or grid.num_cells > MAX_DENSE_CELLS:
-        return None
-    return DenseInverses(
-        temperature=dense_inverse(None, grid, 1.0, dt),
-        phase=dense_inverse(op, grid, (1.0 + dt) / (dt * dt)),
-    )
 
 
 # --- single-equation solves ----------------------------------------------------
@@ -338,7 +313,7 @@ def _phi_update(state, op, potential, cfg, phase_inverse=None):
             )
         # the residual's Jacobian over dt^2 is B + diag(D), with
         # D = D0 + max(beta', 0)
-        beta_plus = np.maximum(potential.beta_derivative(phi_data), 0.0)
+        beta_plus = np.maximum(potential.beta_prime(phi_data), 0.0)
         rhs = np.multiply(res, -1.0 / dt_sq)
         rho = math.inf  # the series' factor, on a kept inverse only
         if phase_inverse is not None:
@@ -391,11 +366,9 @@ def _phi_update(state, op, potential, cfg, phase_inverse=None):
     return phi_data, (phi_data - phi_n) / dt, iters, Bphi
 
 
-def _theta_update(state, v_new, f_next, cfg, temperature_inverse=None):
+def _theta_update(state, v_new, f_next, cfg):
     """Exact SPD solve ``(I - dt lap) theta = theta^n + dt (f - v^{n+1})``
-    on the arrays ``v_new`` and ``f_next`` (``None`` without a source):
-    one product with the kept ``temperature_inverse = (I - dt lap_N)^{-1}``
-    when given, otherwise the cosine-basis solve.
+    on the arrays ``v_new`` and ``f_next`` (``None`` without a source).
 
     Returns the arrays ``theta`` and ``lap theta = (theta - rhs)/dt``, the
     latter computed in the right-hand side's buffer.
@@ -406,25 +379,21 @@ def _theta_update(state, v_new, f_next, cfg, temperature_inverse=None):
         rhs = theta_n - dt * v_new
     else:
         rhs = theta_n + dt * (f_next - v_new)
-    if temperature_inverse is None:
-        theta = neumann_solve(state.theta.grid, rhs, 1.0, dt)
-    else:
-        theta = temperature_inverse @ rhs
+    theta = neumann_solve(state.theta.grid, rhs, 1.0, dt)
     lap_theta = np.subtract(theta, rhs, out=rhs)
     lap_theta /= dt
     return theta, lap_theta
 
 
-def _advance(state, op, potential, f_next, cfg, dense=None):
+def _advance(state, op, potential, f_next, cfg, phase_inverse=None):
     """One semi-implicit step of the system ``op`` selects, on the kept
-    :class:`DenseInverses` ``dense`` when given; the new state's fields
+    ``phase_inverse = (B + D0 I)^{-1}`` when given; the new state's fields
     are the only ones the step builds.  It carries ``B phi`` and the
     previous ``B phi`` for its energy record and the next predictor, and
     ``lap theta`` from the temperature solve."""
-    temperature, phase = dense or (None, None)
-    phi, v, _, B_phi = _phi_update(state, op, potential, cfg, phase)
+    phi, v, _, B_phi = _phi_update(state, op, potential, cfg, phase_inverse)
     theta, lap_theta = _theta_update(
-        state, v, None if f_next is None else f_next.data, cfg, temperature
+        state, v, None if f_next is None else f_next.data, cfg
     )
     grid = state.phi.grid
     return State(
@@ -438,19 +407,19 @@ def _advance(state, op, potential, f_next, cfg, dense=None):
     )
 
 
-def step_nonlocal(state, op, potential, f_next, cfg, dense=None):
+def step_nonlocal(state, op, potential, f_next, cfg, phase_inverse=None):
     """One semi-implicit step of the kernel-operator system under the
-    source field ``f_next`` (``None`` for none), on the kept inverses
-    ``dense`` when given; the new state carries ``B_eps phi`` for its
-    energy record and the next predictor."""
-    return _advance(state, op, potential, f_next, cfg, dense)
+    source field ``f_next`` (``None`` for none), on the kept
+    ``phase_inverse`` when given; the new state carries ``B_eps phi`` for
+    its energy record and the next predictor."""
+    return _advance(state, op, potential, f_next, cfg, phase_inverse)
 
 
-def step_local(state, potential, f_next, cfg, dense=None):
+def step_local(state, potential, f_next, cfg, phase_inverse=None):
     """One semi-implicit step of the Laplacian system (same scheme); the new
     state carries ``-lap_N phi`` for its energy record and the next
     predictor."""
-    return _advance(state, None, potential, f_next, cfg, dense)
+    return _advance(state, None, potential, f_next, cfg, phase_inverse)
 
 
 # --- energy bookkeeping ---------------------------------------------------------
@@ -537,9 +506,9 @@ def solve_trajectory(op, data, potential, cfg, source=None):
     plus the initial and final states; an energy record is emitted every
     step.  Solver failures abort with the step index in the message.
 
-    On a 1D grid of at most ``MAX_DENSE_CELLS`` cells the run keeps the
-    :class:`DenseInverses` of its two constant linear parts, built once
-    and dropped on return, and every step solves on them.
+    On a 1D grid that :func:`pfnl.fields.is_dense_grid` accepts the run
+    keeps ``(B + D0 I)^{-1}`` (:func:`pfnl.operators.dense_inverse`), and
+    every phase Newton solves on it.
     """
     grid = data.grid
     vol = grid.cell_volume
@@ -567,7 +536,7 @@ def solve_trajectory(op, data, potential, cfg, source=None):
         "max_step_residual": 0.0,
     }
 
-    dense = dense_inverses(op, grid, dt)
+    phase_inverse = dense_inverse(op, grid, (1.0 + dt) / (dt * dt))
     f_next = None
     source_mass = 0.0  # h^d sum(f), fixed at 0 without a source
     for k in range(1, n_steps + 1):
@@ -578,9 +547,9 @@ def solve_trajectory(op, data, potential, cfg, source=None):
         try:
             prev = state
             if op is None:
-                state = step_local(prev, potential, f_next, cfg, dense)
+                state = step_local(prev, potential, f_next, cfg, phase_inverse)
             else:
-                state = step_nonlocal(prev, op, potential, f_next, cfg, dense)
+                state = step_nonlocal(prev, op, potential, f_next, cfg, phase_inverse)
             state.t = t_next
         except SolverError as err:
             raise SolverError(f"step {k} (t={t_next:.6g}): {err}") from err

@@ -34,12 +34,13 @@ discrete identity
 
 holds to roundoff against the direct double sum.
 
-On a 1D grid of at most ``MAX_DENSE_CELLS`` cells the time step keeps
-dense inverses of ``a I + b B`` instead (:func:`dense_inverse`): one
-matrix-vector product there costs less than NumPy's per-call overhead on
-a transform pair or a CG loop.  The kernel matrix is assembled from the
-plan's weights and ``a_eps`` and inverted by banded elimination in
-NumPy; the Laplacian's is the matrix of the cosine-basis solve.
+On a 1D grid that :func:`pfnl.fields.is_dense_grid` accepts the time step
+keeps the dense inverse of the phase Newton's ``a I + B`` instead
+(:func:`dense_inverse`).  The kernel matrix is assembled from the plan's
+weights and ``a_eps`` and inverted by banded elimination in NumPy; the
+Laplacian's is the kept matrix of the cosine-basis solve.  The same
+weights build :attr:`NonlocalOperator.kernel_matrix` for the double-sum
+oracles, so every route to ``B_eps`` reads one window.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .fields import (
     Field,
     dual_norm,
     inner_product,
+    is_dense_grid,
     laplacian,
     neumann_inverse,
 )
@@ -64,15 +66,6 @@ from .kernels import EvaluatedKernel, tabulate_kernel
 # padded FFT (numpy 2.4, one core), direct taps won at 129 taps for
 # n = 512 ... 32768 and lost at 257 taps for n = 4096 and at 513 taps.
 MAX_DIRECT_TAPS = 129
-
-# 1D grids of at most this many cells keep dense inverses of the time
-# step's two constant linear parts (:func:`dense_inverse`).  Against the
-# phase CG on direct taps and the temperature's FFT round trip (numpy 2.4,
-# one core, 500 steps at dt = 1e-3 and h = eps/8, the build included),
-# runs on the kept inverses won at 160 and 256 cells, kernel and
-# Laplacian alike; at 320 cells the two paths came within the host's
-# run-to-run noise of each other.
-MAX_DENSE_CELLS = 256
 
 
 def _fast_len(target):
@@ -225,15 +218,15 @@ class NonlocalOperator:
 
     @cached_property
     def kernel_matrix(self):
-        """Dense matrix ``J_eps(x_i - x_j)`` over all cell pairs (small
-        grids), built once per operator and read-only."""
-        kernel = self.plan.kernel
+        """Dense matrix of the plan's weights ``h^d J_eps(x_i - x_j)`` over
+        all cell pairs (small grids), built once per operator and
+        read-only."""
         # a ring of zeros around the window: offsets beyond the support read 0
-        ringed = np.pad(kernel.values, 1)
+        ringed = np.pad(self.plan.weights, 1)
         cells = np.indices(self.grid.shape).reshape(self.grid.dimension, -1)
         idx = tuple(
             np.clip(c[:, None] - c[None, :] + k + 1, 0, 2 * k + 2)
-            for c, k in zip(cells, kernel.halfwidth)
+            for c, k in zip(cells, self.plan.kernel.halfwidth)
         )
         J = ringed[idx]
         J.flags.writeable = False
@@ -295,32 +288,34 @@ def shifted_matvec(op, grid, shift, scratch):
     return lambda x: apply_B_eps(op, x, diagonal)
 
 
-def dense_inverse(op, grid, a, b=1.0):
-    """``(a I + b B)^{-1}`` as a dense matrix on the 1D ``grid``, for the
-    problem ``op`` selects: ``B_eps`` of ``op``, or ``-lap_N`` when ``op``
-    is ``None``; needs ``a > 0`` and ``b >= 0``.
+def dense_inverse(op, grid, a):
+    """``(a I + B)^{-1}`` as a dense matrix, for the problem ``op``
+    selects: ``B_eps`` of ``op``, or ``-lap_N`` when ``op`` is ``None``;
+    needs ``a > 0``.  ``None`` on a grid that
+    :func:`~pfnl.fields.is_dense_grid` rejects.
 
-    For ``-lap_N`` it is the matrix :func:`~pfnl.fields.neumann_solve`
+    For ``-lap_N`` it is the kept matrix :func:`~pfnl.fields.neumann_solve`
     applies (:func:`~pfnl.fields.neumann_inverse`).  For ``B_eps`` the
-    matrix ``a I + b B_eps`` is assembled from the plan's weights (so a
-    rescaled window reaches it too) and ``a_eps``, as
-    ``diag(a + b a_eps)`` minus ``b`` times the banded Toeplitz matrix of
-    the window restricted to the box, and inverted by
-    :func:`_banded_inverse`.
+    matrix ``a I + B_eps`` is assembled from the plan's weights (so a
+    rescaled window reaches it too) and ``a_eps``, as ``diag(a + a_eps)``
+    minus the banded Toeplitz matrix of the window restricted to the box,
+    and inverted by :func:`_banded_inverse`.
     """
+    if not is_dense_grid(grid):
+        return None
     if op is None:
-        return neumann_inverse(grid, a, b)
+        return neumann_inverse(grid, a, 1.0)
     (n,) = grid.n
     weights = op.plan.weights
     (w,) = op.plan.kernel.halfwidth  # at most n - 1
     matrix = np.zeros((n, n))
     flat = matrix.reshape(-1)
     for o in range(-w, w + 1):
-        # the entries (i, i + o) hold -b weights[w - o]: the full
+        # the entries (i, i + o) hold -weights[w - o]: the full
         # convolution sums weights[k] u[i + w - k]
         start, stop = (o, n * (n - o)) if o >= 0 else (-o * n, None)
-        flat[start:stop : n + 1] = -b * weights[w - o]
-    flat[:: n + 1] += a + b * op.a_eps.data
+        flat[start:stop : n + 1] = -weights[w - o]
+    flat[:: n + 1] += a + op.a_eps.data
     return _banded_inverse(matrix, w)
 
 
@@ -384,22 +379,22 @@ def energy_double_sum(op, u):
     J = op.kernel_matrix
     uu = u.data.ravel()
     diff = uu[:, None] - uu[None, :]
-    return 0.25 * op.grid.cell_volume**2 * float(np.sum(J * diff * diff))
+    return 0.25 * op.grid.cell_volume * float(np.sum(J * diff * diff))
 
 
 def frechet_identity_residual(op, u, v, pairing=None):
     """Gap between the operator pairing and the direct double sum.
 
     Evaluates ``|(B_eps u, v)_H - 1/2 sum_ij J_ij (u_i-u_j)(v_i-v_j) h^{2d}|``
-    with the double sum formed pairwise; both routes share one kernel
-    tabulation, so agreement is a pure algebra/roundoff statement.
+    with the double sum formed pairwise; both routes share the plan's
+    weights ``h^d J``, so agreement is a pure algebra/roundoff statement.
     ``pairing``, when given, is ``(B_eps u, v)_H`` already at hand.
     """
     if pairing is None:
         pairing = inner_product("H", apply_B(op, u), v)
     J = op.kernel_matrix
     uu, vv = u.data.ravel(), v.data.ravel()
-    double = 0.5 * op.grid.cell_volume**2 * float(
+    double = 0.5 * op.grid.cell_volume * float(
         np.sum(J * (uu[:, None] - uu[None, :]) * (vv[:, None] - vv[None, :]))
     )
     return abs(pairing - double)

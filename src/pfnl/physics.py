@@ -33,8 +33,7 @@ class PotentialSpec:
     ``beta``, ``beta_hat``, ``pi`` are vectorized scalar maps, whose value
     may also be a scalar that broadcasts against the argument (see
     :func:`sample`); ``q`` and ``c_beta`` calibrate the growth inequality;
-    ``beta_prime`` (optional) feeds the Newton Jacobian, with a
-    finite-difference fallback.
+    ``beta_prime``, the derivative of ``beta``, feeds the Newton Jacobian.
     """
 
     beta: callable
@@ -43,14 +42,7 @@ class PotentialSpec:
     q: float
     c_beta: float
     pi_lipschitz: float
-    beta_prime: callable = None
-
-    def beta_derivative(self, r):
-        r = np.asarray(r, dtype=np.float64)
-        if self.beta_prime is not None:
-            return self.beta_prime(r)
-        dr = 1e-6
-        return (self.beta(r + dr) - self.beta(r - dr)) / (2.0 * dr)
+    beta_prime: callable
 
 
 def make_double_well():
@@ -225,7 +217,6 @@ def build_initial_data(
     c1_bound=10.0,
     rule=None,
     custom=None,
-    strict=True,
     operators=None,
 ):
     """Construct initial data and evaluate the per-eps uniform bound.
@@ -233,9 +224,9 @@ def build_initial_data(
     ``smooth-default`` uses eps-independent smooth data (cosine profiles,
     zero velocity), which keeps the bound trivially uniform; ``custom``
     takes explicit fields via ``custom={"theta0": ..., "phi0": ...,
-    "v0": ...}``.  Every width starts from the same triple.  With ``strict`` a
-    monitor value above ``c1_bound`` raises; otherwise the violation is
-    recorded in ``flags``.  ``operators`` maps a width to its already
+    "v0": ...}``.  Every width starts from the same triple.  A monitor value
+    above ``c1_bound`` raises for custom data and is recorded in ``flags``
+    for ``smooth-default`` data.  ``operators`` maps a width to its already
     built kernel operator; widths it lacks get one built here.
     """
     if kind == "smooth-default":
@@ -259,7 +250,7 @@ def build_initial_data(
                 f"uniform bound violated at eps={eps}: monitor "
                 f"{a5_values[eps]:.6g} > declared {c1_bound:g}"
             )
-            if strict and kind == "custom":
+            if kind == "custom":
                 raise ConfigError(msg)
             flags.append(msg)
 

@@ -23,6 +23,11 @@ def smooth_field(grid, rng, modes=3, amplitude=1.0):
     return Field(grid, data)
 
 
+def ones(grid):
+    """The constant field 1."""
+    return Field(grid, np.ones(grid.shape))
+
+
 def rough_field(grid, rng, amplitude=1.0):
     """Independent normal samples per cell."""
     return Field(grid, amplitude * rng.normal(size=grid.shape))

@@ -13,6 +13,7 @@ import pytest
 from scipy import integrate
 from scipy.linalg import expm
 
+from conftest import ones
 from pfnl import cli
 from pfnl.analysis import (
     SweepConfig,
@@ -27,7 +28,6 @@ from pfnl.fields import (
     field_from_function,
     inner_product,
     norm,
-    ones,
 )
 from pfnl.integrator import SchemeConfig, solve_trajectory
 from pfnl.kernels import build_kernel_family, make_profile, moment_check, sphere_constant

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from pfnl.operators import MAX_DENSE_CELLS
+from pfnl.fields import MAX_DENSE_CELLS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHILD = os.path.join(ROOT, "bench", "child.py")

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rough_field, smooth_field
+from conftest import ones, rough_field, smooth_field
 from pfnl import fields as fields_module
 from pfnl.errors import ConfigError, GridMismatchError
 from pfnl.fields import (
+    MAX_DENSE_CELLS,
     Field,
     Grid,
     atomic_write,
@@ -27,7 +28,6 @@ from pfnl.fields import (
     neumann_laplacian,
     neumann_solve,
     norm,
-    ones,
     read_field,
     restrict,
     riesz_inverse,
@@ -199,6 +199,20 @@ class TestLaplacian:
         assert np.max(np.abs(lap - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def fft_calls(monkeypatch):
+    """A list that gets one entry per call of numpy's FFT functions."""
+    calls = []
+    for name in ("rfft", "irfft", "fft", "ifft"):
+        real = getattr(np.fft, name)
+
+        def counting(*args, _real=real, **kwargs):
+            calls.append(_real.__name__)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    return calls
+
+
 def dense_laplacian(grid):
     """``lap_N`` assembled column by column from :func:`neumann_laplacian`."""
     cols = []
@@ -241,15 +255,40 @@ class TestNeumannSolve:
 
     @pytest.mark.parametrize("n", [4, 5, 40, 161, 256])
     @pytest.mark.parametrize("a,b", [(1.0, 1.0), (1.0, 1e-3), (1.001e6, 1.0)])
-    def test_1d_inverse_is_the_solve(self, n, a, b, rng):
-        # the dense matrix applies the 1D solve: equal to roundoff, with the
-        # column sums 1/a, so a product conserves mass like the solve
+    def test_1d_inverse_is_the_solve(self, n, a, b, rng, monkeypatch):
+        # the dense matrix applies the even-extension solve: equal to
+        # roundoff, with the column sums 1/a, so a product conserves mass
+        # like the solve
         grid = Grid.line(n)
         inverse = neumann_inverse(grid, a, b)
         rhs = rng.normal(size=n)
+        monkeypatch.setattr(fields_module, "MAX_DENSE_CELLS", 0)
         w = neumann_solve(grid, rhs, a, b)
         assert np.max(np.abs(inverse @ rhs - w)) <= 1e-14 * np.max(np.abs(w))
         assert np.max(np.abs(inverse.sum(axis=0) * a - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [40, MAX_DENSE_CELLS, MAX_DENSE_CELLS + 1, 320])
+    @pytest.mark.parametrize("a,b", [(1.0, 1.0), (1.0, 1e-3)])
+    def test_1d_routing(self, n, a, b, rng, monkeypatch):
+        # up to MAX_DENSE_CELLS cells the solve is the kept matrix's
+        # product, bit for bit and with no FFT; above it, the even extension
+        grid = Grid.line(n)
+        rhs = rng.normal(size=n)
+        dense = n <= MAX_DENSE_CELLS
+        if dense:
+            kept = neumann_inverse(grid, a, b) @ rhs
+        calls = fft_calls(monkeypatch)
+        w = neumann_solve(grid, rhs, a, b)
+        if dense:
+            assert calls == []
+            assert np.array_equal(w, kept)
+        else:
+            assert calls == ["rfft", "irfft"]
+
+    def test_1d_inverse_kept_read_only(self):
+        inverse = neumann_inverse(Grid.line(40), 1.0, 1e-3)
+        assert neumann_inverse(Grid.line(40), 1.0, 1e-3) is inverse
+        assert not inverse.flags.writeable
 
     @pytest.mark.parametrize(
         "n",
@@ -360,6 +399,13 @@ class TestDualNorm:
         assert val == pytest.approx(oracle, rel=1e-10)
         # continuum value 1/sqrt(2 (1+pi^2)) ~ 0.2145
         assert val == pytest.approx(1.0 / math.sqrt(2.0 * (1.0 + math.pi**2)), abs=1e-3)
+
+    def test_small_1d_runs_no_fft(self, rng, monkeypatch):
+        u = rough_field(Grid.line(40), rng)
+        first = dual_norm(u)  # builds the kept matrix of I - lap_N
+        calls = fft_calls(monkeypatch)
+        assert dual_norm(u) == first
+        assert calls == []
 
     def test_norm_chain_on_smooth_fields(self, rng):
         g = Grid.line(128)

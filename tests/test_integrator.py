@@ -10,6 +10,7 @@ from conftest import rough_field, smooth_field
 from pfnl import fields, integrator, operators
 from pfnl.errors import SolverError
 from pfnl.fields import (
+    MAX_DENSE_CELLS,
     Field,
     Grid,
     field_from_function,
@@ -21,7 +22,6 @@ from pfnl.fields import (
 )
 from pfnl.kernels import build_kernel_family, make_profile
 from pfnl.operators import (
-    MAX_DENSE_CELLS,
     apply_B_array,
     build_nonlocal_operator,
     dense_inverse,
@@ -476,7 +476,7 @@ class TestAppliedOnlyToNewDirections:
         # grid of at most MAX_DENSE_CELLS cells solves every Newton
         # increment on its kept inverse and runs no CG.
         if dimension == 1:
-            assert (n > operators.MAX_DENSE_CELLS) == (cg_iters > 0)
+            assert (n > MAX_DENSE_CELLS) == (cg_iters > 0)
         fam = family if dimension == 1 else family2d
         grid, pot, data = self.smooth_problem(fam, dimension, n)
         op = build_nonlocal_operator(fam, 0.2, grid) if problem == "nonlocal" else None
@@ -637,7 +637,9 @@ class TestDenseSolves:
         calls = self.counting_cg(monkeypatch)
         dense = solve_trajectory(op, data, pot, cfg)
         assert calls == []
-        monkeypatch.setattr(integrator, "MAX_DENSE_CELLS", 0)
+        # both systems leave their kept matrices: the phase runs CG and the
+        # temperature the even-extension FFT
+        monkeypatch.setattr(fields, "MAX_DENSE_CELLS", 0)
         reference = solve_trajectory(op, data, pot, cfg)
         assert len(calls) == cfg.num_steps
         for a, b in zip(dense.states, reference.states):

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rough_field, smooth_field
+from conftest import ones, rough_field, smooth_field
 from pfnl import operators
 from pfnl.errors import DegenerateFieldError
 from pfnl.fields import (
+    MAX_DENSE_CELLS,
     Field,
     Grid,
     dual_norm,
@@ -16,7 +17,6 @@ from pfnl.fields import (
     grad_inner,
     inner_product,
     norm,
-    ones,
     zeros,
 )
 from pfnl.kernels import (
@@ -198,7 +198,7 @@ class TestConvolve:
         first = plan.apply(u)
         second = plan.apply(v)
         for data, out in ((u, first), (v, second)):
-            dense = op.kernel_matrix @ data.ravel() * grid.cell_volume
+            dense = op.kernel_matrix @ data.ravel()
             dense = dense.reshape(grid.shape)
             assert np.max(np.abs(out - dense)) <= 1e-13 * np.max(np.abs(dense))
         assert plan.kernel_hat.dtype == np.float64
@@ -338,9 +338,9 @@ class TestFrechetIdentity:
         J = op.kernel_matrix
         assert op.kernel_matrix is J
         assert not J.flags.writeable
-        # row i holds J_eps(x_i - x_j): the stored window, zero beyond it
+        # row i holds h J_eps(x_i - x_j): the plan's weights, zero beyond them
         w = op.plan.kernel.halfwidth[0]
-        assert np.array_equal(J[w, : 2 * w + 1], op.plan.kernel.values[::-1])
+        assert np.array_equal(J[w, : 2 * w + 1], op.plan.weights[::-1])
         assert np.all(J[0, w + 1 :] == 0.0)
 
 
@@ -365,10 +365,11 @@ class TestShiftedMatvec:
 
 
 class TestDenseInverse:
-    """The kept ``(a I + b B)^{-1}`` of a small 1D run, against ``B``
-    assembled column by column from :func:`apply_B`.  The pairs ``(a, b)``
-    are the phase shifts ``((1+dt)/dt^2, 1)`` at dt = 1e-3 and 0.1, and the
-    temperature's ``(1, dt)`` at dt = 1e-3."""
+    """The kept ``(s I + B)^{-1}`` of a small 1D run, against ``B``
+    assembled column by column from :func:`apply_B`.  A pair ``(a, b)``
+    checks ``(a I + b B)^{-1} = (s I + B)^{-1} / b`` with ``s = a / b``: the
+    phase Newton's shift ``s = (1+dt)/dt^2`` at dt = 1e-3 and 0.1, and
+    ``s = 1000`` (dt of about 0.032)."""
 
     @pytest.mark.parametrize("a, b", [(1.001e6, 1.0), (110.0, 1.0), (1.0, 1e-3)])
     @pytest.mark.parametrize("eps", [0.5, 0.1, None], ids=["eps0.5", "eps0.1", "local"])
@@ -379,8 +380,19 @@ class TestDenseInverse:
         shifted = np.stack(
             [a * e + b * apply_B(op, Field(grid, e)).data for e in identity], axis=1
         )
-        inverse = dense_inverse(op, grid, a, b)
+        inverse = dense_inverse(op, grid, a / b) / b
         assert np.max(np.abs(shifted @ inverse - identity)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "grid", [Grid.line(MAX_DENSE_CELLS + 1), Grid.box(16)], ids=["1d-257", "2d"]
+    )
+    @pytest.mark.parametrize("problem", ["nonlocal", "local"])
+    def test_none_off_small_1d_grids(self, family1d, grid, problem):
+        family = family1d if grid.dimension == 1 else build_kernel_family(
+            make_profile("polynomial-bump"), 2, 0.0
+        )
+        op = build_nonlocal_operator(family, 0.25, grid) if problem == "nonlocal" else None
+        assert dense_inverse(op, grid, 110.0) is None
 
 
 class TestApplyBLocal:

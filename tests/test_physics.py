@@ -69,6 +69,7 @@ class TestValidatePotential:
             q=2.0,
             c_beta=1.0,
             pi_lipschitz=0.0,
+            beta_prime=lambda r: -np.ones_like(r),
         )
         issues = validate_potential(spec)
         assert any(v.startswith("monotonicity") for v in issues)
@@ -82,6 +83,7 @@ class TestValidatePotential:
             q=2.0,
             c_beta=1.0,
             pi_lipschitz=1.0,
+            beta_prime=lambda r: 3.0 * r**2,
         )
         issues = validate_potential(spec)
         assert any(v.startswith("growth") for v in issues)
@@ -94,6 +96,7 @@ class TestValidatePotential:
             q=4.0 / 3.0,
             c_beta=4.0,
             pi_lipschitz=1.0,
+            beta_prime=lambda r: 3.0 * r**2,
         )
         issues = validate_potential(spec)
         assert any(v.startswith("primitive derivative") for v in issues)
@@ -106,6 +109,7 @@ class TestValidatePotential:
             q=4.0 / 3.0,
             c_beta=4.0,
             pi_lipschitz=1.0,
+            beta_prime=lambda r: 3.0 * r**2,
         )
         issues = validate_potential(spec)
         assert any(v.startswith("lipschitz") for v in issues)
@@ -118,6 +122,7 @@ class TestValidatePotential:
             q=1.1,
             c_beta=3.0,
             pi_lipschitz=0.0,
+            beta_prime=lambda r: np.ones_like(r),
         )
         issues = validate_potential(spec, d=3)
         assert any(v.startswith("exponent") for v in issues)
@@ -176,7 +181,6 @@ class TestInitialData:
             make_double_well(),
             c1_bound=1e9,
             custom={"theta0": theta, "phi0": phi, "v0": v},
-            strict=False,
         )
         vals = [data.a5_values[e] for e in EPS_SWEEP]
         # energy of a jump grows like 1/eps along the sweep
