@@ -404,18 +404,20 @@ class ReducedRun:
     maps theta, phi, v, ``B phi`` and ``beta(phi)`` to their restrictions
     onto the comparison grid, one per snapshot, and ``energy`` holds the
     run's energy at each snapshot.  A compared width also carries its
-    :func:`estimate_monitor` values and initial-data flags."""
+    :func:`estimate_monitor` values, the uniform-bound monitor ``a5`` of
+    its initial data, and that data's flags."""
 
     images: dict
     energy: list
     estimates: dict = None
+    a5: float = None
     flags: tuple = ()
 
 
-def _reduce_run(traj, coarse, applied, estimates=None, flags=()):
+def _reduce_run(traj, coarse, applied, estimates=None, a5=None, flags=()):
     """Reduce ``traj`` onto the grid ``coarse``, with ``applied`` the
     per-snapshot ``(B phi, beta(phi))`` of :func:`_snapshot_images`;
-    ``estimates`` and ``flags`` are kept as given."""
+    ``estimates``, ``a5`` and ``flags`` are kept as given."""
     states = traj.states
     B_phi, beta = applied
     return ReducedRun(
@@ -428,6 +430,7 @@ def _reduce_run(traj, coarse, applied, estimates=None, flags=()):
         },
         energy=[_record_at(traj, t).energy_phi for t in traj.times],
         estimates=estimates,
+        a5=a5,
         flags=flags,
     )
 
@@ -436,28 +439,21 @@ def _solve(sweep, grid, coarse, op=None, monitor=False):
     """One run of the sweep on ``grid``, reduced onto ``coarse`` as soon as
     its solve returns, so the trajectory is released on return: the
     kernel system of ``op``, or the Laplacian system when ``op`` is
-    ``None`` (no width, so no a5 monitor).  ``op`` goes unchanged to
+    ``None``.  ``op`` goes unchanged to :func:`build_initial_data`, whose
+    uniform-bound monitor ``a5`` uses that run's own ``B``, and to
     :func:`solve_trajectory`, which keeps it as ``traj.op``.  With
-    ``monitor`` the run keeps the width's estimates and flags.  ``B phi``
+    ``monitor`` the run keeps its estimates, ``a5`` and flags.  ``B phi``
     and ``beta(phi)`` are taken once per snapshot, for the estimates and
     the images alike."""
-    widths = {} if op is None else {op.eps: op}
     data = build_initial_data(
-        "smooth-default",
-        grid,
-        list(widths),
-        sweep.family,
-        sweep.potential,
-        c1_bound=sweep.c1_bound,
-        rule=sweep.rule,
-        operators=widths,
+        op, grid, sweep.potential, c1_bound=sweep.c1_bound, rule=sweep.rule
     )
     traj = solve_trajectory(op, data, sweep.potential, sweep.scheme,
                             source=sweep.source)
     applied = _snapshot_images(traj, sweep.potential)
     if monitor:
         estimates = estimate_monitor(traj, sweep.potential, applied)
-        return _reduce_run(traj, coarse, applied, estimates, data.flags)
+        return _reduce_run(traj, coarse, applied, estimates, data.a5, data.flags)
     return _reduce_run(traj, coarse, applied)
 
 
@@ -521,6 +517,10 @@ def nonlocal_to_local_study(sweep):
         for a, b, e0, e1 in zip(compare_eps, compare_eps[1:], err_phi, err_phi[1:])
     ]
 
+    for eps in compare_eps:
+        for flag in runs[eps].flags:
+            notes.append(f"eps={eps}: {flag}")
+
     if len(compare_eps) < 2:
         notes.append("single-width sweep: monotonicity assertions skipped")
     else:
@@ -549,10 +549,14 @@ def nonlocal_to_local_study(sweep):
                     f"limit energy exceeds the best width energy by {worst:.3g}, "
                     f"beyond the 10% slack"
                 )
-
-    for eps in compare_eps:
-        for flag in runs[eps].flags:
-            notes.append(f"eps={eps}: {flag}")
+        # the initial data's uniform bound must hold uniformly in eps
+        coarsest, finest = compare_eps[0], compare_eps[-1]
+        lo, hi = runs[coarsest].a5, runs[finest].a5
+        if hi > 2.0 * lo:
+            notes.append(
+                f"monitor grows from {lo:.6g} (eps={coarsest}) to "
+                f"{hi:.6g} (eps={finest}): family looks unbounded"
+            )
 
     for name in REPORT_COLUMNS[1:-1]:
         vals = np.asarray(columns[name])

@@ -110,8 +110,6 @@ def cmd_simulate(cfg, eps=None, local=False):
     scheme = cfg.make_scheme()
     source = cfg.make_source()
 
-    if local and eps is not None:
-        raise ConfigError(["choose either --eps or --local, not both"])
     if not local and eps is None:
         raise ConfigError(["simulate needs --eps <real> or --local"])
     if eps is not None and not 0.0 < eps <= 1.0:
@@ -122,32 +120,9 @@ def cmd_simulate(cfg, eps=None, local=False):
     custom = (
         _load_custom_initial(cfg, grid) if cfg.initial_kind == "custom" else None
     )
-    if eps is not None:
-        eps_list = [eps]
-    elif custom is not None:
-        # local run on custom data: the c1_bound input check evaluates the
-        # uniform-bound monitor, whose energy term wants one admissible
-        # kernel width
-        h4 = 4.0 * max(grid.spacing)
-        if h4 > 1.0:
-            raise ConfigError(
-                [f"grid too coarse for any admissible kernel width (4h = {h4} > 1)"]
-            )
-        eps_list = [max(max(cfg.sweep_eps), h4)]
-    else:
-        # local run on the smooth default data: nothing reads a monitor,
-        # so no kernel operator is built
-        eps_list = []
     op = None if local else build_nonlocal_operator(family, eps, grid)
     data = build_initial_data(
-        cfg.initial_kind,
-        grid,
-        eps_list,
-        family,
-        potential,
-        c1_bound=cfg.initial_c1,
-        custom=custom,
-        operators=None if local else {eps: op},
+        op, grid, potential, c1_bound=cfg.initial_c1, custom=custom
     )
 
     traj = solve_trajectory(op, data, potential, scheme, source=source)
@@ -185,8 +160,15 @@ def cmd_simulate(cfg, eps=None, local=False):
 
 
 def cmd_converge(cfg):
-    """Run the width sweep against the local reference."""
+    """Run the width sweep against the local reference.  The sweep starts
+    every run from the closed-form default data, evaluated on that run's
+    grid, so custom initial-data files are refused."""
     started = time.time()
+    if cfg.initial_kind == "custom":
+        raise ConfigError(
+            ["converge runs on the default initial data only: "
+             "initial.kind = custom is not supported"]
+        )
     outdir = _prepare_outdir(cfg.output_dir)
     sweep = SweepConfig(
         family=cfg.make_family(),

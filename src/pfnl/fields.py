@@ -10,15 +10,15 @@ identities downstream hold at the discrete level.
 Every ``(a I - b lap_N)`` solve goes through :func:`neumann_solve`, the
 temperature step and the Riesz map behind every dual norm alike: the
 cosine basis diagonalizes the reflected-ghost-cell Laplacian exactly, so
-the solve is a transform pair and one multiply by kept gains.  Both
-paths run on numpy's FFT, so no run imports ``scipy``.  A 1D solve
-transforms the even extension, with gains kept per ``(grid, a, b)``; a
+the solve is a transform pair and one multiply by gains kept per
+``(grid, a, b)`` (:func:`neumann_gains`).  Both paths run on numpy's FFT,
+so no run imports ``scipy``.  A 1D solve transforms the even extension; a
 2D solve goes through a :class:`CosinePlan`, Makhoul's DCT-II by a real
-FFT of the same size, kept per grid value (:func:`cosine_plan`) with its
-work arrays and gains.  On a 1D grid of at most :data:`MAX_DENSE_CELLS`
-cells (:func:`is_dense_grid`) the solve is instead one product with
-:func:`neumann_inverse`, the dense matrix of the 1D transform solve, kept
-per ``(grid, a, b)``.
+FFT of the same size, kept per cell counts (:func:`cosine_plan`) with its
+work arrays.  On a 1D grid of at most :data:`MAX_DENSE_CELLS` cells
+(:func:`is_dense_grid`) the solve is instead one product with
+:func:`neumann_inverse`, the dense matrix of the 1D transform solve, built
+from the same gains and kept per ``(grid, a, b)``.
 
 Dual-space machinery: the pivot identification of L2 with its dual turns
 the H1 Riesz map into the SPD operator ``F = I - lap_N``.  ``dual_norm``
@@ -300,20 +300,15 @@ class CosinePlan:
 
     * the twiddles ``w_0 w_1`` and ``-i conj(w_0 w_1)`` as tables of the
       complex work array's shape;
-    * the per-axis Neumann symbols ``(4/h^2) sin^2(pi k / 2n)``;
     * one real work array with a zero last row and column (index
-      ``-0`` above) and one complex work array with the extra row ``n_0``;
-    * the gains of the last :attr:`KEPT_GAINS` pairs ``(a, b)``: ``1/2``
-      over ``a + b lambda``, negated in the columns ``m ...`` that hold
-      ``-2C``.
+      ``-0`` above) and one complex work array with the extra row ``n_0``.
 
-    A solve allocates only its result.  One plan must therefore not
-    solve from two threads at once.
+    A solve multiplies by gains it is given (:func:`neumann_gains`) and
+    allocates only its result.  One plan must therefore not solve from
+    two threads at once.
     """
 
-    KEPT_GAINS = 4
-
-    def __init__(self, n, spacing):
+    def __init__(self, n):
         n0, n1 = n
         m = n1 // 2 + 1
         self.n = n
@@ -326,10 +321,6 @@ class CosinePlan:
             np.exp(-0.5j * np.pi * np.arange(m) / n1),
         )
         self._inverse_twiddle = -1j * np.conj(self._twiddle[:n0])
-        self._symbols = tuple(
-            (4.0 / (h * h)) * np.sin(np.pi * np.arange(k) / (2.0 * k)) ** 2
-            for k, h in zip(n, spacing)
-        )
         # per axis: (reordered slice, cells) for the even cells in order,
         # then the odd cells in reverse order
         halves = [
@@ -342,22 +333,10 @@ class CosinePlan:
         self._quadrants = tuple(
             ((r0, r1), (c0, c1)) for r0, c0 in halves[0] for r1, c1 in halves[1]
         )
-        self._gains = {}
 
-    def gains(self, a, b):
-        """The gains of ``(a I - b lap_N)`` (see the class docstring)."""
-        gains = self._gains.get((a, b))
-        if gains is None:
-            lam0, lam1 = self._symbols
-            gains = 0.5 / (a + b * lam0[:, None] + b * lam1)
-            gains[:, self.n[1] // 2 + 1 :] *= -1.0
-            if len(self._gains) >= self.KEPT_GAINS:
-                del self._gains[next(iter(self._gains))]
-            self._gains[(a, b)] = gains
-        return gains
-
-    def solve(self, rhs, a, b):
-        """``w`` with ``(a I - b lap_N) w = rhs``, as a new array."""
+    def solve(self, rhs, gains):
+        """``w`` with ``(a I - b lap_N) w = rhs``, as a new array, where
+        ``gains`` is the grid's :func:`neumann_gains` of ``(a, b)``."""
         n0, n1 = self.n
         m = n1 // 2 + 1
         q = n1 - m  # columns m ... n1 - 1 hold k_1 = q ... 1
@@ -373,7 +352,7 @@ class CosinePlan:
         # 2C, and -2C in the columns m ...
         np.subtract(re[:n0], im[n0:0:-1], out=cells[:, :m])
         np.add(re[n0:0:-1, q:0:-1], im[:n0, q:0:-1], out=cells[:, m:])
-        cells *= self.gains(a, b)
+        cells *= gains
         np.add(work[n0:0:-1, :m], work[:n0, n1:q:-1], out=half.real)
         np.subtract(work[:n0, :m], work[n0:0:-1, n1:q:-1], out=half.imag)
         half *= self._inverse_twiddle
@@ -385,25 +364,39 @@ class CosinePlan:
         return w
 
 
+def _neumann_symbol(n, h, count):
+    """``lambda_k = (4/h^2) sin^2(pi k / 2n)`` for ``k < count``: the
+    eigenvalues of ``-lap_N`` on ``n`` cells of width ``h``."""
+    return (4.0 / (h * h)) * np.sin(np.pi * np.arange(count) / (2.0 * n)) ** 2
+
+
 @functools.lru_cache(maxsize=16)
-def _even_extension_gains(grid, a, b):
-    """The gains ``1/(a + b lambda_k)`` of the 1D solve, where
-    ``lambda_k = (4/h^2) sin^2(pi k / 2n)``, ``k = 0 ... n``, are the
-    eigenvalues of ``-lap_N`` in the real-FFT basis of the even extension
-    (length ``2n``).  Kept read-only per ``(grid, a, b)`` value, the last
-    16."""
-    (m,), (h,) = grid.n, grid.spacing
-    symbol = (4.0 / (h * h)) * np.sin(np.pi * np.arange(m + 1) / (2.0 * m)) ** 2
-    gains = 1.0 / (a + b * symbol)
+def neumann_gains(grid, a, b):
+    """The gains of the ``(a I - b lap_N)`` solve on ``grid``, kept
+    read-only per ``(grid, a, b)`` value, the last 16.
+
+    In 1D they are ``1/(a + b lambda_k)``, ``k = 0 ... n``, the
+    coefficients of the real-FFT basis of the even extension (length
+    ``2n``).  In 2D they are the :class:`CosinePlan`'s: ``1/2`` over
+    ``a + b lambda_{k_0} + b lambda_{k_1}``, negated in the columns
+    ``n_1 // 2 + 1 ...`` that hold ``-2C``.
+    """
+    if grid.dimension == 1:
+        (m,), (h,) = grid.n, grid.spacing
+        gains = 1.0 / (a + b * _neumann_symbol(m, h, m + 1))
+    else:
+        lam0, lam1 = (_neumann_symbol(k, h, k) for k, h in zip(grid.n, grid.spacing))
+        gains = 0.5 / (a + b * lam0[:, None] + b * lam1)
+        gains[:, grid.n[1] // 2 + 1 :] *= -1.0
     gains.flags.writeable = False
     return gains
 
 
 @functools.lru_cache(maxsize=8)
-def cosine_plan(n, spacing):
-    """The :class:`CosinePlan` of a 2D grid's cell counts and spacing,
-    shared by equal grids; the last 8 are kept."""
-    return CosinePlan(n, spacing)
+def cosine_plan(n):
+    """The :class:`CosinePlan` of a 2D grid's cell counts, shared by grids
+    of equal counts; the last 8 are kept."""
+    return CosinePlan(n)
 
 
 def is_dense_grid(grid):
@@ -427,7 +420,7 @@ def neumann_solve(grid, rhs, a, b):
     ``(rhs, rhs[::-1])``, on which the periodic second difference equals
     the reflected-ghost-cell one (the DCT-II up to scaling; Strang, SIAM
     Review 1999), and the coefficients are multiplied by gains kept per
-    ``(grid, a, b)`` (:func:`_even_extension_gains`); on a grid that
+    ``(grid, a, b)`` (:func:`neumann_gains`); on a grid that
     :func:`is_dense_grid` accepts, the solve is one product with the kept
     matrix of that transform solve (:func:`neumann_inverse`).  In 2D it is
     Makhoul's DCT-II on numpy's FFT, run by the grid's :func:`cosine_plan`
@@ -437,12 +430,13 @@ def neumann_solve(grid, rhs, a, b):
     """
     if is_dense_grid(grid):
         return neumann_inverse(grid, a, b) @ rhs
+    gains = neumann_gains(grid, a, b)
     if grid.dimension == 1:
         n = grid.n[0]
         coeffs = np.fft.rfft(np.concatenate((rhs, rhs[::-1])))
-        coeffs *= _even_extension_gains(grid, a, b)
+        coeffs *= gains
         return np.fft.irfft(coeffs, 2 * n)[:n]
-    return cosine_plan(grid.n, grid.spacing).solve(rhs, a, b)
+    return cosine_plan(grid.n).solve(rhs, gains)
 
 
 @functools.lru_cache(maxsize=8)
@@ -458,7 +452,7 @@ def neumann_inverse(grid, a, b):
     array this allocates.
     """
     (n,) = grid.n
-    t = np.fft.irfft(_even_extension_gains(grid, a, b), 2 * n)
+    t = np.fft.irfft(neumann_gains(grid, a, b), 2 * n)
     # row i of the Toeplitz view reads t[(i - j) mod 2n] at column j
     toeplitz = sliding_window_view(np.concatenate((t[n + 1 :], t[:n])), n)[:, ::-1]
     hankel = sliding_window_view(t[1:], n)

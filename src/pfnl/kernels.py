@@ -81,25 +81,20 @@ class MollifierProfile:
     """Unnormalized radial profile ``rho_tilde`` supported on [0, R].
 
     ``raw`` must be vectorized over numpy arrays and vanish (with its
-    derivative) at the support radius so the profile is C1.
+    derivative) at the support radius so the profile is C1;
+    ``raw_derivative``, vectorized too, is that derivative.
     """
 
     shape: str
     support_radius: float
     raw: callable
-    raw_derivative: callable = None
+    raw_derivative: callable
 
     def __call__(self, s):
         return self.raw(np.asarray(s, dtype=np.float64))
 
     def derivative(self, s):
-        s = np.asarray(s, dtype=np.float64)
-        if self.raw_derivative is not None:
-            return self.raw_derivative(s)
-        ds = 1e-7 * max(self.support_radius, 1.0)
-        return (self.raw(s + ds) - self.raw(np.maximum(s - ds, 0.0))) / (
-            ds + np.minimum(s, ds)
-        )
+        return self.raw_derivative(np.asarray(s, dtype=np.float64))
 
 
 def make_profile(shape, support_radius=1.0):

@@ -7,11 +7,16 @@ The phase nonlinearity is split as ``beta + pi`` with ``beta`` monotone
 phase-nonlinearity monitors meaningful, so it is validated on a lattice
 rather than trusted.
 
-Initial data come with a per-eps uniform-bound monitor: the sum
+Initial data come with the uniform-bound monitor of the run they start:
+the sum
 
-    |theta0|_V^2 + |phi0|_H^2 + E_eps(phi0) + int beta_hat(phi0) + |v0|_H^2
+    |theta0|_V^2 + |phi0|_H^2 + E(phi0) + int beta_hat(phi0) + |v0|_H^2
 
-must stay below a declared constant for every configured eps.
+with ``E`` the energy ``1/2 (B phi0, phi0)_H`` of the run's own ``B``
+(``B_eps`` of a kernel operator, ``-lap_N`` for the Laplacian system),
+must stay below a declared constant.  Whether the monitor stays bounded
+as eps falls is a comparison across widths, which the sweep makes
+(:func:`pfnl.analysis.nonlocal_to_local_study`).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fields import Field, field_from_function, inner_product
-from .operators import build_nonlocal_operator, energy_nonlocal
+from .operators import apply_B_array, energy_from_applied
 
 
 @dataclass(frozen=True)
@@ -185,91 +190,48 @@ def smooth_default_rule():
 
 @dataclass
 class ProblemData:
-    """Initial triple plus the per-eps uniform-bound bookkeeping."""
+    """Initial triple plus its uniform-bound monitor ``a5`` and any flags."""
 
     grid: object
     theta0: Field
     phi0: Field
     v0: Field
-    eps_list: tuple
-    a5_values: dict
-    c1_bound: float
+    a5: float
     flags: list = field(default_factory=list)
 
 
-def _a5_terms(theta0, phi0, v0, op, potential):
-    grid = theta0.grid
-    return {
-        "theta_V_sq": inner_product("V", theta0, theta0),
-        "phi_H_sq": inner_product("H", phi0, phi0),
-        "energy": energy_nonlocal(op, phi0),
-        "beta_hat_l1": grid.cell_volume * float(np.sum(potential.beta_hat(phi0.data))),
-        "v_H_sq": inner_product("H", v0, v0),
-    }
+def build_initial_data(op, grid, potential, c1_bound=10.0, rule=None, custom=None):
+    """Construct the initial triple of the run ``op`` selects and evaluate
+    its uniform-bound monitor once.
 
-
-def build_initial_data(
-    kind,
-    grid,
-    eps_list,
-    family,
-    potential,
-    c1_bound=10.0,
-    rule=None,
-    custom=None,
-    operators=None,
-):
-    """Construct initial data and evaluate the per-eps uniform bound.
-
-    ``smooth-default`` uses eps-independent smooth data (cosine profiles,
-    zero velocity), which keeps the bound trivially uniform; ``custom``
-    takes explicit fields via ``custom={"theta0": ..., "phi0": ...,
-    "v0": ...}``.  Every width starts from the same triple.  A monitor value
-    above ``c1_bound`` raises for custom data and is recorded in ``flags``
-    for ``smooth-default`` data.  ``operators`` maps a width to its already
-    built kernel operator; widths it lacks get one built here.
+    ``custom={"theta0": ..., "phi0": ..., "v0": ...}`` takes explicit
+    fields; otherwise ``rule`` (by default :func:`smooth_default_rule`,
+    eps-independent cosine profiles with zero velocity) is evaluated on
+    ``grid``.  The monitor's energy uses the run's own ``B``: ``B_eps`` of
+    ``op``, or ``-lap_N`` when ``op`` is ``None``, as in
+    :func:`pfnl.integrator.solve_trajectory`.  A monitor above
+    ``c1_bound`` raises :class:`ConfigError` for custom data and is
+    recorded in ``flags`` for rule data.
     """
-    if kind == "smooth-default":
+    if custom is not None:
+        theta0, phi0, v0 = custom["theta0"], custom["phi0"], custom["v0"]
+    else:
         rule = rule or smooth_default_rule()
         theta0 = field_from_function(grid, rule.theta0)
         phi0 = field_from_function(grid, rule.phi0)
         v0 = field_from_function(grid, rule.v0)
-    elif kind == "custom":
-        if custom is None:
-            raise ConfigError("custom initial data requested but none supplied")
-        theta0, phi0, v0 = custom["theta0"], custom["phi0"], custom["v0"]
-    else:
-        raise ConfigError(f"unknown initial-data kind {kind!r}")
 
-    a5_values, flags = {}, []
-    for eps in eps_list:
-        op = (operators or {}).get(eps) or build_nonlocal_operator(family, eps, grid)
-        a5_values[eps] = sum(_a5_terms(theta0, phi0, v0, op, potential).values())
-        if a5_values[eps] > c1_bound:
-            msg = (
-                f"uniform bound violated at eps={eps}: monitor "
-                f"{a5_values[eps]:.6g} > declared {c1_bound:g}"
-            )
-            if kind == "custom":
-                raise ConfigError(msg)
-            flags.append(msg)
-
-    if len(eps_list) >= 2:
-        ordered = sorted(eps_list, reverse=True)
-        lo, hi = a5_values[ordered[0]], a5_values[ordered[-1]]
-        if hi > 2.0 * lo:
-            flags.append(
-                f"monitor grows from {lo:.6g} (eps={ordered[0]}) to "
-                f"{hi:.6g} (eps={ordered[-1]}): family looks unbounded"
-            )
-
-    return ProblemData(
-        grid=grid,
-        theta0=theta0,
-        phi0=phi0,
-        v0=v0,
-        eps_list=tuple(eps_list),
-        a5_values=a5_values,
-        c1_bound=c1_bound,
-        flags=flags,
+    a5 = (
+        inner_product("V", theta0, theta0)
+        + inner_product("H", phi0, phi0)
+        + energy_from_applied(op, phi0, apply_B_array(op, grid, phi0.data))
+        + grid.cell_volume * float(np.sum(potential.beta_hat(phi0.data)))
+        + inner_product("H", v0, v0)
     )
+    flags = []
+    if a5 > c1_bound:
+        msg = f"uniform bound violated: monitor {a5:.6g} > declared {c1_bound:g}"
+        if custom is not None:
+            raise ConfigError(msg)
+        flags.append(msg)
+    return ProblemData(grid=grid, theta0=theta0, phi0=phi0, v0=v0, a5=a5, flags=flags)

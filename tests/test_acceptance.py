@@ -206,7 +206,7 @@ class TestCriterion06ManufacturedSolution:
     def run_error(self, family, n, dt, T):
         grid = Grid.line(n)
         data = build_initial_data(
-            "smooth-default", grid, [0.5], family, self.POT, c1_bound=100.0,
+            None, grid, self.POT, c1_bound=100.0,
             rule=self.RULE,
         )
         traj = solve_trajectory(
@@ -260,7 +260,7 @@ class TestCriterion07OdeReduction:
             grid = Grid.line(int(math.ceil(4.0 / eps)))
             mk = lambda c: Field(grid, np.full(grid.shape, c))
             data = build_initial_data(
-                "custom", grid, [eps], family1d, pot, c1_bound=100.0,
+                None, grid, pot, c1_bound=100.0,
                 custom={"theta0": mk(self.Y0[0]), "phi0": mk(self.Y0[1]), "v0": mk(self.Y0[2])},
             )
             op = build_nonlocal_operator(family1d, eps, grid)
@@ -270,7 +270,7 @@ class TestCriterion07OdeReduction:
         grid = Grid.line(32)
         mk = lambda c: Field(grid, np.full(grid.shape, c))
         data = build_initial_data(
-            "custom", grid, [0.5], family1d, pot, c1_bound=100.0,
+            None, grid, pot, c1_bound=100.0,
             custom={"theta0": mk(self.Y0[0]), "phi0": mk(self.Y0[1]), "v0": mk(self.Y0[2])},
         )
         local = solve_trajectory(None, data, pot, cfg)
@@ -282,7 +282,7 @@ class TestCriterion08EnergyBalance:
     def test_residual_second_order(self, family1d):
         pot = make_double_well()
         grid = Grid.line(80)
-        data = build_initial_data("smooth-default", grid, [0.1], family1d, pot)
+        data = build_initial_data(None, grid, pot)
         op = build_nonlocal_operator(family1d, 0.1, grid)
         dts = (4e-3, 2e-3, 1e-3, 5e-4)
         maxima = []

@@ -6,13 +6,18 @@ import weakref
 import numpy as np
 import pytest
 
-from pfnl import analysis, operators, physics
+from pfnl import analysis, operators
 from pfnl.errors import ResolutionError
 from pfnl.fields import Field, Grid, dual_norm, field_from_function
 from pfnl.integrator import SchemeConfig, solve_trajectory
 from pfnl.kernels import build_kernel_family, make_profile
 from pfnl.operators import apply_B_eps, build_nonlocal_operator, energy_local
-from pfnl.physics import build_initial_data, make_double_well, make_linear_potential
+from pfnl.physics import (
+    InitialDataRule,
+    build_initial_data,
+    make_double_well,
+    make_linear_potential,
+)
 from pfnl.analysis import (
     ProbeField,
     SweepConfig,
@@ -172,11 +177,11 @@ class TestEstimateMonitor:
         grid = Grid.line(40)
         pot = make_linear_potential(0.0)
         zero = field_from_function(grid, lambda x: 0.0 * x)
+        op = build_nonlocal_operator(family, 0.2, grid)
         data = build_initial_data(
-            "custom", grid, [0.2], family, pot, c1_bound=10.0,
+            op, grid, pot, c1_bound=10.0,
             custom={"theta0": zero, "phi0": zero, "v0": zero},
         )
-        op = build_nonlocal_operator(family, 0.2, grid)
         traj = solve_trajectory(
             op, data, pot, SchemeConfig(dt=1e-2, T=0.1, snapshots=5)
         )
@@ -186,8 +191,8 @@ class TestEstimateMonitor:
     def test_group_selection(self, family):
         grid = Grid.line(40)
         pot = make_double_well()
-        data = build_initial_data("smooth-default", grid, [0.2], family, pot)
         op = build_nonlocal_operator(family, 0.2, grid)
+        data = build_initial_data(op, grid, pot)
         traj = solve_trajectory(
             op, data, pot, SchemeConfig(dt=2e-3, T=0.1, snapshots=5)
         )
@@ -207,8 +212,8 @@ class TestEstimateMonitor:
         # not of the Laplacian image
         grid = Grid.line(40)
         pot = make_double_well()
-        data = build_initial_data("smooth-default", grid, [0.2], family, pot)
         op = build_nonlocal_operator(family, 0.2, grid)
+        data = build_initial_data(op, grid, pot)
         traj = solve_trajectory(
             op, data, pot, SchemeConfig(dt=2e-3, T=0.1, snapshots=5)
         )
@@ -222,8 +227,8 @@ class TestEstimateMonitor:
         # |beta|^q <= c_beta (1 + beta_hat) integrates to a computable cap
         grid = Grid.line(80)
         pot = make_double_well()
-        data = build_initial_data("smooth-default", grid, [0.1], family, pot)
         op = build_nonlocal_operator(family, 0.1, grid)
+        data = build_initial_data(op, grid, pot)
         traj = solve_trajectory(
             op, data, pot, SchemeConfig(dt=2e-3, T=0.2, snapshots=10)
         )
@@ -270,8 +275,6 @@ class TestStudy:
         assert rep.violations == []
 
     def test_constant_data_errors_at_solver_noise(self, family):
-        from pfnl.physics import InitialDataRule
-
         rule = InitialDataRule(
             theta0=lambda *x: 0.4 + 0.0 * x[0],
             phi0=lambda *x: -0.2 + 0.0 * x[0],
@@ -320,7 +323,6 @@ class TestStudy:
             return real(family, eps, grid)
 
         monkeypatch.setattr(analysis, "build_nonlocal_operator", counting)
-        monkeypatch.setattr(physics, "build_nonlocal_operator", counting)
         sweep = SweepConfig(
             family=family,
             potential=make_double_well(),
@@ -329,6 +331,32 @@ class TestStudy:
         )
         nonlocal_to_local_study(sweep)
         assert sorted(built) == [0.1, 0.2]
+
+    def test_growing_monitor_noted(self, family):
+        # the energy of jump data grows like 1/eps, so the a5 monitor of
+        # the compared widths does too, and the sweep says so
+        rule = InitialDataRule(
+            theta0=lambda *x: 0.0 * x[0],
+            phi0=lambda *x: np.where(x[0] < 0.5, 1.0, -1.0),
+            v0=lambda *x: 0.0 * x[0],
+        )
+        sweep = SweepConfig(
+            family=family,
+            potential=make_double_well(),
+            scheme=SchemeConfig(dt=2e-3, T=0.02, snapshots=5),
+            eps_list=(0.2, 0.1, 0.05),
+            c1_bound=1e9,
+            rule=rule,
+        )
+        rep = nonlocal_to_local_study(sweep)
+        (note,) = [n for n in rep.notes if "grows" in n]
+        assert note == (
+            "monitor grows from 22.9514 (eps=0.2) to 88.0557 (eps=0.05): "
+            "family looks unbounded"
+        )
+
+    def test_bounded_monitor_not_noted(self, small_study):
+        assert not any("grows" in n for n in small_study.notes)
 
     def test_one_B_and_beta_per_snapshot(self, family, monkeypatch):
         # each run applies B and samples beta once per snapshot, and the

@@ -46,7 +46,8 @@ def traced_simulate(tmp_path, problem, n):
 def check_step_spans(spans, problem, n):
     step = PROBLEMS[problem][1]
     names = {s[0] for s in spans}
-    expected = {step, "integrator._phi_update"}
+    # physics.build_initial_data's span is physics.initial_data_s
+    expected = {step, "integrator._phi_update", "physics.build_initial_data"}
     if step == "integrator.step_nonlocal":
         expected.add("operators.apply_B_eps")
     assert expected <= names

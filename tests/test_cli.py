@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import pfnl
-from pfnl import cli, physics
+from pfnl import cli
 from pfnl.config import default_config, parse_config_text
 from pfnl.errors import ConfigError
 from pfnl.fields import Field, Grid, write_field, zeros
@@ -137,7 +137,6 @@ class TestSimulate:
             return real(family, eps, grid)
 
         monkeypatch.setattr(cli, "build_nonlocal_operator", counting)
-        monkeypatch.setattr(physics, "build_nonlocal_operator", counting)
         cfg = write_config(tmp_path, SMALL_SIM.format(out=tmp_path / "out"))
         assert cli.main(["simulate", "--config", cfg, "--eps", "0.25"]) == 0
         assert built == [0.25]
@@ -156,7 +155,6 @@ class TestSimulate:
             return real(family, eps, grid)
 
         monkeypatch.setattr(cli, "build_nonlocal_operator", counting)
-        monkeypatch.setattr(physics, "build_nonlocal_operator", counting)
         return built
 
     def test_local_run_on_default_data_builds_no_operator(self, tmp_path, monkeypatch):
@@ -182,11 +180,28 @@ class TestSimulate:
         )
         built = self._count_builds(monkeypatch)
         assert cli.main(["simulate", "--config", cfg, "--local"]) == code
-        assert len(built) == 1
+        assert built == []
         err = capsys.readouterr().err
         if code:
             assert "uniform bound violated" in err and "Traceback" not in err
             assert not (tmp_path / "out" / "energy.csv").exists()
+
+    def test_local_run_on_custom_data_needs_no_kernel_width(self, tmp_path):
+        # the monitor of a local run uses -lap_N, so a grid too coarse for
+        # any kernel width (4h = 2 > 1) still runs
+        grid = Grid.line(4, length=2.0)
+        paths = {}
+        for name in ("theta", "phi", "v"):
+            paths[name] = tmp_path / f"{name}0.csv"
+            write_field(Field(grid, np.full(grid.shape, 0.5)), paths[name])
+        cfg = write_config(
+            tmp_path,
+            SMALL_SIM.format(out=tmp_path / "out").replace("grid.n = 64", "grid.n = 4")
+            + "grid.length = 2\ninitial.kind = custom\ninitial.c1 = 1e3\n"
+            + "".join(f"initial.{k}_file = {p}\n" for k, p in paths.items()),
+        )
+        assert cli.main(["simulate", "--config", cfg, "--local"]) == 0
+        assert (tmp_path / "out" / "energy.csv").exists()
 
     def test_under_resolved_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_SIM.format(out=tmp_path / "out"))
@@ -422,6 +437,25 @@ class TestConverge:
         monkeypatch.setattr(cli, "nonlocal_to_local_study", _must_not_run)
         assert cli.main(["converge", "--config", cfg]) == 2
         assert str(blocker / "out") in capsys.readouterr().err
+
+    def test_custom_initial_data_exits_2(self, tmp_path, capsys, monkeypatch):
+        # every sweep run starts from the closed-form default data on its
+        # own grid, so custom data files would be silently ignored
+        paths = {}
+        for name in ("theta", "phi", "v"):
+            paths[name] = tmp_path / f"{name}0.csv"
+            write_field(Field(Grid.line(40), np.full(40, 0.5)), paths[name])
+        cfg = write_config(
+            tmp_path,
+            SMALL_SWEEP.format(out=tmp_path / "out")
+            + "initial.kind = custom\n"
+            + "".join(f"initial.{k}_file = {p}\n" for k, p in paths.items()),
+        )
+        monkeypatch.setattr(cli, "nonlocal_to_local_study", _must_not_run)
+        assert cli.main(["converge", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "initial.kind = custom" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_deterministic_reports(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

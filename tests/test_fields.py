@@ -25,6 +25,7 @@ from pfnl.fields import (
     inner_product,
     laplacian,
     neumann_inverse,
+    neumann_gains,
     neumann_laplacian,
     neumann_solve,
     norm,
@@ -335,9 +336,27 @@ class TestNeumannSolve:
     def test_equal_grids_share_one_plan(self):
         first, second = Grid.box(12), Grid.box(12)
         assert first is not second
-        plan = cosine_plan(first.n, first.spacing)
-        assert cosine_plan(second.n, second.spacing) is plan
-        assert cosine_plan((12, 13), first.spacing) is not plan
+        plan = cosine_plan(first.n)
+        assert cosine_plan(second.n) is plan
+        assert cosine_plan((12, 13)) is not plan
+
+    def test_equal_counts_share_the_plan_not_the_gains(self, rng):
+        # the plan is keyed on the cell counts alone; a box of other lengths
+        # solves on the same plan with its own gains
+        grid = Grid((1.0, 2.5), (12, 12))
+        assert cosine_plan(grid.n) is cosine_plan(Grid.box(12).n)
+        assert neumann_gains(grid, 1.0, 1e-2) is not neumann_gains(Grid.box(12), 1.0, 1e-2)
+        matrix = np.eye(grid.num_cells) - 1e-2 * dense_laplacian(grid)
+        rhs = rng.normal(size=grid.shape)
+        ref = np.linalg.solve(matrix, rhs.ravel()).reshape(grid.shape)
+        w = neumann_solve(grid, rhs, 1.0, 1e-2)
+        assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("grid", [Grid.line(300), Grid.box(12)], ids=["1d", "2d"])
+    def test_gains_kept_read_only(self, grid):
+        gains = neumann_gains(grid, 1.0, 1e-3)
+        assert neumann_gains(grid, 1.0, 1e-3) is gains
+        assert not gains.flags.writeable
 
 
 class TestRiesz:

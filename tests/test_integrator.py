@@ -61,13 +61,11 @@ def family():
     return build_kernel_family(make_profile("polynomial-bump"), 1, 0.0)
 
 
-def constant_data(grid, family, potential, y0, eps_list):
+def constant_data(grid, potential, y0, op=None):
     mk = lambda c: Field(grid, np.full(grid.shape, c))
     return build_initial_data(
-        "custom",
+        op,
         grid,
-        eps_list,
-        family,
         potential,
         c1_bound=1e3,
         custom={"theta0": mk(y0[0]), "phi0": mk(y0[1]), "v0": mk(y0[2])},
@@ -93,7 +91,7 @@ class TestConstantDataODE:
     def test_local_matches_ode(self, family):
         grid = Grid.line(32)
         pot = make_linear_potential(0.0)
-        data = constant_data(grid, family, pot, self.Y0, [0.5])
+        data = constant_data(grid, pot, self.Y0)
         traj = solve_trajectory(
             None, data, pot, SchemeConfig(dt=1e-4, T=1.0, snapshots=10)
         )
@@ -102,8 +100,8 @@ class TestConstantDataODE:
     def test_nonlocal_matches_ode(self, family):
         grid = Grid.line(40)
         pot = make_linear_potential(0.0)
-        data = constant_data(grid, family, pot, self.Y0, [0.2])
         op = build_nonlocal_operator(family, 0.2, grid)
+        data = constant_data(grid, pot, self.Y0, op)
         traj = solve_trajectory(
             op, data, pot, SchemeConfig(dt=1e-4, T=1.0, snapshots=10)
         )
@@ -112,7 +110,7 @@ class TestConstantDataODE:
     def test_first_order_in_dt(self, family):
         grid = Grid.line(32)
         pot = make_linear_potential(0.0)
-        data = constant_data(grid, family, pot, self.Y0, [0.5])
+        data = constant_data(grid, pot, self.Y0)
         errs = []
         for dt in (4e-3, 2e-3, 1e-3):
             traj = solve_trajectory(
@@ -127,7 +125,7 @@ class TestStepAlgebra:
     def test_zero_data_stays_zero(self, family):
         grid = Grid.line(16)
         pot = make_double_well()
-        data = constant_data(grid, family, pot, (0.0, 0.0, 0.0), [0.5])
+        data = constant_data(grid, pot, (0.0, 0.0, 0.0))
         traj = solve_trajectory(
             None, data, pot, SchemeConfig(dt=1e-2, T=0.2, snapshots=5)
         )
@@ -152,7 +150,7 @@ class TestStepAlgebra:
     def test_t0_trajectory(self, family):
         grid = Grid.line(16)
         pot = make_double_well()
-        data = constant_data(grid, family, pot, (0.3, 0.1, 0.0), [0.5])
+        data = constant_data(grid, pot, (0.3, 0.1, 0.0))
         traj = solve_trajectory(None, data, pot, SchemeConfig(dt=1e-2, T=0.0))
         assert len(traj.states) == 1
         assert traj.states[0].t == 0.0
@@ -161,7 +159,7 @@ class TestStepAlgebra:
         # both operators annihilate constants, so the trajectories coincide
         grid = Grid.line(40)
         pot = make_linear_potential(0.0)
-        data = constant_data(grid, family, pot, (0.4, -0.2, 0.1), [0.2])
+        data = constant_data(grid, pot, (0.4, -0.2, 0.1))
         cfg = SchemeConfig(dt=1e-3, T=0.2, snapshots=5)
         op = build_nonlocal_operator(family, 0.2, grid)
         tn = solve_trajectory(op, data, pot, cfg)
@@ -175,7 +173,7 @@ class TestEnergyBalance:
     def test_zero_trajectory_residual(self, family):
         grid = Grid.line(16)
         pot = make_double_well()
-        data = constant_data(grid, family, pot, (0.0, 0.0, 0.0), [0.5])
+        data = constant_data(grid, pot, (0.0, 0.0, 0.0))
         traj = solve_trajectory(
             None, data, pot, SchemeConfig(dt=1e-2, T=0.1, snapshots=5)
         )
@@ -184,7 +182,7 @@ class TestEnergyBalance:
     def test_constant_data_residual_second_order(self, family):
         pot = make_linear_potential(0.0)
         grid = Grid.line(16)
-        data = constant_data(grid, family, pot, (0.8, -0.5, 0.3), [0.5])
+        data = constant_data(grid, pot, (0.8, -0.5, 0.3))
         maxima = []
         dts = (4e-3, 2e-3, 1e-3)
         for dt in dts:
@@ -198,8 +196,8 @@ class TestEnergyBalance:
     def test_double_well_residual_second_order(self, family):
         pot = make_double_well()
         grid = Grid.line(80)
-        data = build_initial_data("smooth-default", grid, [0.1], family, pot)
         op = build_nonlocal_operator(family, 0.1, grid)
+        data = build_initial_data(op, grid, pot)
         maxima = []
         dts = (4e-3, 2e-3, 1e-3)
         for dt in dts:
@@ -215,8 +213,8 @@ class TestEnergyBalance:
         # below the first-order consistency budget
         pot = make_double_well()
         grid = Grid.line(512)
-        data = build_initial_data("smooth-default", grid, [0.1], family, pot)
         op = build_nonlocal_operator(family, 0.1, grid)
+        data = build_initial_data(op, grid, pot)
         traj = solve_trajectory(
             op, data, pot, SchemeConfig(dt=1e-3, T=1.0, snapshots=20)
         )
@@ -226,8 +224,8 @@ class TestEnergyBalance:
         # quadratic per-step residual: halving dt divides the max by ~4
         pot = make_double_well()
         grid = Grid.line(80)
-        data = build_initial_data("smooth-default", grid, [0.1], family, pot)
         op = build_nonlocal_operator(family, 0.1, grid)
+        data = build_initial_data(op, grid, pot)
         maxima = []
         for dt in (2e-3, 1e-3):
             traj = solve_trajectory(
@@ -243,11 +241,10 @@ class TestEnergyBalance:
         grid = Grid.line(64)
         smooth = field_from_function(grid, lambda x: np.cos(np.pi * x))
         theta0 = field_from_function(grid, lambda x: 0.3 * np.cos(2.0 * np.pi * x))
+        op = build_nonlocal_operator(family, 0.1, grid)
         data = build_initial_data(
-            "custom",
+            op,
             grid,
-            [0.1],
-            family,
             pot,
             c1_bound=1e3,
             custom={
@@ -256,7 +253,6 @@ class TestEnergyBalance:
                 "v0": rough_field(grid, rng, 0.5),
             },
         )
-        op = build_nonlocal_operator(family, 0.1, grid)
         traj = solve_trajectory(
             op, data, pot, SchemeConfig(dt=2e-3, T=0.2, snapshots=5)
         )
@@ -269,8 +265,8 @@ class TestEnergyBalance:
 
         pot = make_double_well()
         grid = Grid.line(64)
-        data = build_initial_data("smooth-default", grid, [0.1], family, pot)
         op = build_nonlocal_operator(family, 0.1, grid)
+        data = build_initial_data(op, grid, pot)
         traj = solve_trajectory(
             op,
             data,
@@ -301,13 +297,13 @@ class TestSinglePassRecords:
         grid = Grid.line(40)
         dt = 1e-3
         cfg = SchemeConfig(dt=dt, T=0.04, snapshots=40)
-        data = build_initial_data("smooth-default", grid, [0.2], family, pot)
         if problem == "nonlocal":
             op = build_nonlocal_operator(family, 0.2, grid)
             energy_fn = lambda u: energy_nonlocal(op, u)
         else:
             op = None
             energy_fn = energy_local
+        data = build_initial_data(op, grid, pot)
         traj = solve_trajectory(op, data, pot, cfg, source=source)
         states = traj.states
         # snapshots = num_steps keeps every state
@@ -364,8 +360,8 @@ class TestStepCost:
     def test_field_constructions_and_pi_calls(self, family, problem, monkeypatch):
         grid = Grid.line(40)
         pot = make_double_well()
-        data = build_initial_data("smooth-default", grid, [0.2], family, pot)
         op = build_nonlocal_operator(family, 0.2, grid) if problem == "nonlocal" else None
+        data = build_initial_data(op, grid, pot)
         cfg = SchemeConfig(dt=1e-3, T=0.02, snapshots=4)
 
         pi_calls = [0]
@@ -402,18 +398,18 @@ class TestAppliedOnlyToNewDirections:
         return build_kernel_family(make_profile("polynomial-bump"), 2, 0.0)
 
     @staticmethod
-    def smooth_problem(fam, dimension, n=None):
+    def smooth_problem(dimension, n=None):
         if n is None:
             n = 40 if dimension == 1 else 20
         grid = Grid.line(n) if dimension == 1 else Grid.box(n)
         pot = make_double_well()
-        return grid, pot, build_initial_data("smooth-default", grid, [0.2], fam, pot)
+        return grid, pot, build_initial_data(None, grid, pot)
 
     def counted_run(self, fam, dimension, problem, monkeypatch):
         """Calls of ``B`` (``apply_B_eps``, or ``laplacian`` for the local
         problem) in a smooth 20-step run, and its CG iterations plus its
         Newton iterations and backtracks."""
-        grid, pot, data = self.smooth_problem(fam, dimension)
+        grid, pot, data = self.smooth_problem(dimension)
         calls = {"B": 0, "beta": 0, "cg_iters": 0}
 
         def counted(fn, key):
@@ -478,7 +474,7 @@ class TestAppliedOnlyToNewDirections:
         if dimension == 1:
             assert (n > MAX_DENSE_CELLS) == (cg_iters > 0)
         fam = family if dimension == 1 else family2d
-        grid, pot, data = self.smooth_problem(fam, dimension, n)
+        grid, pot, data = self.smooth_problem(dimension, n)
         op = build_nonlocal_operator(fam, 0.2, grid) if problem == "nonlocal" else None
         totals = {"newton": 0, "cg": 0}
         phi_update = integrator._phi_update
@@ -503,7 +499,7 @@ class TestAppliedOnlyToNewDirections:
     @pytest.mark.parametrize("problem", ["nonlocal", "local"])
     def test_predictor_image_by_linearity(self, family, family2d, dimension, problem):
         fam = family if dimension == 1 else family2d
-        grid, pot, data = self.smooth_problem(fam, dimension)
+        grid, pot, data = self.smooth_problem(dimension)
         op = build_nonlocal_operator(fam, 0.2, grid) if problem == "nonlocal" else None
         cfg = SchemeConfig(dt=1e-3, T=1.0)
         state = State(0.0, data.theta0, data.phi0, data.v0)
@@ -532,8 +528,8 @@ class TestAppliedOnlyToNewDirections:
     def test_no_source_matches_zero_source_bit_for_bit(self, family):
         grid = Grid.line(40)
         pot = make_double_well()
-        data = build_initial_data("smooth-default", grid, [0.2], family, pot)
         op = build_nonlocal_operator(family, 0.2, grid)
+        data = build_initial_data(op, grid, pot)
         cfg = SchemeConfig(dt=1e-3, T=0.02, snapshots=20)
         bare = solve_trajectory(op, data, pot, cfg)
         zero = solve_trajectory(op, data, pot, cfg, source=lambda g, t: zeros(g))
@@ -631,8 +627,8 @@ class TestDenseSolves:
     def test_trajectory_matches_cg_run(self, family, problem, monkeypatch):
         grid = Grid.line(160)
         pot = make_double_well()
-        data = build_initial_data("smooth-default", grid, [0.05], family, pot)
         op = build_nonlocal_operator(family, 0.05, grid) if problem == "nonlocal" else None
+        data = build_initial_data(op, grid, pot)
         cfg = SchemeConfig(dt=1e-3, T=0.05, snapshots=5)
         calls = self.counting_cg(monkeypatch)
         dense = solve_trajectory(op, data, pot, cfg)
@@ -660,8 +656,8 @@ class TestDenseSolves:
         )
         grid = Grid.line(n) if dimension == 1 else Grid.box(n)
         pot = make_double_well()
-        data = build_initial_data("smooth-default", grid, [0.25], fam, pot)
         op = build_nonlocal_operator(fam, 0.25, grid) if problem == "nonlocal" else None
+        data = build_initial_data(op, grid, pot)
         calls = self.counting_cg(monkeypatch)
         solve_trajectory(op, data, pot, SchemeConfig(dt=1e-3, T=3e-3))
         assert len(calls) == (3 if runs_cg else 0)
@@ -712,10 +708,7 @@ class TestManufacturedSolution:
 
     def run(self, n, dt, T=0.5):
         grid = Grid.line(n)
-        fam = build_kernel_family(make_profile("polynomial-bump"), 1, 0.0)
-        data = build_initial_data(
-            "smooth-default", grid, [0.5], fam, self.POT, c1_bound=100.0, rule=self.RULE
-        )
+        data = build_initial_data(None, grid, self.POT, c1_bound=100.0, rule=self.RULE)
         return solve_trajectory(
             None,
             data,

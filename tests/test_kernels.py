@@ -92,7 +92,9 @@ class TestBuildFamily:
         assert moment_check(doubled) == pytest.approx(1.0, rel=1e-10)
 
     def test_zero_profile_rejected(self):
-        dead = MollifierProfile("custom", 1.0, lambda s: np.zeros_like(s))
+        dead = MollifierProfile(
+            "custom", 1.0, lambda s: np.zeros_like(s), lambda s: np.zeros_like(s)
+        )
         with pytest.raises(KernelError):
             build_kernel_family(dead, 1, 0.0)
 
@@ -117,7 +119,10 @@ class TestBuildFamily:
 
     def test_negative_profile_rejected(self):
         bad = MollifierProfile(
-            "custom", 1.0, lambda s: np.where(s < 1.0, -1.0 + 0.0 * s, 0.0)
+            "custom",
+            1.0,
+            lambda s: np.where(s < 1.0, -1.0 + 0.0 * s, 0.0),
+            lambda s: np.zeros_like(s),
         )
         with pytest.raises(KernelError):
             build_kernel_family(bad, 1, 0.0)
@@ -160,6 +165,7 @@ class TestKernelValue:
             "custom",
             1.0,
             lambda s: np.where(s < 1.0, s**2 * (1.0 - s**2) ** 2, 0.0),
+            lambda s: np.where(s < 1.0, 2.0 * s * (1.0 - s**2) * (1.0 - 3.0 * s**2), 0.0),
         )
         fam = build_kernel_family(prof, 2, 1.0)
         assert kernel_value(fam, 0.5, [0.0, 0.0]) == 0.0

@@ -6,10 +6,10 @@ import pytest
 from pfnl.config import parse_config_text
 from pfnl.errors import ConfigError
 from pfnl.fields import Field, Grid, field_from_function
-from pfnl import fields, physics
+from pfnl import fields
 from pfnl.integrator import SchemeConfig, solve_trajectory
 from pfnl.kernels import build_kernel_family, make_profile
-from pfnl.operators import build_nonlocal_operator
+from pfnl.operators import build_nonlocal_operator, energy_local, energy_nonlocal
 from pfnl.physics import (
     PotentialSpec,
     build_initial_data,
@@ -147,80 +147,69 @@ class TestSource:
             make_source("sawtooth")
 
 
+def initial_data(family, grid, potential, **kwargs):
+    """The initial data of each width of ``EPS_SWEEP`` on ``grid``, each
+    built with that width's operator, keyed by width."""
+    return {
+        eps: build_initial_data(
+            build_nonlocal_operator(family, eps, grid), grid, potential, **kwargs
+        )
+        for eps in EPS_SWEEP
+    }
+
+
+def jump_triple(grid):
+    x = grid.axis_centers(0)
+    zero = Field(grid, np.zeros(grid.shape))
+    return {"theta0": zero, "phi0": Field(grid, np.where(x < 0.5, 1.0, -1.0)), "v0": zero}
+
+
 class TestInitialData:
     def test_smooth_default_passes_bound(self, family):
         grid = Grid.line(512)
-        data = build_initial_data(
-            "smooth-default", grid, EPS_SWEEP, family, make_double_well(), c1_bound=10.0
-        )
-        assert data.flags == []
-        for eps in EPS_SWEEP:
-            assert data.a5_values[eps] <= 10.0
+        pot = make_double_well()
+        runs = list(initial_data(family, grid, pot, c1_bound=10.0).values())
+        for data in runs + [build_initial_data(None, grid, pot, c1_bound=10.0)]:
+            assert data.flags == []
+            assert data.a5 <= 10.0
 
     def test_monitor_mild_fluctuation(self, family):
         # monitor may drift up slightly as the energy approaches its limit
         grid = Grid.line(512)
-        data = build_initial_data(
-            "smooth-default", grid, EPS_SWEEP, family, make_double_well()
-        )
-        vals = [data.a5_values[e] for e in EPS_SWEEP]
+        runs = initial_data(family, grid, make_double_well())
+        vals = [runs[e].a5 for e in EPS_SWEEP]
         for a, b in zip(vals, vals[1:]):
             assert b <= 1.05 * a
 
     def test_jump_data_flagged_unbounded(self, family):
+        # energy of a jump grows like 1/eps along the sweep; each run stays
+        # within its bound, and the sweep compares the widths' monitors
         grid = Grid.line(512)
-        x = grid.axis_centers(0)
-        phi = Field(grid, np.where(x < 0.5, 1.0, -1.0))
-        theta = field_from_function(grid, lambda s: 0.0 * s)
-        v = theta.copy()
-        data = build_initial_data(
-            "custom",
-            grid,
-            EPS_SWEEP,
-            family,
-            make_double_well(),
-            c1_bound=1e9,
-            custom={"theta0": theta, "phi0": phi, "v0": v},
+        runs = initial_data(
+            family, grid, make_double_well(), c1_bound=1e9, custom=jump_triple(grid)
         )
-        vals = [data.a5_values[e] for e in EPS_SWEEP]
-        # energy of a jump grows like 1/eps along the sweep
+        vals = [runs[e].a5 for e in EPS_SWEEP]
         assert vals[-1] > 4.0 * vals[0]
-        assert any("unbounded" in f for f in data.flags)
+        assert all(runs[e].flags == [] for e in EPS_SWEEP)
 
     def test_custom_violating_bound_raises(self, family):
         grid = Grid.line(512)
-        x = grid.axis_centers(0)
-        phi = Field(grid, np.where(x < 0.5, 1.0, -1.0))
-        zero = Field(grid, np.zeros(grid.shape))
-        with pytest.raises(ConfigError):
-            build_initial_data(
-                "custom",
-                grid,
-                EPS_SWEEP,
-                family,
-                make_double_well(),
-                c1_bound=5.0,
-                custom={"theta0": zero, "phi0": phi, "v0": zero},
-            )
+        ops = [None] + [build_nonlocal_operator(family, e, grid) for e in EPS_SWEEP]
+        for op in ops:
+            with pytest.raises(ConfigError, match="uniform bound violated"):
+                build_initial_data(
+                    op, grid, make_double_well(), c1_bound=5.0, custom=jump_triple(grid)
+                )
 
-    def test_prebuilt_operators_are_reused(self, family, monkeypatch):
+    def test_monitor_uses_the_runs_own_B(self, family):
+        # the kernel run's monitor holds B_eps's energy, the local run's
+        # -lap_N's; the other four terms are shared
         grid = Grid.line(64)
         pot = make_double_well()
-        fresh = build_initial_data("smooth-default", grid, (0.2, 0.1), family, pot)
-        given = {0.2: build_nonlocal_operator(family, 0.2, grid)}
-        built = []
-        real = physics.build_nonlocal_operator
-
-        def counting(family, eps, grid):
-            built.append(eps)
-            return real(family, eps, grid)
-
-        monkeypatch.setattr(physics, "build_nonlocal_operator", counting)
-        reused = build_initial_data(
-            "smooth-default", grid, (0.2, 0.1), family, pot, operators=given
-        )
-        assert built == [0.1]
-        assert reused.a5_values == fresh.a5_values
+        op = build_nonlocal_operator(family, 0.2, grid)
+        kernel, local = build_initial_data(op, grid, pot), build_initial_data(None, grid, pot)
+        gap = energy_nonlocal(op, kernel.phi0) - energy_local(local.phi0)
+        assert kernel.a5 - local.a5 == pytest.approx(gap, rel=1e-12)
 
     def test_widths_share_the_initial_triple(self, family, monkeypatch):
         # building the data makes no Neumann solve, and a trajectory may run
@@ -235,7 +224,7 @@ class TestInitialData:
             return real(*args)
 
         monkeypatch.setattr(fields, "neumann_solve", counting)
-        data = build_initial_data("smooth-default", grid, (0.2, 0.1), family, pot)
+        data = build_initial_data(build_nonlocal_operator(family, 0.2, grid), grid, pot)
         assert solves == []
         op = build_nonlocal_operator(family, 0.25, grid)
         traj = solve_trajectory(op, data, pot, SchemeConfig(dt=1e-3, T=2e-3))
