@@ -35,6 +35,7 @@ from .fields import (
     restrict,
 )
 from .integrator import SchemeConfig, solve_trajectory
+from .kernels import is_resolved
 from .operators import (
     apply_B,
     bbm_bound_ratio,
@@ -69,7 +70,7 @@ def sweep_grids(eps_list, length=1.0, dimension=1, max_n=512, cells_per_eps=8):
         n = n0 * int(math.ceil(raw / n0))
         n = min(n, (max_n // n0) * n0)
         h = length / n
-        if eps < 4.0 * h - 1e-12:
+        if not is_resolved(eps, h):
             raise ResolutionError(
                 f"cell budget leaves eps={eps} under-resolved (h={h}, need eps >= 4h)"
             )

@@ -2,10 +2,13 @@
 
 Exit codes: 0 success, 1 assertion/solver failure or an output that
 cannot be written, 2 configuration error.
-All outputs are staged in memory and written atomically (temp file +
-rename), and ``simulate`` removes the files it wrote when a later write
-fails, so a failed run leaves no partial files; a ``manifest.json`` with
-the config hash, library versions, and wall time is written last.
+Each command writes its files, then ``manifest.json`` (config hash,
+library versions, wall time), through one :func:`_write_outputs` call,
+each file atomically (temp file + rename).  When a write fails, the files
+the command wrote are removed and it exits 1; files already in
+``output.dir`` are left alone.  A verdict failure (``converge``
+violations, a failed suite, a moment residual above 1e-10) exits 1 after
+its outputs are written, and keeps them.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .errors import (  # noqa: F401 (GridMismatchError caught below)
     ResolutionError,
     SolverError,
 )
-from .fields import atomic_write, read_field, write_field
+from .fields import Field, atomic_write, read_field, write_field
 from .integrator import CSV_COLUMNS, record_csv_row, solve_trajectory
 from .kernels import moment_check
 from .operators import build_nonlocal_operator
@@ -52,22 +55,41 @@ CONFIG_EXIT = 2
 FAILURE_EXIT = 1
 
 
-def _write_manifest(outdir, cfg, command, started, extra=None):
-    manifest = {
-        "command": command,
-        "config_sha256": hashlib.sha256(cfg.raw_text.encode()).hexdigest(),
-        "versions": {
-            "pfnl": __version__,
-            "numpy": np.__version__,
-            "python": sys.version.split()[0],
-        },
-        "wall_time_s": time.time() - started,
-    }
-    if extra:
-        manifest.update(extra)
-    atomic_write(
-        os.path.join(outdir, "manifest.json"), json.dumps(manifest, indent=2) + "\n"
-    )
+def _write_outputs(cfg, command, started, outputs, **extra):
+    """Write ``outputs``, ``(name, payload)`` pairs with names relative to
+    ``output.dir``, in order, then ``manifest.json`` with the ``extra``
+    entries.  A :class:`Field` payload is a snapshot for :func:`write_field`
+    in ``output.format``, any other is text for :func:`atomic_write`.  If a
+    write fails, the files this call wrote are removed and it re-raises."""
+    written = []
+    try:
+        for name, payload in outputs:
+            path = os.path.join(cfg.output_dir, name)
+            if isinstance(payload, Field):
+                write_field(payload, path, fmt=cfg.output_format)
+            else:
+                atomic_write(path, payload)
+            written.append(path)
+        manifest = {
+            "command": command,
+            "config_sha256": hashlib.sha256(cfg.raw_text.encode()).hexdigest(),
+            "versions": {
+                "pfnl": __version__,
+                "numpy": np.__version__,
+                "python": sys.version.split()[0],
+            },
+            "wall_time_s": time.time() - started,
+            **extra,
+        }
+        atomic_write(
+            os.path.join(cfg.output_dir, "manifest.json"),
+            json.dumps(manifest, indent=2) + "\n",
+        )
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def _prepare_outdir(path):
@@ -114,8 +136,8 @@ def cmd_simulate(cfg, eps=None, local=False):
         raise ConfigError(["simulate needs --eps <real> or --local"])
     if eps is not None and not 0.0 < eps <= 1.0:
         raise ConfigError([f"--eps must lie in (0, 1], got {eps}"])
-    outdir = _prepare_outdir(cfg.output_dir)
-    snapdir = _prepare_outdir(os.path.join(outdir, "snapshots"))
+    _prepare_outdir(cfg.output_dir)
+    _prepare_outdir(os.path.join(cfg.output_dir, "snapshots"))
 
     custom = (
         _load_custom_initial(cfg, grid) if cfg.initial_kind == "custom" else None
@@ -130,32 +152,16 @@ def cmd_simulate(cfg, eps=None, local=False):
     lines = [",".join(CSV_COLUMNS)]
     lines.extend(record_csv_row(r) for r in traj.records)
     ext = "csv" if cfg.output_format == "csv" else "bin"
-    written = []  # the files this run has written, removed if a later write fails
-    try:
-        path = os.path.join(outdir, "energy.csv")
-        atomic_write(path, "\n".join(lines) + "\n")
-        written.append(path)
-        for k, state in enumerate(traj.states):
-            for name, field in (("phi", state.phi), ("theta", state.theta)):
-                path = os.path.join(snapdir, f"{name}_{k:04d}.{ext}")
-                write_field(field, path, fmt=cfg.output_format)
-                written.append(path)
-        _write_manifest(
-            outdir,
-            cfg,
-            "simulate",
-            started,
-            extra={
-                "problem": "local" if local else f"nonlocal eps={eps}",
-                "steps": scheme.num_steps,
-                "max_energy_residual": traj.aux["max_step_residual"],
-            },
-        )
-    except BaseException:
-        for path in written:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        raise
+    outputs = [("energy.csv", "\n".join(lines) + "\n")]
+    for k, state in enumerate(traj.states):
+        for name, field in (("phi", state.phi), ("theta", state.theta)):
+            outputs.append((os.path.join("snapshots", f"{name}_{k:04d}.{ext}"), field))
+    _write_outputs(
+        cfg, "simulate", started, outputs,
+        problem="local" if local else f"nonlocal eps={eps}",
+        steps=scheme.num_steps,
+        max_energy_residual=traj.aux["max_step_residual"],
+    )
     return 0
 
 
@@ -169,7 +175,7 @@ def cmd_converge(cfg):
             ["converge runs on the default initial data only: "
              "initial.kind = custom is not supported"]
         )
-    outdir = _prepare_outdir(cfg.output_dir)
+    _prepare_outdir(cfg.output_dir)
     sweep = SweepConfig(
         family=cfg.make_family(),
         potential=_make_potential(cfg),
@@ -183,14 +189,12 @@ def cmd_converge(cfg):
         reference=cfg.sweep_reference,
     )
     report = nonlocal_to_local_study(sweep)
-    atomic_write(os.path.join(outdir, "report.csv"), report_csv(report))
-    atomic_write(os.path.join(outdir, "estimates.csv"), estimates_csv(report))
-    _write_manifest(
-        outdir,
-        cfg,
-        "converge",
-        started,
-        extra={"violations": report.violations, "notes": report.notes},
+    outputs = [
+        ("report.csv", report_csv(report)), ("estimates.csv", estimates_csv(report))
+    ]
+    _write_outputs(
+        cfg, "converge", started, outputs,
+        violations=report.violations, notes=report.notes,
     )
     for note in report.notes:
         print(f"note: {note}")
@@ -204,22 +208,21 @@ def cmd_converge(cfg):
 def cmd_verify_kernel(cfg):
     """Print the kernel normalization constants and moment residual."""
     started = time.time()
-    outdir = _prepare_outdir(cfg.output_dir)
+    _prepare_outdir(cfg.output_dir)
     family = cfg.make_family()
     residual = moment_check(family)
     csv = "c_d,normalization,moment_residual\n" + (
         f"{family.c_d:.17g},{family.normalization:.17g},{residual:.17g}\n"
     )
     print(csv, end="")
-    atomic_write(os.path.join(outdir, "kernel.csv"), csv)
-    _write_manifest(outdir, cfg, "verify-kernel", started)
+    _write_outputs(cfg, "verify-kernel", started, [("kernel.csv", csv)])
     return 0 if residual <= 1e-10 else FAILURE_EXIT
 
 
 def cmd_verify_lemmas(cfg):
     """Run the analytic verification suites and emit pass/fail JSON."""
     started = time.time()
-    outdir = _prepare_outdir(cfg.output_dir)
+    _prepare_outdir(cfg.output_dir)
     family = cfg.make_family()
     dim = cfg.grid_dimension
     results = {}
@@ -241,10 +244,8 @@ def cmd_verify_lemmas(cfg):
         "max_fd_relative_residual": frechet["max_fd_relative_residual"],
     }
 
-    atomic_write(
-        os.path.join(outdir, "lemmas.json"), json.dumps(results, indent=2) + "\n"
-    )
-    _write_manifest(outdir, cfg, "verify-lemmas", started)
+    outputs = [("lemmas.json", json.dumps(results, indent=2) + "\n")]
+    _write_outputs(cfg, "verify-lemmas", started, outputs)
     ok = all(r["pass"] for r in results.values())
     print(json.dumps({k: v["pass"] for k, v in results.items()}, indent=2))
     return 0 if ok else FAILURE_EXIT
@@ -253,7 +254,7 @@ def cmd_verify_lemmas(cfg):
 def cmd_energy_report(cfg, run_dir):
     """Summarize the energy records of a previous simulate run."""
     started = time.time()
-    outdir = _prepare_outdir(cfg.output_dir)
+    _prepare_outdir(cfg.output_dir)
     path = os.path.join(run_dir, "energy.csv")
     try:
         with open(path) as fh:
@@ -286,10 +287,8 @@ def cmd_energy_report(cfg, run_dir):
         "mean_residual": sum(residuals) / len(residuals),
         "final_energy_phi": totals[-1],
     }
-    atomic_write(
-        os.path.join(outdir, "energy_report.json"), json.dumps(summary, indent=2) + "\n"
-    )
-    _write_manifest(outdir, cfg, "energy-report", started, extra=summary)
+    outputs = [("energy_report.json", json.dumps(summary, indent=2) + "\n")]
+    _write_outputs(cfg, "energy-report", started, outputs, **summary)
     print(json.dumps(summary, indent=2))
     return 0
 
@@ -317,21 +316,20 @@ def build_parser():
     return parser
 
 
+# each command's entry, called with the parsed config and arguments
+COMMANDS = {
+    "simulate": lambda cfg, args: cmd_simulate(cfg, eps=args.eps, local=args.local),
+    "converge": lambda cfg, args: cmd_converge(cfg),
+    "verify-kernel": lambda cfg, args: cmd_verify_kernel(cfg),
+    "verify-lemmas": lambda cfg, args: cmd_verify_lemmas(cfg),
+    "energy-report": lambda cfg, args: cmd_energy_report(cfg, args.run),
+}
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = parse_config(args.config)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, eps=args.eps, local=args.local)
-        if args.command == "converge":
-            return cmd_converge(cfg)
-        if args.command == "verify-kernel":
-            return cmd_verify_kernel(cfg)
-        if args.command == "verify-lemmas":
-            return cmd_verify_lemmas(cfg)
-        if args.command == "energy-report":
-            return cmd_energy_report(cfg, args.run)
-        raise ConfigError([f"unknown command {args.command!r}"])
+        return COMMANDS[args.command](parse_config(args.config), args)
     except (ConfigError, ResolutionError, KernelError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return CONFIG_EXIT

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigError
 from .fields import Grid
 from .integrator import SchemeConfig
-from .kernels import PROFILE_SHAPES, build_kernel_family, make_profile
+from .kernels import PROFILE_SHAPES, build_kernel_family, is_resolved, make_profile
 from .physics import PotentialSpec, make_double_well, make_source
 
 
@@ -234,8 +234,7 @@ def parse_config_text(text, origin="<config>"):
             "initial.phi_file, and initial.v_file"
         )
     for eps in cfg.sweep_eps:
-        h = cfg.grid_length / cfg.sweep_max_n
-        if eps < 4.0 * h:
+        if not is_resolved(eps, cfg.grid_length / cfg.sweep_max_n):
             cross.append(
                 f"sweep.eps value {eps} under-resolved even at sweep.max_n "
                 f"= {cfg.sweep_max_n} (need eps >= 4h)"

@@ -21,11 +21,12 @@ velocity and is one exact ``(I - dt lap_N)`` solve
 (:func:`pfnl.fields.neumann_solve`, which applies its kept dense matrix on
 small 1D grids).
 
-On a 1D grid that :func:`pfnl.fields.is_dense_grid` accepts,
-:func:`solve_trajectory` also keeps ``M = (B + D0 I)^{-1}`` for the run
-(:func:`pfnl.operators.dense_inverse`).  Each Newton increment is then
-the Neumann series ``sum_j (-M diag(beta'+))^j M r``, a few products that
-meet CG's relative residual a priori, because
+On a 1D grid that :func:`pfnl.fields.is_dense_grid` accepts, every phase
+Newton, in :func:`solve_trajectory` or in a direct step, looks up
+``M = (B + D0 I)^{-1}``, which :func:`pfnl.operators.dense_inverse` keeps
+(on the kernel operator, or per grid for the Laplacian).  Each Newton
+increment is then the Neumann series ``sum_j (-M diag(beta'+))^j M r``, a
+few products that meet CG's relative residual a priori, because
 ``|M diag(beta'+)|_2 <= max(beta'+)/D0 = rho``.  A step with
 ``rho > MAX_SERIES_RATIO`` falls back to CG.
 
@@ -219,7 +220,7 @@ def _series_solve(inverse, beta_plus, rhs, rho, rtol):
 # b, beta, beta' and the norms may overflow on a diverging run; the
 # finiteness and no-improvement guards report that as a SolverError
 @np.errstate(over="ignore", invalid="ignore")
-def _phi_update(state, op, potential, cfg, phase_inverse=None):
+def _phi_update(state, op, potential, cfg):
     """Implicit phase solve on the dt^2-scaled residual.
 
     Solves ``(1+dt) phi + dt^2 (B phi + beta(phi)) = b``, with ``B`` the
@@ -234,11 +235,11 @@ def _phi_update(state, op, potential, cfg, phase_inverse=None):
     Each Newton increment solves the unscaled system
     ``(B + D) delta = -res/dt^2`` with ``D = D0 + max(beta', 0)`` and
     ``D0 = (1+dt)/dt^2``: the dt^2-scaled Jacobian divided by dt^2, solved
-    to the relative residual ``cfg.phi_solver_tol``.  With
-    ``phase_inverse = (B + D0 I)^{-1}`` (kept by :func:`solve_trajectory`
-    on small 1D grids) and ``rho = max(beta', 0)/D0 <= MAX_SERIES_RATIO``,
-    the increment is a few terms of a Neumann series, one matrix-vector
-    product each (:func:`_series_solve`), and ``B`` is not applied.
+    to the relative residual ``cfg.phi_solver_tol``.  On a small 1D grid,
+    where :func:`pfnl.operators.dense_inverse` keeps ``(B + D0 I)^{-1}``,
+    and with ``rho = max(beta', 0)/D0 <= MAX_SERIES_RATIO``, the increment
+    is a few terms of a Neumann series, one matrix-vector product each
+    (:func:`_series_solve`), and ``B`` is not applied.
     Otherwise CG solves it, and each CG product is one application of
     ``B`` (see :func:`pfnl.operators.shifted_matvec`).
 
@@ -304,6 +305,7 @@ def _phi_update(state, op, potential, cfg, phase_inverse=None):
     tol_res = max(cfg.newton_tol * (dt_sq + res_norm), floor)
 
     d0 = (1.0 + dt) / dt_sq
+    inverse = dense_inverse(op, grid, d0)  # None off small 1D grids
     iters = 0
     while res_norm > tol_res:
         if iters >= cfg.newton_max_iter:
@@ -316,12 +318,10 @@ def _phi_update(state, op, potential, cfg, phase_inverse=None):
         beta_plus = np.maximum(potential.beta_prime(phi_data), 0.0)
         rhs = np.multiply(res, -1.0 / dt_sq)
         rho = math.inf  # the series' factor, on a kept inverse only
-        if phase_inverse is not None:
+        if inverse is not None:
             rho = float(np.max(beta_plus)) / d0
         if rho <= MAX_SERIES_RATIO:
-            delta = _series_solve(
-                phase_inverse, beta_plus, rhs, rho, cfg.phi_solver_tol
-            )
+            delta = _series_solve(inverse, beta_plus, rhs, rho, cfg.phi_solver_tol)
         else:
             # D formed in the maximum's array
             beta_plus += d0
@@ -385,13 +385,12 @@ def _theta_update(state, v_new, f_next, cfg):
     return theta, lap_theta
 
 
-def _advance(state, op, potential, f_next, cfg, phase_inverse=None):
-    """One semi-implicit step of the system ``op`` selects, on the kept
-    ``phase_inverse = (B + D0 I)^{-1}`` when given; the new state's fields
-    are the only ones the step builds.  It carries ``B phi`` and the
+def _advance(state, op, potential, f_next, cfg):
+    """One semi-implicit step of the system ``op`` selects; the new state's
+    fields are the only ones the step builds.  It carries ``B phi`` and the
     previous ``B phi`` for its energy record and the next predictor, and
     ``lap theta`` from the temperature solve."""
-    phi, v, _, B_phi = _phi_update(state, op, potential, cfg, phase_inverse)
+    phi, v, _, B_phi = _phi_update(state, op, potential, cfg)
     theta, lap_theta = _theta_update(
         state, v, None if f_next is None else f_next.data, cfg
     )
@@ -407,19 +406,18 @@ def _advance(state, op, potential, f_next, cfg, phase_inverse=None):
     )
 
 
-def step_nonlocal(state, op, potential, f_next, cfg, phase_inverse=None):
+def step_nonlocal(state, op, potential, f_next, cfg):
     """One semi-implicit step of the kernel-operator system under the
-    source field ``f_next`` (``None`` for none), on the kept
-    ``phase_inverse`` when given; the new state carries ``B_eps phi`` for
-    its energy record and the next predictor."""
-    return _advance(state, op, potential, f_next, cfg, phase_inverse)
+    source field ``f_next`` (``None`` for none); the new state carries
+    ``B_eps phi`` for its energy record and the next predictor."""
+    return _advance(state, op, potential, f_next, cfg)
 
 
-def step_local(state, potential, f_next, cfg, phase_inverse=None):
+def step_local(state, potential, f_next, cfg):
     """One semi-implicit step of the Laplacian system (same scheme); the new
     state carries ``-lap_N phi`` for its energy record and the next
     predictor."""
-    return _advance(state, None, potential, f_next, cfg, phase_inverse)
+    return _advance(state, None, potential, f_next, cfg)
 
 
 # --- energy bookkeeping ---------------------------------------------------------
@@ -505,10 +503,6 @@ def solve_trajectory(op, data, potential, cfg, source=None):
     Snapshots are stored at roughly ``cfg.snapshots`` evenly spaced steps
     plus the initial and final states; an energy record is emitted every
     step.  Solver failures abort with the step index in the message.
-
-    On a 1D grid that :func:`pfnl.fields.is_dense_grid` accepts the run
-    keeps ``(B + D0 I)^{-1}`` (:func:`pfnl.operators.dense_inverse`), and
-    every phase Newton solves on it.
     """
     grid = data.grid
     vol = grid.cell_volume
@@ -536,7 +530,6 @@ def solve_trajectory(op, data, potential, cfg, source=None):
         "max_step_residual": 0.0,
     }
 
-    phase_inverse = dense_inverse(op, grid, (1.0 + dt) / (dt * dt))
     f_next = None
     source_mass = 0.0  # h^d sum(f), fixed at 0 without a source
     for k in range(1, n_steps + 1):
@@ -547,9 +540,9 @@ def solve_trajectory(op, data, potential, cfg, source=None):
         try:
             prev = state
             if op is None:
-                state = step_local(prev, potential, f_next, cfg, phase_inverse)
+                state = step_local(prev, potential, f_next, cfg)
             else:
-                state = step_nonlocal(prev, op, potential, f_next, cfg, phase_inverse)
+                state = step_nonlocal(prev, op, potential, f_next, cfg)
             state.t = t_next
         except SolverError as err:
             raise SolverError(f"step {k} (t={t_next:.6g}): {err}") from err

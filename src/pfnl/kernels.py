@@ -360,6 +360,13 @@ class EvaluatedKernel:
         return float(self.values[tuple(o + k for o, k in zip(offset, w))])
 
 
+def is_resolved(eps, h):
+    """The resolution rule ``eps >= 4h`` for a kernel width ``eps`` on
+    cells of size ``h``, with a slack of 1e-12 so that a width written in
+    decimal (``0.333333333333`` for ``4/12``) passes."""
+    return eps >= 4.0 * h - 1e-12
+
+
 def tabulate_kernel(family, eps, grid):
     """Evaluate ``J_eps`` on its support window, enforcing ``eps >= 4h``.
 
@@ -374,7 +381,7 @@ def tabulate_kernel(family, eps, grid):
             f"grid dimension {grid.dimension}"
         )
     hmax = max(grid.spacing)
-    if eps < 4.0 * hmax - 1e-12:
+    if not is_resolved(eps, hmax):
         raise ResolutionError(
             f"kernel width eps={eps} under-resolved on grid with h={hmax}: "
             f"need eps >= 4h = {4.0 * hmax}"

@@ -34,10 +34,11 @@ discrete identity
 
 holds to roundoff against the direct double sum.
 
-On a 1D grid that :func:`pfnl.fields.is_dense_grid` accepts the time step
-keeps the dense inverse of the phase Newton's ``a I + B`` instead
-(:func:`dense_inverse`).  The kernel matrix is assembled from the plan's
-weights and ``a_eps`` and inverted by banded elimination in NumPy; the
+On a 1D grid that :func:`pfnl.fields.is_dense_grid` accepts the phase
+Newton solves on the dense inverse of its ``a I + B`` instead
+(:func:`dense_inverse`, kept per shift on the kernel operator).  The kernel
+matrix is assembled from the plan's weights and ``a_eps`` and inverted by
+banded elimination in NumPy; the
 Laplacian's is the kept matrix of the cosine-basis solve.  The same
 weights build :attr:`NonlocalOperator.kernel_matrix` for the double-sum
 oracles, so every route to ``B_eps`` reads one window.
@@ -232,6 +233,12 @@ class NonlocalOperator:
         J.flags.writeable = False
         return J
 
+    @cached_property
+    def dense_inverses(self):
+        """The read-only matrices ``(a I + B_eps)^{-1}`` by shift ``a``, kept
+        by :func:`dense_inverse`."""
+        return {}
+
 
 def build_nonlocal_operator(family, eps, grid):
     kernel = tabulate_kernel(family, eps, grid)
@@ -289,14 +296,15 @@ def shifted_matvec(op, grid, shift, scratch):
 
 
 def dense_inverse(op, grid, a):
-    """``(a I + B)^{-1}`` as a dense matrix, for the problem ``op``
-    selects: ``B_eps`` of ``op``, or ``-lap_N`` when ``op`` is ``None``;
-    needs ``a > 0``.  ``None`` on a grid that
+    """``(a I + B)^{-1}`` as a dense read-only matrix, for the problem
+    ``op`` selects: ``B_eps`` of ``op``, or ``-lap_N`` when ``op`` is
+    ``None``; needs ``a > 0``.  ``None`` on a grid that
     :func:`~pfnl.fields.is_dense_grid` rejects.
 
     For ``-lap_N`` it is the kept matrix :func:`~pfnl.fields.neumann_solve`
-    applies (:func:`~pfnl.fields.neumann_inverse`).  For ``B_eps`` the
-    matrix ``a I + B_eps`` is assembled from the plan's weights (so a
+    applies (:func:`~pfnl.fields.neumann_inverse`).  For ``B_eps`` it is
+    kept on the operator per shift (:attr:`NonlocalOperator.dense_inverses`):
+    the matrix ``a I + B_eps`` is assembled from the plan's weights (so a
     rescaled window reaches it too) and ``a_eps``, as ``diag(a + a_eps)``
     minus the banded Toeplitz matrix of the window restricted to the box,
     and inverted by :func:`_banded_inverse`.
@@ -305,6 +313,8 @@ def dense_inverse(op, grid, a):
         return None
     if op is None:
         return neumann_inverse(grid, a, 1.0)
+    if a in op.dense_inverses:
+        return op.dense_inverses[a]
     (n,) = grid.n
     weights = op.plan.weights
     (w,) = op.plan.kernel.halfwidth  # at most n - 1
@@ -316,7 +326,9 @@ def dense_inverse(op, grid, a):
         start, stop = (o, n * (n - o)) if o >= 0 else (-o * n, None)
         flat[start:stop : n + 1] = -weights[w - o]
     flat[:: n + 1] += a + op.a_eps.data
-    return _banded_inverse(matrix, w)
+    inverse = op.dense_inverses[a] = _banded_inverse(matrix, w)
+    inverse.flags.writeable = False
+    return inverse
 
 
 def _banded_inverse(matrix, w):

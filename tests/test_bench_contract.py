@@ -40,7 +40,17 @@ def traced_simulate(tmp_path, problem, n):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(spans_path.read_text())["spans"]
+    spans = json.loads(spans_path.read_text())["spans"]
+    check_snapshot_spans(spans, tmp_path / "out" / "snapshots")
+    return spans
+
+
+def check_snapshot_spans(spans, snapdir):
+    """One ``fields.write_field`` span per snapshot file, valued at the
+    file's size: ``fields.write_field_s`` and ``fields.bytes_written``."""
+    sizes = sorted(os.path.getsize(snapdir / name) for name in os.listdir(snapdir))
+    assert sizes
+    assert sorted(s[4] for s in spans if s[0] == "fields.write_field") == sizes
 
 
 def check_step_spans(spans, problem, n):

@@ -8,10 +8,12 @@ import pytest
 
 import pfnl
 from pfnl import cli
+from pfnl.analysis import sweep_grids
 from pfnl.config import default_config, parse_config_text
 from pfnl.errors import ConfigError
 from pfnl.fields import Field, Grid, write_field, zeros
 from pfnl.integrator import CSV_COLUMNS
+from pfnl.kernels import tabulate_kernel
 
 
 def _must_not_run(*args, **kwargs):
@@ -80,6 +82,16 @@ class TestParseConfig:
     def test_eps_must_decrease(self):
         with pytest.raises(ConfigError):
             parse_config_text("sweep.eps = 0.1, 0.2\n")
+
+    def test_resolution_rule_matches_the_runs(self):
+        # 0.333333333333 is 4h at max_n = 12 to twelve digits: the sweep
+        # grids and the kernel tabulation accept it, and so does the parser
+        cfg = parse_config_text("sweep.eps = 0.333333333333\nsweep.max_n = 12\n")
+        grid = sweep_grids(cfg.sweep_eps, max_n=cfg.sweep_max_n)[cfg.sweep_eps[0]]
+        assert grid.n == (12,)
+        tabulate_kernel(cfg.make_family(), cfg.sweep_eps[0], grid)
+        with pytest.raises(ConfigError, match="under-resolved even at sweep.max_n"):
+            parse_config_text("sweep.eps = 0.33\nsweep.max_n = 12\n")
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -500,6 +512,52 @@ class TestVerifyLemmas:
             "frechet_identity",
         ):
             assert results[name]["pass"], name
+
+
+class TestOutputWrites:
+    """Every command writes its files and ``manifest.json`` through one
+    writer: a failed write removes what the command wrote and exits 1,
+    while a verdict failure exits 1 and keeps its outputs."""
+
+    CONFIGS = {
+        "converge": "time.T = 0.02\ntime.dt = 2e-3\nsweep.eps = 0.2, 0.1\n",
+        "verify-kernel": "",
+        "verify-lemmas": "sweep.eps = 0.2, 0.1\n",
+        "energy-report": "",
+    }
+
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [("converge", "estimates.csv"), ("verify-kernel", "manifest.json"),
+         ("verify-lemmas", "manifest.json"), ("energy-report", "manifest.json")],
+    )
+    def test_failed_write_removes_the_commands_files(
+        self, tmp_path, capsys, command, blocked
+    ):
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        (out / "notes.txt").write_text("kept\n")
+        cfg = write_config(tmp_path, self.CONFIGS[command] + f"output.dir = {out}\n")
+        argv = [command, "--config", cfg]
+        if command == "energy-report":
+            run = tmp_path / "run"
+            run.mkdir()
+            row = ",".join(["0"] * len(CSV_COLUMNS))
+            (run / "energy.csv").write_text(",".join(CSV_COLUMNS) + f"\n{row}\n{row}\n")
+            argv += ["--run", str(run)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run failed:") and blocked in err
+        assert "Traceback" not in err
+        assert sorted(os.listdir(out)) == sorted([blocked, "notes.txt"])
+        assert (out / "notes.txt").read_text() == "kept\n"
+
+    def test_verdict_failure_keeps_outputs(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, f"output.dir = {out}\n")
+        monkeypatch.setattr(cli, "moment_check", lambda family: 1.0)
+        assert cli.main(["verify-kernel", "--config", cfg]) == 1
+        assert sorted(os.listdir(out)) == ["kernel.csv", "manifest.json"]
 
 
 def _python_output(code):

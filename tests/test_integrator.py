@@ -560,7 +560,9 @@ class TestPhaseCG:
         assert integrator.cg is fields.cg
 
     def test_exhausted_budget_raises(self, monkeypatch):
-        # one CG iteration cannot solve (1.1 I - 0.01 lap_N) at n = 64
+        # one CG iteration cannot solve (1.1 I - 0.01 lap_N) at n = 64; with
+        # no kept inverse every Newton increment runs CG
+        monkeypatch.setattr(fields, "MAX_DENSE_CELLS", 0)
         monkeypatch.setattr(
             integrator, "cg", lambda matvec, b, rtol, maxiter: fields.cg(matvec, b, rtol, 1)
         )
@@ -609,16 +611,18 @@ class TestDenseSolves:
         grid = Grid.line(64)
         op = build_nonlocal_operator(family, 0.2, grid) if problem == "nonlocal" else None
         cfg = SchemeConfig(dt=0.1, T=0.5)
-        inverse = dense_inverse(op, grid, (1.0 + cfg.dt) / cfg.dt**2)
         calls = self.counting_cg(monkeypatch)
         for amplitude, runs_cg in ((4.0, True), (1.0, False)):
             phi = field_from_function(grid, lambda x: amplitude * np.cos(np.pi * x))
             state = State(0.0, zeros(grid), phi, zeros(grid))
             pot = make_double_well()
             calls.clear()
-            dense = _phi_update(state, op, pot, cfg, inverse)
+            dense = _phi_update(state, op, pot, cfg)
             assert bool(calls) == runs_cg
-            reference = _phi_update(state, op, pot, cfg)
+            # the CG reference: no grid keeps an inverse
+            with monkeypatch.context() as patch:
+                patch.setattr(fields, "MAX_DENSE_CELLS", 0)
+                reference = _phi_update(state, op, pot, cfg)
             assert dense[2] == reference[2]
             scale = np.max(np.abs(reference[0]))
             assert np.max(np.abs(dense[0] - reference[0])) <= 1e-12 * scale
@@ -642,6 +646,30 @@ class TestDenseSolves:
             for name in ("theta", "phi", "v"):
                 x, y = getattr(a, name).data, getattr(b, name).data
                 assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
+
+    @pytest.mark.parametrize("problem", ["nonlocal", "local"])
+    def test_direct_steps_take_the_trajectory_route(self, family, problem, monkeypatch):
+        # _phi_update looks the kept inverse up itself, so steps made
+        # outside solve_trajectory on a small 1D grid run no CG either
+        grid = Grid.line(32)
+        pot = make_double_well()
+        op = build_nonlocal_operator(family, 0.2, grid) if problem == "nonlocal" else None
+        data = build_initial_data(op, grid, pot)
+        state = State(0.0, data.theta0, data.phi0, data.v0)
+        cfg = SchemeConfig(dt=1e-3, T=1.0)
+        calls = self.counting_cg(monkeypatch)
+        newton = []
+        phi_update = integrator._phi_update
+
+        def counting_phi_update(*args):
+            out = phi_update(*args)
+            newton.append(out[2])
+            return out
+
+        monkeypatch.setattr(integrator, "_phi_update", counting_phi_update)
+        for _ in range(3):
+            state = integrator._advance(state, op, pot, None, cfg)
+        assert min(newton) >= 1 and calls == []
 
     @pytest.mark.parametrize(
         "dimension, n, runs_cg",

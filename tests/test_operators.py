@@ -394,6 +394,16 @@ class TestDenseInverse:
         op = build_nonlocal_operator(family, 0.25, grid) if problem == "nonlocal" else None
         assert dense_inverse(op, grid, 110.0) is None
 
+    @pytest.mark.parametrize("problem", ["nonlocal", "local"])
+    def test_kept_per_shift(self, family1d, problem):
+        # each Newton of a run looks its inverse up: built once per shift
+        grid = Grid.line(64)
+        op = build_nonlocal_operator(family1d, 0.2, grid) if problem == "nonlocal" else None
+        inverse = dense_inverse(op, grid, 110.0)
+        assert dense_inverse(op, grid, 110.0) is inverse
+        assert dense_inverse(op, grid, 1.001e6) is not inverse
+        assert not inverse.flags.writeable
+
 
 class TestApplyBLocal:
     def test_constant(self):
