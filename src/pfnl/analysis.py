@@ -40,6 +40,7 @@ from .operators import (
     apply_B,
     bbm_bound_ratio,
     build_nonlocal_operator,
+    energy_from_applied,
     energy_local,
     energy_nonlocal,
     frechet_fd_residual,
@@ -404,7 +405,7 @@ class ReducedRun:
     """A finished run reduced to what the sweep report reads: ``images``
     maps theta, phi, v, ``B phi`` and ``beta(phi)`` to their restrictions
     onto the comparison grid, one per snapshot, and ``energy`` holds the
-    run's energy at each snapshot.  A compared width also carries its
+    run's energy ``1/2 (B phi, phi)_H`` at each snapshot.  A compared width also carries its
     :func:`estimate_monitor` values, the uniform-bound monitor ``a5`` of
     its initial data, and that data's flags."""
 
@@ -417,8 +418,9 @@ class ReducedRun:
 
 def _reduce_run(traj, coarse, applied, estimates=None, a5=None, flags=()):
     """Reduce ``traj`` onto the grid ``coarse``, with ``applied`` the
-    per-snapshot ``(B phi, beta(phi))`` of :func:`_snapshot_images`;
-    ``estimates``, ``a5`` and ``flags`` are kept as given."""
+    per-snapshot ``(B phi, beta(phi))`` of :func:`_snapshot_images`, whose
+    ``B phi`` also gives each snapshot's energy; ``estimates``, ``a5`` and
+    ``flags`` are kept as given."""
     states = traj.states
     B_phi, beta = applied
     return ReducedRun(
@@ -429,7 +431,7 @@ def _reduce_run(traj, coarse, applied, estimates=None, a5=None, flags=()):
             "B": [restrict(b, coarse) for b in B_phi],
             "beta": [restrict(Field(traj.grid, b), coarse) for b in beta],
         },
-        energy=[_record_at(traj, t).energy_phi for t in traj.times],
+        energy=[energy_from_applied(traj.op, s.phi, b.data) for s, b in zip(states, B_phi)],
         estimates=estimates,
         a5=a5,
         flags=flags,
@@ -572,15 +574,6 @@ def nonlocal_to_local_study(sweep):
         violations=violations,
         notes=notes,
     )
-
-
-def _record_at(traj, t):
-    """The energy record of ``traj`` at snapshot time ``t``; records are
-    one per step, the first at ``t = 0``."""
-    recs = traj.records
-    if len(recs) < 2:
-        return recs[0]
-    return recs[min(round(t / (recs[1].t - recs[0].t)), len(recs) - 1)]
 
 
 # --- CSV rendering -----------------------------------------------------------------------

@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 assertion/solver failure or an output that
 cannot be written, 2 configuration error.
 Each command writes its files, then ``manifest.json`` (config hash,
 library versions, wall time), through one :func:`_write_outputs` call,
-each file atomically (temp file + rename).  When a write fails, the files
-the command wrote are removed and it exits 1; files already in
+each file atomically (temp file + rename).  An earlier run's
+``manifest.json`` is removed first.  When a write fails, the files the
+command wrote are removed and it exits 1; other files already in
 ``output.dir`` are left alone.  A verdict failure (``converge``
 violations, a failed suite, a moment residual above 1e-10) exits 1 after
 its outputs are written, and keeps them.
@@ -60,7 +61,12 @@ def _write_outputs(cfg, command, started, outputs, **extra):
     ``output.dir``, in order, then ``manifest.json`` with the ``extra``
     entries.  A :class:`Field` payload is a snapshot for :func:`write_field`
     in ``output.format``, any other is text for :func:`atomic_write`.  If a
-    write fails, the files this call wrote are removed and it re-raises."""
+    write fails, the files this call wrote are removed and it re-raises.
+    An earlier run's ``manifest.json`` is removed before the first write,
+    so a manifest in ``output.dir`` means its command finished every write."""
+    manifest_path = os.path.join(cfg.output_dir, "manifest.json")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(manifest_path)
     written = []
     try:
         for name, payload in outputs:
@@ -81,10 +87,7 @@ def _write_outputs(cfg, command, started, outputs, **extra):
             "wall_time_s": time.time() - started,
             **extra,
         }
-        atomic_write(
-            os.path.join(cfg.output_dir, "manifest.json"),
-            json.dumps(manifest, indent=2) + "\n",
-        )
+        atomic_write(manifest_path, json.dumps(manifest, indent=2) + "\n")
     except BaseException:
         for path in written:
             with contextlib.suppress(OSError):

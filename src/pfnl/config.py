@@ -1,14 +1,14 @@
 """Flat dotted-key run configuration.
 
 The format is one ``key = value`` pair per line, ``#`` comments, no
-nesting; every key is validated against the schema below and unknown or
-duplicate keys are rejected with line numbers.  Defaults are filled for
-anything omitted, so a minimal file can be empty.
+nesting; every key is validated against its :class:`RunConfig` field,
+and unknown or duplicate keys are rejected with line numbers.  Defaults
+are filled for anything omitted, so a minimal file can be empty.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -38,75 +38,50 @@ def _parse_eps_list(text):
     return vals
 
 
-# key -> (attribute, converter, validator, default, description-of-range)
-SCHEMA = {
-    "kernel.profile": ("kernel_profile", str, lambda s: s in PROFILE_SHAPES, "polynomial-bump", f"one of {PROFILE_SHAPES}"),
-    "kernel.support_radius": ("kernel_support_radius", float, _positive, 1.0, "> 0"),
-    "kernel.alpha": ("kernel_alpha", float, _nonnegative, 0.0, ">= 0"),
-    "grid.dimension": ("grid_dimension", int, lambda d: d in (1, 2), 1, "1 or 2"),
-    "grid.length": ("grid_length", float, _positive, 1.0, "> 0"),
-    "grid.n": ("grid_n", int, lambda n: n >= 4, 512, ">= 4"),
-    "time.T": ("time_T", float, _nonnegative, 0.5, ">= 0"),
-    "time.dt": ("time_dt", float, _positive, 1e-3, "> 0"),
-    "time.snapshots": ("time_snapshots", int, lambda n: n >= 1, 20, ">= 1"),
-    "solver.newton_tol": ("newton_tol", float, _tolerance, 1e-10, "in (0, 1e-6]"),
-    "solver.newton_max_iter": ("newton_max_iter", int, lambda n: n >= 1, 25, ">= 1"),
-    "solver.cg_tol": ("cg_tol", float, _tolerance, 1e-12, "in (0, 1e-6]"),
-    "potential.kind": ("potential_kind", str, lambda s: s in ("double-well", "custom-polynomial"), "double-well", "double-well or custom-polynomial"),
-    "potential.power": ("potential_power", int, lambda p: p >= 1 and p % 2 == 1, 3, "odd integer >= 1"),
-    "potential.pi_slope": ("potential_pi_slope", float, lambda x: True, -1.0, "any real"),
-    "potential.q": ("potential_q", float, lambda q: q > 1.0 or q == 0.0, 0.0, "> 1 (0 = derive from kind)"),
-    "potential.c_beta": ("potential_c_beta", float, _nonnegative, 0.0, ">= 0 (0 = derive from kind)"),
-    "initial.kind": ("initial_kind", str, lambda s: s in ("smooth-default", "custom"), "smooth-default", "smooth-default or custom"),
-    "initial.theta_file": ("initial_theta_file", str, lambda s: True, "", "path"),
-    "initial.phi_file": ("initial_phi_file", str, lambda s: True, "", "path"),
-    "initial.v_file": ("initial_v_file", str, lambda s: True, "", "path"),
-    "initial.c1": ("initial_c1", float, _positive, 10.0, "> 0"),
-    "source.kind": ("source_kind", str, lambda s: s in ("none", "cosine-decay"), "none", "none or cosine-decay"),
-    "source.amplitude": ("source_amplitude", float, lambda x: True, 1.0, "any real"),
-    "sweep.eps": ("sweep_eps", _parse_eps_list, lambda v: all(0.0 < e <= 1.0 for e in v) and all(a > b for a, b in zip(v, v[1:])), (0.2, 0.1, 0.05, 0.025), "strictly decreasing values in (0, 1]"),
-    "sweep.max_n": ("sweep_max_n", int, lambda n: n >= 4, 512, ">= 4"),
-    "sweep.reference": ("sweep_reference", str, lambda s: s in ("local-solve", "finest-eps"), "local-solve", "local-solve or finest-eps"),
-    "output.dir": ("output_dir", str, lambda s: bool(s), "out", "non-empty path"),
-    "output.format": ("output_format", str, lambda s: s in ("csv", "binary"), "csv", "csv or binary"),
-    "seed": ("seed", int, _nonnegative, 0, ">= 0"),
-}
+def _key(key, convert, check, default, expect):
+    """The :class:`RunConfig` field of the config key ``key``."""
+    return field(
+        default=default,
+        metadata=dict(key=key, convert=convert, check=check, expect=expect),
+    )
 
 
 @dataclass
 class RunConfig:
-    """Validated configuration with object factories for the run."""
+    """Validated configuration with object factories for the run.  Each
+    field but ``raw_text`` declares one config key by :func:`_key`: its
+    converter, range check, default and range text (:data:`SCHEMA`)."""
 
-    kernel_profile: str
-    kernel_support_radius: float
-    kernel_alpha: float
-    grid_dimension: int
-    grid_length: float
-    grid_n: int
-    time_T: float
-    time_dt: float
-    time_snapshots: int
-    newton_tol: float
-    newton_max_iter: int
-    cg_tol: float
-    potential_kind: str
-    potential_power: int
-    potential_pi_slope: float
-    potential_q: float
-    potential_c_beta: float
-    initial_kind: str
-    initial_theta_file: str
-    initial_phi_file: str
-    initial_v_file: str
-    initial_c1: float
-    source_kind: str
-    source_amplitude: float
-    sweep_eps: tuple
-    sweep_max_n: int
-    sweep_reference: str
-    output_dir: str
-    output_format: str
-    seed: int
+    kernel_profile: str = _key("kernel.profile", str, lambda s: s in PROFILE_SHAPES, "polynomial-bump", f"one of {PROFILE_SHAPES}")
+    kernel_support_radius: float = _key("kernel.support_radius", float, _positive, 1.0, "> 0")
+    kernel_alpha: float = _key("kernel.alpha", float, _nonnegative, 0.0, ">= 0")
+    grid_dimension: int = _key("grid.dimension", int, lambda d: d in (1, 2), 1, "1 or 2")
+    grid_length: float = _key("grid.length", float, _positive, 1.0, "> 0")
+    grid_n: int = _key("grid.n", int, lambda n: n >= 4, 512, ">= 4")
+    time_T: float = _key("time.T", float, _nonnegative, 0.5, ">= 0")
+    time_dt: float = _key("time.dt", float, _positive, 1e-3, "> 0")
+    time_snapshots: int = _key("time.snapshots", int, lambda n: n >= 1, 20, ">= 1")
+    newton_tol: float = _key("solver.newton_tol", float, _tolerance, 1e-10, "in (0, 1e-6]")
+    newton_max_iter: int = _key("solver.newton_max_iter", int, lambda n: n >= 1, 25, ">= 1")
+    cg_tol: float = _key("solver.cg_tol", float, _tolerance, 1e-12, "in (0, 1e-6]")
+    potential_kind: str = _key("potential.kind", str, lambda s: s in ("double-well", "custom-polynomial"), "double-well", "double-well or custom-polynomial")
+    potential_power: int = _key("potential.power", int, lambda p: p >= 1 and p % 2 == 1, 3, "odd integer >= 1")
+    potential_pi_slope: float = _key("potential.pi_slope", float, lambda x: True, -1.0, "any real")
+    potential_q: float = _key("potential.q", float, lambda q: q > 1.0 or q == 0.0, 0.0, "> 1 (0 = derive from kind)")
+    potential_c_beta: float = _key("potential.c_beta", float, _nonnegative, 0.0, ">= 0 (0 = derive from kind)")
+    initial_kind: str = _key("initial.kind", str, lambda s: s in ("smooth-default", "custom"), "smooth-default", "smooth-default or custom")
+    initial_theta_file: str = _key("initial.theta_file", str, lambda s: True, "", "path")
+    initial_phi_file: str = _key("initial.phi_file", str, lambda s: True, "", "path")
+    initial_v_file: str = _key("initial.v_file", str, lambda s: True, "", "path")
+    initial_c1: float = _key("initial.c1", float, _positive, 10.0, "> 0")
+    source_kind: str = _key("source.kind", str, lambda s: s in ("none", "cosine-decay"), "none", "none or cosine-decay")
+    source_amplitude: float = _key("source.amplitude", float, lambda x: True, 1.0, "any real")
+    sweep_eps: tuple = _key("sweep.eps", _parse_eps_list, lambda v: all(0.0 < e <= 1.0 for e in v) and all(a > b for a, b in zip(v, v[1:])), (0.2, 0.1, 0.05, 0.025), "strictly decreasing values in (0, 1]")
+    sweep_max_n: int = _key("sweep.max_n", int, lambda n: n >= 4, 512, ">= 4")
+    sweep_reference: str = _key("sweep.reference", str, lambda s: s in ("local-solve", "finest-eps"), "local-solve", "local-solve or finest-eps")
+    output_dir: str = _key("output.dir", str, lambda s: bool(s), "out", "non-empty path")
+    output_format: str = _key("output.format", str, lambda s: s in ("csv", "binary"), "csv", "csv or binary")
+    seed: int = _key("seed", int, _nonnegative, 0, ">= 0")
     raw_text: str = ""
 
     def make_profile(self):
@@ -159,6 +134,10 @@ class RunConfig:
         return make_source(self.source_kind, self.source_amplitude)
 
 
+# config key -> its RunConfig field, in declaration order
+SCHEMA = {f.metadata["key"]: f for f in fields(RunConfig) if f.metadata}
+
+
 def parse_config_text(text, origin="<config>"):
     """Parse and validate the flat key=value format.
 
@@ -186,7 +165,8 @@ def parse_config_text(text, origin="<config>"):
         if key not in SCHEMA:
             errors.append(f"{origin}:{lineno}: unknown key {key!r}")
             continue
-        attr, convert, check, _default, expect = SCHEMA[key]
+        spec = SCHEMA[key]
+        convert, check, expect = (spec.metadata[k] for k in ("convert", "check", "expect"))
         try:
             val = convert(raw)
         except (TypeError, ValueError):
@@ -200,14 +180,12 @@ def parse_config_text(text, origin="<config>"):
                 f"{origin}:{lineno}: {key} = {raw} out of range (expected {expect})"
             )
             continue
-        values[attr] = val
+        values[spec.name] = val
 
     if errors:
         raise ConfigError(errors)
 
-    kwargs = {attr: default for (attr, _c, _v, default, _e) in SCHEMA.values()}
-    kwargs.update(values)
-    cfg = RunConfig(raw_text=text, **kwargs)
+    cfg = RunConfig(raw_text=text, **values)
 
     # cross-key constraints
     cross = []

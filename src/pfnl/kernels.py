@@ -73,7 +73,43 @@ def adaptive_gauss_legendre(f, a, b, tol=1e-12, max_depth=48):
 
 # --- mollifier profiles ------------------------------------------------------
 
-PROFILE_SHAPES = ("polynomial-bump", "compact-bump", "gaussian-truncated")
+
+def _gaussian(R):
+    """``sigma^2`` of the truncated Gaussian (``sigma = R/3``) and the
+    Gaussian's value at ``R``, which the shape subtracts."""
+    var = (R / 3.0) * (R / 3.0)
+    return var, math.exp(-R * R / (2.0 * var))
+
+
+def _gaussian_value(s, R):
+    var, tail = _gaussian(R)
+    return np.exp(-s * s / (2.0 * var)) - tail * (1.0 + R * (R - s) / var)
+
+
+def _gaussian_derivative(s, R):
+    var, tail = _gaussian(R)
+    return -(s / var) * np.exp(-s * s / (2.0 * var)) + tail * R / var
+
+
+# shape -> (value, derivative) of rho_tilde at the radii s inside the
+# support radius R, as functions of (s, R); see make_profile
+_SHAPES = {
+    "polynomial-bump": (
+        lambda s, R: (1.0 - (s / R) ** 2) ** 2,
+        lambda s, R: -4.0 * (s / R) * (1.0 - (s / R) ** 2) / R,
+    ),
+    "compact-bump": (
+        lambda s, R: np.exp(-1.0 / (1.0 - (s / R) ** 2)),
+        lambda s, R: (
+            np.exp(-1.0 / (1.0 - (s / R) ** 2))
+            * (-2.0 * (s / R) / R)
+            / (1.0 - (s / R) ** 2) ** 2
+        ),
+    ),
+    "gaussian-truncated": (_gaussian_value, _gaussian_derivative),
+}
+
+PROFILE_SHAPES = tuple(_SHAPES)
 
 
 @dataclass(frozen=True)
@@ -98,7 +134,8 @@ class MollifierProfile:
 
 
 def make_profile(shape, support_radius=1.0):
-    """Construct one of the named profile shapes.
+    """Construct one of the named profile shapes, each one entry of the
+    shape table, zero from the support radius ``R`` on.
 
     polynomial-bump
         ``(1 - (s/R)^2)^2`` on [0, R]; all moments of interest are exact
@@ -112,75 +149,25 @@ def make_profile(shape, support_radius=1.0):
     R = float(support_radius)
     if R <= 0:
         raise KernelError("support radius must be positive")
-
-    if shape == "polynomial-bump":
-
-        def raw(s):
-            u = s / R
-            inside = u < 1.0
-            out = np.zeros_like(u)
-            out[inside] = (1.0 - u[inside] ** 2) ** 2
-            return out
-
-        def draw(s):
-            u = s / R
-            inside = u < 1.0
-            out = np.zeros_like(u)
-            out[inside] = -4.0 * u[inside] * (1.0 - u[inside] ** 2) / R
-            return out
-
-    elif shape == "compact-bump":
-
-        def raw(s):
-            u = s / R
-            out = np.zeros_like(u)
-            inside = u < 1.0
-            with np.errstate(divide="ignore", over="ignore"):
-                out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-            return out
-
-        def draw(s):
-            u = s / R
-            out = np.zeros_like(u)
-            inside = u < 1.0
-            ui = u[inside]
-            with np.errstate(divide="ignore", over="ignore"):
-                out[inside] = (
-                    np.exp(-1.0 / (1.0 - ui**2))
-                    * (-2.0 * ui / R)
-                    / (1.0 - ui**2) ** 2
-                )
-            return out
-
-    elif shape == "gaussian-truncated":
-        sigma = R / 3.0
-        tail = math.exp(-R * R / (2.0 * sigma * sigma))
-
-        def raw(s):
-            out = np.zeros_like(s)
-            inside = s < R
-            si = s[inside]
-            out[inside] = np.exp(-si * si / (2.0 * sigma * sigma)) - tail * (
-                1.0 + R * (R - si) / (sigma * sigma)
-            )
-            return out
-
-        def draw(s):
-            out = np.zeros_like(s)
-            inside = s < R
-            si = s[inside]
-            out[inside] = (
-                -(si / (sigma * sigma)) * np.exp(-si * si / (2.0 * sigma * sigma))
-                + tail * R / (sigma * sigma)
-            )
-            return out
-
-    else:
+    if shape not in _SHAPES:
         raise KernelError(
             f"unknown profile shape {shape!r} (expected one of {PROFILE_SHAPES})"
         )
+    value, derivative = _SHAPES[shape]
+    return MollifierProfile(shape, R, _supported(value, R), _supported(derivative, R))
 
-    return MollifierProfile(shape, R, raw, draw)
+
+def _supported(f, R):
+    """``f(s, R)`` at the radii ``s`` with ``s / R < 1``, zero elsewhere."""
+
+    def on_support(s):
+        out = np.zeros_like(s)
+        inside = s / R < 1.0
+        with np.errstate(divide="ignore", over="ignore"):
+            out[inside] = f(s[inside], R)
+        return out
+
+    return on_support
 
 
 # --- kernel family -----------------------------------------------------------

@@ -37,11 +37,11 @@ holds to roundoff against the direct double sum.
 On a 1D grid that :func:`pfnl.fields.is_dense_grid` accepts the phase
 Newton solves on the dense inverse of its ``a I + B`` instead
 (:func:`dense_inverse`, kept per shift on the kernel operator).  The kernel
-matrix is assembled from the plan's weights and ``a_eps`` and inverted by
-banded elimination in NumPy; the
-Laplacian's is the kept matrix of the cosine-basis solve.  The same
-weights build :attr:`NonlocalOperator.kernel_matrix` for the double-sum
-oracles, so every route to ``B_eps`` reads one window.
+operator's is ``diag(a + a_eps)`` minus :attr:`NonlocalOperator.kernel_matrix`,
+inverted by banded elimination in NumPy; the Laplacian's is the kept
+matrix of the cosine-basis solve.  The plan's weights build that one
+kernel matrix, which the double-sum oracles read too, so every route to
+``B_eps`` reads one window.
 """
 
 from __future__ import annotations
@@ -304,10 +304,9 @@ def dense_inverse(op, grid, a):
     For ``-lap_N`` it is the kept matrix :func:`~pfnl.fields.neumann_solve`
     applies (:func:`~pfnl.fields.neumann_inverse`).  For ``B_eps`` it is
     kept on the operator per shift (:attr:`NonlocalOperator.dense_inverses`):
-    the matrix ``a I + B_eps`` is assembled from the plan's weights (so a
-    rescaled window reaches it too) and ``a_eps``, as ``diag(a + a_eps)``
-    minus the banded Toeplitz matrix of the window restricted to the box,
-    and inverted by :func:`_banded_inverse`.
+    the matrix ``a I + B_eps`` is ``diag(a + a_eps)`` minus the operator's
+    one :attr:`~NonlocalOperator.kernel_matrix` (so a rescaled window
+    reaches it too), inverted by :func:`_banded_inverse`.
     """
     if not is_dense_grid(grid):
         return None
@@ -315,17 +314,9 @@ def dense_inverse(op, grid, a):
         return neumann_inverse(grid, a, 1.0)
     if a in op.dense_inverses:
         return op.dense_inverses[a]
-    (n,) = grid.n
-    weights = op.plan.weights
-    (w,) = op.plan.kernel.halfwidth  # at most n - 1
-    matrix = np.zeros((n, n))
-    flat = matrix.reshape(-1)
-    for o in range(-w, w + 1):
-        # the entries (i, i + o) hold -weights[w - o]: the full
-        # convolution sums weights[k] u[i + w - k]
-        start, stop = (o, n * (n - o)) if o >= 0 else (-o * n, None)
-        flat[start:stop : n + 1] = -weights[w - o]
-    flat[:: n + 1] += a + op.a_eps.data
+    matrix = np.negative(op.kernel_matrix)
+    matrix.flat[:: len(matrix) + 1] += a + op.a_eps.data
+    (w,) = op.plan.kernel.halfwidth
     inverse = op.dense_inverses[a] = _banded_inverse(matrix, w)
     inverse.flags.writeable = False
     return inverse

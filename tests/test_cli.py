@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import pytest
 import pfnl
 from pfnl import cli
 from pfnl.analysis import sweep_grids
-from pfnl.config import default_config, parse_config_text
+from pfnl.config import SCHEMA, default_config, parse_config_text
 from pfnl.errors import ConfigError
 from pfnl.fields import Field, Grid, write_field, zeros
 from pfnl.integrator import CSV_COLUMNS
@@ -96,6 +97,16 @@ class TestParseConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             cli.parse_config("/nonexistent/path.cfg")
+
+    def test_readme_lists_every_key(self):
+        # the README's key block documents exactly the keys the parser takes:
+        # each dotted name, and each bare name that opens a line
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            block = fh.read().split("### Config keys", 1)[1].split("```")[1]
+        documented = set(re.findall(r"\b[a-z]+\.\w+", block))
+        documented |= set(re.findall(r"^([a-z_]+) \(", block, re.M))
+        assert documented == set(SCHEMA)
 
 
 class TestVerifyKernel:
@@ -559,6 +570,19 @@ class TestOutputWrites:
         assert cli.main(["verify-kernel", "--config", cfg]) == 1
         assert sorted(os.listdir(out)) == ["kernel.csv", "manifest.json"]
 
+    def test_rerun_with_failed_write_leaves_no_manifest(self, tmp_path, capsys):
+        # a rerun into an earlier run's output.dir removes its manifest
+        # first, so a manifest never names files that a failed rerun removed
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, self.CONFIGS["converge"] + f"output.dir = {out}\n")
+        cli.main(["converge", "--config", cfg])  # a verdict keeps the outputs
+        assert (out / "manifest.json").is_file()
+        (out / "estimates.csv").unlink()
+        (out / "estimates.csv").mkdir()
+        assert cli.main(["converge", "--config", cfg]) == 1
+        assert "run failed:" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
 
 def _python_output(code):
     """Standard output of ``python -c code`` run against this source tree."""
@@ -570,17 +594,18 @@ def _python_output(code):
     return out.stdout.strip()
 
 
-def test_import_leaves_scipy_sparse_unloaded():
-    # nothing in pfnl needs scipy.sparse; importing it would cost start-up
-    # time and resident memory in every run
-    code = "import sys, pfnl.cli; print('scipy.sparse' in sys.modules)"
-    assert _python_output(code) == "False"
-
-
 def test_no_command_imports_scipy(tmp_path):
-    # scipy serves only the tests' oracles; every CLI command runs without
-    # importing it
+    # scipy serves only the tests' oracles; every CLI command, in 1D and
+    # 2D, runs without importing it, so neither scipy.sparse nor scipy.fft
+    # (whose import lengthens start-up) is loaded: the Neumann solves and
+    # the convolutions run on numpy's FFT
     sim = write_config(tmp_path, SMALL_SIM.format(out=tmp_path / "sim"), "sim.cfg")
+    sim_2d = write_config(
+        tmp_path,
+        "grid.dimension = 2\ngrid.n = 16\n"
+        + SMALL_SIM.replace("grid.n = 64\n", "").format(out=tmp_path / "sim2d"),
+        "sim2d.cfg",
+    )
     sweep = write_config(
         tmp_path,
         SMALL_SWEEP.replace("time.T = 0.2", "time.T = 0.02").format(
@@ -594,6 +619,8 @@ def test_no_command_imports_scipy(tmp_path):
         ["converge", "--config", sweep],
         ["verify-kernel", "--config", sweep],
         ["verify-lemmas", "--config", sweep],
+        ["simulate", "--config", sim_2d, "--eps", "0.25"],
+        ["verify-lemmas", "--config", sim_2d],
     ]
     code = (
         "import sys\n"
@@ -606,50 +633,3 @@ def test_no_command_imports_scipy(tmp_path):
         line for line in _python_output(code).splitlines() if line.startswith("probe")
     ]
     assert probes == [f"probe {argv[0]} 0 False" for argv in commands]
-
-
-class TestScipyFftImport:
-    """No run imports scipy.fft, whose import lengthens start-up: the
-    Neumann solves and the convolutions run on numpy's FFT in 1D and 2D."""
-
-    RUN = (
-        "import sys\n"
-        "from pfnl import cli\n"
-        "code = cli.main({argv!r})\n"
-        "print(code, 'scipy.fft' in sys.modules)\n"
-    )
-
-    def test_import_leaves_scipy_fft_unloaded(self):
-        code = "import sys, pfnl.cli; print('scipy.fft' in sys.modules)"
-        assert _python_output(code) == "False"
-
-    @pytest.mark.parametrize(
-        "command, config",
-        [
-            (["converge"], SMALL_SWEEP.replace("time.T = 0.2", "time.T = 0.02")),
-            (["simulate", "--eps", "0.2"], SMALL_SIM),
-        ],
-        ids=["converge", "simulate"],
-    )
-    def test_1d_run_leaves_scipy_fft_unloaded(self, tmp_path, command, config):
-        cfg = write_config(tmp_path, config.format(out=tmp_path / "out"))
-        argv = [command[0], "--config", cfg, *command[1:]]
-        assert _python_output(self.RUN.format(argv=argv)) == "0 False"
-
-    @pytest.mark.parametrize(
-        "command",
-        [["simulate", "--eps", "0.25"], ["verify-lemmas"]],
-        ids=["simulate", "verify-lemmas"],
-    )
-    def test_2d_run_leaves_scipy_fft_unloaded(self, tmp_path, command):
-        # the whole run, past the entry into the work (the trajectory or
-        # the first suite) and every solve after it
-        cfg = write_config(
-            tmp_path,
-            "grid.dimension = 2\ngrid.n = 16\n"
-            + SMALL_SIM.replace("grid.n = 64\n", "").format(out=tmp_path / "out"),
-        )
-        argv = [command[0], "--config", cfg, *command[1:]]
-        # verify-lemmas prints its verdicts before the probe's line
-        last = _python_output(self.RUN.format(argv=argv)).splitlines()[-1]
-        assert last == "0 False"

@@ -177,7 +177,7 @@ class TestEnergyBalance:
         traj = solve_trajectory(
             None, data, pot, SchemeConfig(dt=1e-2, T=0.1, snapshots=5)
         )
-        assert all(r.residual == 0.0 for r in traj.records)
+        assert all(r.residual_a1 == 0.0 for r in traj.records)
 
     def test_constant_data_residual_second_order(self, family):
         pot = make_linear_potential(0.0)
@@ -218,7 +218,7 @@ class TestEnergyBalance:
         traj = solve_trajectory(
             op, data, pot, SchemeConfig(dt=1e-3, T=1.0, snapshots=20)
         )
-        assert all(r.residual <= 0.01 for r in traj.records)
+        assert all(r.residual_a1 <= 0.01 for r in traj.records)
 
     def test_residual_ratio_under_dt_halving(self, family):
         # quadratic per-step residual: halving dt divides the max by ~4
@@ -328,8 +328,8 @@ class TestSinglePassRecords:
                         states[k - 1], st, energy_fn, pot, source(grid, st.t), dt
                     )
                 )
-                assert close(rec.residual, residuals[-1])
-        assert traj.records[0].residual == 0.0
+                assert close(rec.residual_a1, residuals[-1])
+        assert traj.records[0].residual_a1 == 0.0
 
         expected = dict.fromkeys(
             ("int_thetat_sq", "int_laptheta_sq", "int_gradtheta_sq", "int_v_sq"), 0.0
