@@ -164,6 +164,7 @@ def cmd_simulate(cfg, eps=None, local=False):
         problem="local" if local else f"nonlocal eps={eps}",
         steps=scheme.num_steps,
         max_energy_residual=traj.aux["max_step_residual"],
+        max_mass_residual=traj.aux["max_mass_residual"],
     )
     return 0
 
@@ -284,10 +285,11 @@ def cmd_energy_report(cfg, run_dir):
             ) from err
         residuals.append(residual)
         totals.append(total)
+    step_residuals = residuals[1:]  # the t = 0 record balances no step
     summary = {
-        "steps": len(residuals) - 1,
+        "steps": len(step_residuals),
         "max_residual": max(residuals),
-        "mean_residual": sum(residuals) / len(residuals),
+        "mean_residual": sum(step_residuals) / max(len(step_residuals), 1),
         "final_energy_phi": totals[-1],
     }
     outputs = [("energy_report.json", json.dumps(summary, indent=2) + "\n")]

@@ -61,6 +61,12 @@ from .errors import ConfigError, GridMismatchError, SolverError
 # other.
 MAX_DENSE_CELLS = 256
 
+# Pairings of more entries than this are summed in blocks of this many.
+# OpenBLAS splits a ``ddot`` of more than 10000 entries across its threads,
+# so the order of its sum, and the last bits of every 2D pairing, would
+# change with ``OPENBLAS_NUM_THREADS``; a block stays below that split.
+DOT_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -217,16 +223,39 @@ def field_from_function(grid, fn):
     return Field(grid, np.asarray(fn(*grid.meshgrid()), dtype=np.float64))
 
 
+def dot(a, b):
+    """``sum(a * b)`` over all entries of two arrays of one size, as a float,
+    summed in an order that does not depend on the BLAS thread count.
+
+    Every pairing in the package goes through here.  Up to
+    :data:`DOT_BLOCK` entries this is ``np.vdot``, one single-threaded
+    ``ddot``.  A longer array is cut into whole blocks of
+    :data:`DOT_BLOCK` entries and a shorter tail; each block is one
+    ``ddot`` (a stacked ``np.matmul`` of ``1 x DOT_BLOCK`` rows and
+    columns), and ``math.fsum`` adds the block sums exactly rounded.
+    """
+    n = a.size
+    if n <= DOT_BLOCK:
+        return float(np.vdot(a, b))
+    k, tail = divmod(n, DOT_BLOCK)
+    m = n - tail
+    a, b = a.reshape(-1), b.reshape(-1)
+    blocks = np.matmul(
+        a[:m].reshape(k, 1, DOT_BLOCK), b[:m].reshape(k, DOT_BLOCK, 1)
+    ).ravel().tolist()
+    blocks.append(float(np.vdot(a[m:], b[m:])))
+    return math.fsum(blocks)
+
+
 def inner_product(space, u1, u2):
     """Inner product of two fields.
 
     ``space="H"`` is the midpoint-rule L2 product ``h^d sum(u1*u2)``,
-    one ``np.vdot`` reduction; ``space="V"`` adds the face-centered
-    gradient term.
+    one :func:`dot`; ``space="V"`` adds the face-centered gradient term.
     """
     _require_same_grid(u1, u2)
     if space == "H":
-        return u1.grid.cell_volume * float(np.vdot(u1.data, u2.data))
+        return u1.grid.cell_volume * dot(u1.data, u2.data)
     if space == "V":
         return inner_product("H", u1, u2) + grad_inner(u1, u2)
     raise ValueError(f"unknown space {space!r} (expected 'H' or 'V')")
@@ -234,7 +263,7 @@ def inner_product(space, u1, u2):
 
 def grad_inner(u1, u2):
     """Face-centered gradient product ``(grad u1, grad u2)_H``: per axis,
-    one ``np.vdot`` of the interior-face differences (Neumann faces drop
+    one :func:`dot` of the interior-face differences (Neumann faces drop
     out).  The grid check is skipped when both arguments are one field."""
     if u2 is not u1:
         _require_same_grid(u1, u2)
@@ -243,7 +272,7 @@ def grad_inner(u1, u2):
     for lo, hi, h_sq in u1.grid.faces:
         d1 = u1.data[hi] - u1.data[lo]
         d2 = d1 if u2 is u1 else u2.data[hi] - u2.data[lo]
-        total += vol / h_sq * float(np.vdot(d1, d2))
+        total += vol / h_sq * dot(d1, d2)
     return total
 
 
@@ -476,14 +505,14 @@ def cg(matvec, b, rtol, maxiter, callback=None):
     iterate when the budget runs out.
     """
     x = np.zeros_like(b)
-    b_norm = math.sqrt(float(np.vdot(b, b)))
+    b_norm = math.sqrt(dot(b, b))
     if b_norm == 0.0:
         return x, 0
     atol = rtol * b_norm
     r = b.copy()
     p = None
     for _ in range(maxiter):
-        rho = float(np.vdot(r, r))
+        rho = dot(r, r)
         if math.sqrt(rho) < atol:
             return x, 0
         if p is None:
@@ -492,7 +521,7 @@ def cg(matvec, b, rtol, maxiter, callback=None):
             p *= rho / rho_prev
             p += r
         q = matvec(p)
-        alpha = rho / float(np.vdot(p, q))
+        alpha = rho / dot(p, q)
         q *= alpha  # q is not read again: scale it in place for r -= alpha q
         r -= q
         x += np.multiply(p, alpha, out=q)  # and reuse it for alpha p

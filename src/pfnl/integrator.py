@@ -65,7 +65,7 @@ application.  The ``int_laptheta_sq`` monitor reads
 Laplacian of its own.
 
 Inside a step the phase Newton, its CG and the record work on bare
-arrays, and every H pairing is one ``np.vdot`` reduction; a
+arrays, and every H pairing is one :func:`~pfnl.fields.dot`; a
 :class:`~pfnl.fields.Field` (which validates its data) is built only for
 the components of each new :class:`State`.
 """
@@ -78,7 +78,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import SolverError
-from .fields import Field, cg, grad_inner, inner_product, neumann_solve
+from .fields import Field, cg, dot, grad_inner, inner_product, neumann_solve
 from .operators import (
     apply_B_array,
     dense_inverse,
@@ -258,14 +258,14 @@ def _phi_update(state, op, potential, cfg):
     np.subtract(state.theta.data, pi_term, out=scratch)
     scratch *= dt_sq
     b += scratch
-    b_scale = 1.0 + math.sqrt(vol * float(np.vdot(b, b)))
+    b_scale = 1.0 + math.sqrt(vol * dot(b, b))
 
     def residual(phi_data, Bphi):
         res = Bphi + potential.beta(phi_data)
         res *= dt_sq
         res += np.multiply(phi_data, 1.0 + dt, out=scratch)
         res -= b
-        return res, math.sqrt(vol * float(np.vdot(res, res)))
+        return res, math.sqrt(vol * dot(res, res))
 
     by_linearity = state.B_phi is not None and state.B_phi_prev is not None
     if by_linearity:
@@ -449,10 +449,10 @@ def _record(t, state, energy_phi, potential, f_next=None, dt=None, prev_total=No
     ``|grad theta|^2`` and ``|v|^2``."""
     vol = state.phi.grid.cell_volume
     theta, phi, v = state.theta.data, state.phi.data, state.v.data
-    theta_sq = vol * float(np.vdot(theta, theta))
+    theta_sq = vol * dot(theta, theta)
     grad_sq = grad_inner(state.theta, state.theta)
-    phi_sq = vol * float(np.vdot(phi, phi))
-    v_sq = vol * float(np.vdot(v, v))
+    phi_sq = vol * dot(phi, phi)
+    v_sq = vol * dot(v, v)
     int_beta_hat = vol * float(
         np.asarray(potential.beta_hat(phi), dtype=np.float64).sum()
     )
@@ -460,9 +460,9 @@ def _record(t, state, energy_phi, potential, f_next=None, dt=None, prev_total=No
     residual = 0.0
     if prev_total is not None:
         state.pi_phi = np.asarray(potential.pi(phi), dtype=np.float64)
-        work = vol * float(np.vdot(phi - state.pi_phi, v))
+        work = vol * dot(phi - state.pi_phi, v)
         if f_next is not None:
-            work = vol * float(np.vdot(f_next.data, theta)) + work
+            work = vol * dot(f_next.data, theta) + work
         residual = abs(total - prev_total + dt * (grad_sq + v_sq) - dt * work)
     record = EnergyRecord(
         t=t,
@@ -543,8 +543,8 @@ def solve_trajectory(op, data, potential, cfg, source=None):
 
         thetat = (state.theta.data - prev.theta.data) / dt
         lap, state.lap_theta = state.lap_theta, None
-        aux["int_thetat_sq"] += dt * vol * float(np.vdot(thetat, thetat))
-        aux["int_laptheta_sq"] += dt * (vol * float(np.vdot(lap, lap)))
+        aux["int_thetat_sq"] += dt * vol * dot(thetat, thetat)
+        aux["int_laptheta_sq"] += dt * (vol * dot(lap, lap))
         aux["int_gradtheta_sq"] += dt * grad_sq
         aux["int_v_sq"] += dt * v_sq
         aux["max_step_residual"] = max(aux["max_step_residual"], record.residual_a1)

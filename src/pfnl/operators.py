@@ -55,6 +55,7 @@ import numpy as np
 from .errors import DegenerateFieldError
 from .fields import (
     Field,
+    dot,
     dual_norm,
     inner_product,
     is_dense_grid,
@@ -367,7 +368,7 @@ def energy_from_applied(op, u, Bu):
     Negative roundoff is clamped; a value below ``-1e-14`` times the largest
     diagonal entry of ``B`` (at least 1) raises.
     """
-    val = 0.5 * u.grid.cell_volume * float(np.vdot(Bu, u.data))
+    val = 0.5 * u.grid.cell_volume * dot(Bu, u.data)
     if op is None:
         diagonal = sum(2.0 / (h * h) for h in u.grid.spacing)
     else:

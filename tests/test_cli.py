@@ -151,6 +151,17 @@ class TestSimulate:
         assert manifest["command"] == "simulate"
         assert "config_sha256" in manifest
 
+    def test_manifest_reports_mass_residual(self, tmp_path):
+        # h^d sum(theta + phi) changes by exactly the source's mass each step
+        cfg = write_config(
+            tmp_path,
+            SMALL_SIM.format(out=tmp_path / "out") + "source.kind = cosine-decay\n",
+        )
+        assert cli.main(["simulate", "--config", cfg, "--eps", "0.25"]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert 0.0 <= manifest["max_mass_residual"] <= 1e-9
+        assert "max_energy_residual" in manifest
+
     def test_nonlocal_run_builds_operator_once(self, tmp_path, monkeypatch):
         built = []
         real = cli.build_nonlocal_operator
@@ -325,6 +336,28 @@ class TestSimulate:
         assert summary["steps"] == 10
         assert summary["max_residual"] >= 0.0
         assert (tmp_path / "out" / "energy_report.json").exists()
+
+    @pytest.mark.parametrize("steps", [0, 2])
+    def test_energy_report_mean_is_over_steps(self, tmp_path, capsys, steps):
+        # the t = 0 record's residual is 0 and balances no step, so it is
+        # left out of the mean; a run without steps reports 0.0
+        text = SMALL_SIM.replace("time.T = 0.02", f"time.T = {steps * 2e-3!r}")
+        cfg = write_config(tmp_path, text.format(out=tmp_path / "out"))
+        assert cli.main(["simulate", "--config", cfg, "--eps", "0.25"]) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "out" / "energy.csv").read_text().split()
+        column = lines[0].split(",").index("residual_a1")
+        residuals = [float(line.split(",")[column]) for line in lines[2:]]
+        assert len(residuals) == steps
+        assert cli.main(
+            ["energy-report", "--config", cfg, "--run", str(tmp_path / "out")]
+        ) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["steps"] == steps
+        expected = sum(residuals) / steps if steps else 0.0
+        assert summary["mean_residual"] == expected
+        if steps:
+            assert expected > 0.0
 
     def test_energy_report_without_records_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_SIM.format(out=tmp_path / "out"))
@@ -584,14 +617,55 @@ class TestOutputWrites:
         assert not (out / "manifest.json").exists()
 
 
-def _python_output(code):
-    """Standard output of ``python -c code`` run against this source tree."""
+def _python_output(code, **env):
+    """Standard output of ``python -c code`` run against this source tree,
+    with ``env`` added to the environment."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(pfnl.__file__)))
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONPATH=src),
+        env=dict(os.environ, PYTHONPATH=src, **env),
     )
     return out.stdout.strip()
+
+
+def test_2d_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS splits a ddot of more than 10000 entries across its threads;
+    # every pairing goes through fields.dot, whose order of summation is
+    # fixed, so a 2D simulate on 128^2 cells and a 2D sweep whose finest
+    # grid has 160^2 cells write the same bytes under one BLAS thread and two
+    steps = "time.dt = 0.01\ntime.T = 0.05\n"
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        sim = write_config(
+            tmp_path,
+            f"grid.dimension = 2\ngrid.n = 128\n{steps}output.dir = {out / 'sim'}\n",
+            f"sim{threads}.cfg",
+        )
+        sweep = write_config(
+            tmp_path,
+            "grid.dimension = 2\nsweep.eps = 0.2, 0.1, 0.05\nsweep.max_n = 160\n"
+            f"{steps}output.dir = {out / 'sweep'}\n",
+            f"sweep{threads}.cfg",
+        )
+        commands = [
+            ["simulate", "--config", sim, "--eps", "0.25"], ["converge", "--config", sweep]
+        ]
+        code = (
+            "from pfnl import cli\n"
+            f"print([cli.main(argv) for argv in {commands!r}])\n"
+        )
+        assert _python_output(code, OPENBLAS_NUM_THREADS=threads) == "[0, 0]"
+        # manifest.json holds the wall time and the config's hash
+        written[threads] = {
+            path.relative_to(out): path.read_bytes()
+            for path in sorted(out.rglob("*"))
+            if path.is_file() and path.name != "manifest.json"
+        }
+    assert len(written["1"]) == 15  # energy.csv, 12 snapshots and the sweep's 2
+    assert written["1"].keys() == written["2"].keys()
+    for name, data in written["1"].items():
+        assert data == written["2"][name], f"{name} depends on the BLAS thread count"
 
 
 def test_no_command_imports_scipy(tmp_path):

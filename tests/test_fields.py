@@ -13,12 +13,14 @@ from conftest import ones, rough_field, smooth_field
 from pfnl import fields as fields_module
 from pfnl.errors import ConfigError, GridMismatchError
 from pfnl.fields import (
+    DOT_BLOCK,
     MAX_DENSE_CELLS,
     Field,
     Grid,
     atomic_write,
     cg,
     cosine_plan,
+    dot,
     dual_norm,
     field_from_function,
     grad_inner,
@@ -113,7 +115,7 @@ class TestInnerProducts:
 
     @pytest.mark.parametrize("grid", [Grid.line(40), Grid((1.0, 2.5), (12, 17))])
     def test_vdot_reductions_match_sum_formulas(self, grid, rng):
-        # one np.vdot per pairing gives the np.sum(a*b) formulas to roundoff
+        # one fields.dot per pairing gives the np.sum(a*b) formulas to roundoff
         vol = grid.cell_volume
         close = lambda a, b: a == pytest.approx(b, rel=1e-14, abs=0.0)
         for _ in range(5):
@@ -135,6 +137,38 @@ class TestInnerProducts:
             assert close(inner_product("V", u, w), h_uw + grad_uw)
             assert close(norm(u, "H"), math.sqrt(h_uu))
             assert close(norm(u, "V"), math.sqrt(h_uu + grad_uu))
+
+
+class TestDot:
+    @pytest.mark.parametrize(
+        "shape", [(1,), (40,), (320,), (DOT_BLOCK,), (12, 17), (64, 128)]
+    )
+    def test_up_to_a_block_is_vdot(self, shape, rng):
+        # the 1D hot path and small 2D grids keep np.vdot's bits
+        a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+        assert dot(a, b) == float(np.vdot(a, b))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.one_of(
+            st.integers(DOT_BLOCK - 64, DOT_BLOCK + 64),
+            st.integers(2 * DOT_BLOCK - 3, 2 * DOT_BLOCK + 3),
+            st.integers(12 * DOT_BLOCK, 13 * DOT_BLOCK),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        offset=st.sampled_from([0.0, 1.0, -3.0]),
+    )
+    def test_matches_exact_sum(self, n, seed, offset):
+        # either side of the block size, within the a priori bound of any
+        # summation order: n eps sum |a b|
+        gen = np.random.default_rng(seed)
+        a = gen.standard_normal(n) + offset
+        b = gen.standard_normal(n)
+        products = a * b
+        exact = math.fsum(products)
+        bound = n * np.finfo(float).eps * math.fsum(np.abs(products))
+        assert abs(dot(a, b) - exact) <= bound
+        assert dot(a.reshape(-1, 1), b.reshape(-1, 1)) == dot(a, b)
 
 
 class TestLaplacian:
