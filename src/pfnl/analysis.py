@@ -59,12 +59,17 @@ def sweep_grids(eps_list, length=1.0, dimension=1, max_n=512, cells_per_eps=8):
 
     All cell counts are integer multiples of the coarsest one so that
     cell-average restriction onto the comparison grid is exact.  Raises
-    if the cap leaves any width under-resolved.
+    :class:`ResolutionError` if the coarsest grid would have fewer than 4
+    cells per axis, or if the cap leaves any width under-resolved.
     """
     ordered = sorted(set(float(e) for e in eps_list), reverse=True)
     if not ordered:
         raise ValueError("empty eps list")
     n0 = min(int(math.ceil(cells_per_eps * length / ordered[0])), max_n)
+    if n0 < 4:
+        raise ResolutionError(
+            f"box length {length} gives eps={ordered[0]} {n0} sweep cells per axis (need 4)"
+        )
     grids = {}
     for eps in ordered:
         raw = cells_per_eps * length / eps
@@ -381,12 +386,15 @@ class SweepConfig:
 
 @dataclass
 class ConvergenceReport:
-    eps_list: tuple
     columns: dict
     estimates: dict
     rows_extra: dict
     violations: list
     notes: list = field(default_factory=list)
+
+    @property
+    def eps_list(self):
+        return tuple(self.columns["eps"])
 
 
 REPORT_COLUMNS = (
@@ -566,14 +574,8 @@ def nonlocal_to_local_study(sweep):
         if not (np.all(np.isfinite(vals)) and np.all(vals >= 0.0)):
             raise AnalysisError([f"report column {name} is not finite/nonnegative"])
 
-    return ConvergenceReport(
-        eps_list=tuple(compare_eps),
-        columns=columns,
-        estimates=estimates,
-        rows_extra=rows_extra,
-        violations=violations,
-        notes=notes,
-    )
+    return ConvergenceReport(columns=columns, estimates=estimates,
+                             rows_extra=rows_extra, violations=violations, notes=notes)
 
 
 # --- CSV rendering -----------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .analysis import (
     nonlocal_to_local_study,
     operator_convergence_suite,
     report_csv,
+    sweep_grids,
 )
 from .config import parse_config
 from .errors import (  # noqa: F401 (GridMismatchError caught below)
@@ -172,13 +173,18 @@ def cmd_simulate(cfg, eps=None, local=False):
 def cmd_converge(cfg):
     """Run the width sweep against the local reference.  The sweep starts
     every run from the closed-form default data, evaluated on that run's
-    grid, so custom initial-data files are refused."""
+    grid, so custom initial-data files are refused, and it compares
+    trajectories, so ``time.T = 0`` is refused too."""
     started = time.time()
     if cfg.initial_kind == "custom":
         raise ConfigError(
             ["converge runs on the default initial data only: "
              "initial.kind = custom is not supported"]
         )
+    if cfg.time_T == 0:
+        raise ConfigError(["converge needs time.T > 0: a 0-step sweep compares nothing"])
+    # a sweep whose grids cannot be picked fails before output.dir is made
+    sweep_grids(cfg.sweep_eps, cfg.grid_length, cfg.grid_dimension, cfg.sweep_max_n)
     _prepare_outdir(cfg.output_dir)
     sweep = SweepConfig(
         family=cfg.make_family(),
@@ -226,6 +232,8 @@ def cmd_verify_kernel(cfg):
 def cmd_verify_lemmas(cfg):
     """Run the analytic verification suites and emit pass/fail JSON."""
     started = time.time()
+    # a sweep whose grids cannot be picked fails before output.dir is made
+    sweep_grids(cfg.sweep_eps, cfg.grid_length, cfg.grid_dimension, cfg.sweep_max_n)
     _prepare_outdir(cfg.output_dir)
     family = cfg.make_family()
     dim = cfg.grid_dimension

@@ -30,7 +30,7 @@ class SingularKernelError(KernelError):
 
 
 class ResolutionError(PfnlError):
-    """Kernel width too small for the grid (requires eps >= 4h)."""
+    """Kernel width under-resolved (needs eps >= 4h), or a sweep grid under 4 cells."""
 
 
 class GridMismatchError(PfnlError):

@@ -173,12 +173,18 @@ def record_csv_row(rec):
 @dataclass
 class Trajectory:
     op: object  # the kernel operator of the run, or None for the Laplacian
-    grid: object
-    times: list
     states: list
     records: list
     phi_tt_snapshots: list
     aux: dict = field(default_factory=dict)
+
+    @property
+    def grid(self):
+        return self.states[0].phi.grid
+
+    @property
+    def times(self):
+        return [s.t for s in self.states]
 
 
 # --- single-equation solves ----------------------------------------------------
@@ -499,7 +505,6 @@ def solve_trajectory(op, data, potential, cfg, source=None):
     stride = max(1, n_steps // max(cfg.snapshots, 1)) if n_steps else 1
 
     mass = float((state.theta.data + state.phi.data).sum())
-    times = [0.0]
     # snapshots share the running state's fields: a step builds new ones
     # and nothing modifies a field's data in place
     states = [State(0.0, state.theta, state.phi, state.v)]
@@ -556,16 +561,8 @@ def solve_trajectory(op, data, potential, cfg, source=None):
         )
 
         if k % stride == 0 or k == n_steps:
-            times.append(t_next)
             states.append(State(t_next, state.theta, state.phi, state.v))
             phi_tt_snaps.append(Field(grid, (state.v.data - prev.v.data) / dt))
 
-    return Trajectory(
-        op=op,
-        grid=grid,
-        times=times,
-        states=states,
-        records=records,
-        phi_tt_snapshots=phi_tt_snaps,
-        aux=aux,
-    )
+    return Trajectory(op=op, states=states, records=records,
+                      phi_tt_snapshots=phi_tt_snaps, aux=aux)

@@ -181,7 +181,10 @@ class KernelFamily:
     dimension: int
     alpha: float
     normalization: float
-    c_d: float
+
+    @property
+    def c_d(self):
+        return sphere_constant(self.dimension)
 
     def rho(self, s):
         """Normalized profile ``rho = normalization * rho_tilde``."""
@@ -261,7 +264,7 @@ def build_kernel_family(profile, d, alpha):
         raise KernelError("degenerate profile: moment integral vanishes")
 
     _check_integrability(profile, d, alpha)
-    return KernelFamily(profile, d, alpha, c_d / raw_moment, c_d)
+    return KernelFamily(profile, d, alpha, c_d / raw_moment)
 
 
 def moment_check(family):

@@ -17,8 +17,10 @@ for the restricted integral up to the shared midpoint quadrature.  The
 kernel is stored and padded by its compact support, not by the box: the
 ``(2w+1)^d`` window is wrapped onto a lattice of ``n + w`` cells per axis
 (rounded up to a fast FFT size), so the cost of an application depends
-on ``n + w`` rather than ``2n - 1``.  The transforms are numpy's, taken one
-axis at a time in work arrays that the plan keeps (see
+on ``n + w`` rather than ``2n - 1``.  The plan derives all of this from
+the tabulated kernel, its one field; the window's transform is one
+``rfftn``, and an application's transforms are numpy's, taken one axis
+at a time in work arrays that the plan keeps (see
 :meth:`ConvolutionPlan.apply`).  In 1D a window of at most
 ``MAX_DIRECT_TAPS`` (129) taps skips the FFT: ``np.convolve`` sums the
 ``2w + 1`` taps directly, and the plan never transforms its window.  A
@@ -86,20 +88,36 @@ def _fast_len(target):
 
 @dataclass(frozen=True)
 class ConvolutionPlan:
-    """Precomputed data for the padded linear convolution.
+    """The padded linear convolution with ``kernel``, the plan's one field;
+    the rest is derived from it, once.
 
-    ``padded_shape`` is the FFT lattice and :attr:`kernel_hat` the
-    transform of the :attr:`weights` on it, computed on the first FFT
-    application; a 1D plan with ``direct`` set convolves by the taps and
-    never computes it.  ``tap_window`` (1D plans only) cuts the box out of
-    the full ``np.convolve`` output.
+    With support halfwidth ``w``, padding to at least ``n + w`` per axis
+    (:attr:`padded_shape`) keeps the circular product equal to the linear
+    convolution for every in-box pair: an in-box offset ``o`` satisfies
+    ``|o| <= n - 1``, so no stored offset ``|o'| <= w`` aliases onto it.
+    A :attr:`direct` plan (a 1D window of at most ``MAX_DIRECT_TAPS``
+    taps) convolves by the taps and never computes :attr:`kernel_hat`.
     """
 
-    grid: object
     kernel: EvaluatedKernel
-    padded_shape: tuple
-    direct: bool
-    tap_window: slice
+
+    @property
+    def grid(self):
+        return self.kernel.grid
+
+    @cached_property
+    def padded_shape(self):
+        return tuple(_fast_len(m + k) for m, k in zip(self.grid.n, self.kernel.halfwidth))
+
+    @cached_property
+    def direct(self):
+        return self.grid.dimension == 1 and self.kernel.values.size <= MAX_DIRECT_TAPS
+
+    @cached_property
+    def _taps(self):
+        # the box's slice of the full 1D convolution, which starts w cells early
+        (w,) = self.kernel.halfwidth
+        return slice(w, w + self.grid.n[0])
 
     @cached_property
     def weights(self):
@@ -109,29 +127,13 @@ class ConvolutionPlan:
 
     @cached_property
     def kernel_hat(self):
-        """Real FFT of the weights wrapped onto the padded lattice.
-
-        Taken like an application, in :attr:`_spectrum`: only the window's
-        rows are wrapped along the last axis and transformed, and the
-        lattice is never formed.
-        """
-        # offset o (stored at index o + w) goes to lattice index o mod padded size
-        wrapped_index = [
-            np.arange(-k, k + 1) % p
-            for k, p in zip(self.kernel.halfwidth, self.padded_shape)
-        ]
-        window_rows = np.zeros(self.weights.shape[:-1] + self.padded_shape[-1:])
-        window_rows[..., wrapped_index[-1]] = self.weights
-        spectrum = self._spectrum
-        if len(wrapped_index) == 1:
-            np.fft.rfft(window_rows, out=spectrum)
-        else:
-            spectrum[...] = 0.0
-            spectrum[np.ix_(*wrapped_index[:-1])] = np.fft.rfft(window_rows)
-            for axis in range(spectrum.ndim - 1):
-                np.fft.fft(spectrum, axis=axis, out=spectrum)
-        # the window is even along every axis, so its transform is real
-        return spectrum.real.copy()
+        """Real FFT of the weights wrapped onto the padded lattice (offset
+        ``o`` at index ``o`` modulo the padded size), taken in
+        :attr:`_spectrum`; the window is even, so its transform is real."""
+        w, p = self.kernel.halfwidth, self.padded_shape
+        lattice = np.zeros(p)
+        lattice[np.ix_(*(np.arange(-k, k + 1) % m for k, m in zip(w, p)))] = self.weights
+        return np.fft.rfftn(lattice, out=self._spectrum).real.copy()
 
     @cached_property
     def _spectrum(self):
@@ -151,7 +153,7 @@ class ConvolutionPlan:
 
         The FFT path transforms one axis at a time, in place in work
         arrays that the plan keeps, so an application allocates only its
-        output; the padded lattice is never formed, and the transform
+        output; it never forms the padded lattice, and the transform
         skips its all-zero rows.  One plan must therefore not be applied
         from two threads at once.
         """
@@ -162,7 +164,7 @@ class ConvolutionPlan:
         """:meth:`apply`'s result; on the FFT path a view of :attr:`_rows`,
         which the plan's next application overwrites."""
         if self.direct:
-            return np.convolve(data, self.weights)[self.tap_window]
+            return np.convolve(data, self.weights)[self._taps]
         n, last = self.grid.n, self.padded_shape[-1]
         kernel_hat = self.kernel_hat  # computed in the work array: before its use
         spectrum = self._spectrum
@@ -180,38 +182,21 @@ class ConvolutionPlan:
         return self._rows[..., : n[-1]]
 
 
-def build_plan(kernel):
-    """Plan the convolution with the kernel's support window.
-
-    With support halfwidth ``w``, padding to at least ``n + w`` per axis
-    keeps the circular product equal to the linear convolution for every
-    in-box pair: an in-box offset ``o`` satisfies ``|o| <= n - 1``, so no
-    stored offset ``|o'| <= w`` aliases onto it.  The window's FFT is left
-    to the first FFT application (:attr:`ConvolutionPlan.kernel_hat`).
-    """
-    grid = kernel.grid
-    w = kernel.halfwidth
-    padded_shape = tuple(_fast_len(m + k) for m, k in zip(grid.n, w))
-    direct = grid.dimension == 1 and kernel.values.size <= MAX_DIRECT_TAPS
-    # the full 1D convolution starts w cells before the box
-    tap_window = slice(w[0], w[0] + grid.n[0]) if grid.dimension == 1 else None
-    return ConvolutionPlan(grid, kernel, padded_shape, direct, tap_window)
-
-
 @dataclass(frozen=True)
 class NonlocalOperator:
-    """``B_eps u = a_eps u - J_eps * u`` with the precomputed ``a_eps``."""
+    """``B_eps u = a_eps u - J_eps * u`` of ``plan``, the operator's one field."""
 
     plan: ConvolutionPlan
-    a_eps: Field
 
     @property
     def grid(self):
         return self.plan.grid
 
-    @property
-    def eps(self):
-        return self.plan.kernel.eps
+    @cached_property
+    def a_eps(self):
+        """``J_eps * 1``, the plan applied to ones (a copy, which the field
+        owns), so ``B_eps`` annihilates constants exactly."""
+        return Field(self.grid, self.plan.apply(np.ones(self.grid.shape)))
 
     @cached_property
     def a_eps_max(self):
@@ -242,10 +227,9 @@ class NonlocalOperator:
 
 
 def build_nonlocal_operator(family, eps, grid):
-    kernel = tabulate_kernel(family, eps, grid)
-    plan = build_plan(kernel)
-    # apply copies out of the FFT work array, so a_eps owns its array
-    return NonlocalOperator(plan, Field(grid, plan.apply(np.ones(grid.shape))))
+    op = NonlocalOperator(ConvolutionPlan(tabulate_kernel(family, eps, grid)))
+    op.a_eps  # noqa: B018 (computed with the build, whose cost it is part of)
+    return op
 
 
 def apply_B_eps(op, a, diagonal=None):

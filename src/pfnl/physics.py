@@ -192,12 +192,15 @@ def smooth_default_rule():
 class ProblemData:
     """Initial triple plus its uniform-bound monitor ``a5`` and any flags."""
 
-    grid: object
     theta0: Field
     phi0: Field
     v0: Field
     a5: float
     flags: list = field(default_factory=list)
+
+    @property
+    def grid(self):
+        return self.theta0.grid
 
 
 def build_initial_data(op, grid, potential, c1_bound=10.0, rule=None, custom=None):
@@ -234,4 +237,4 @@ def build_initial_data(op, grid, potential, c1_bound=10.0, rule=None, custom=Non
         if custom is not None:
             raise ConfigError(msg)
         flags.append(msg)
-    return ProblemData(grid=grid, theta0=theta0, phi0=phi0, v0=v0, a5=a5, flags=flags)
+    return ProblemData(theta0=theta0, phi0=phi0, v0=v0, a5=a5, flags=flags)

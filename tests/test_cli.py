@@ -524,6 +524,15 @@ class TestConverge:
             out_a / "estimates.csv"
         ).read_bytes() == (out_b / "estimates.csv").read_bytes()
 
+    def test_zero_time_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a sweep of 0-step runs leaves no errors to compare
+        cfg = write_config(tmp_path, f"time.T = 0\noutput.dir = {tmp_path / 'out'}\n")
+        monkeypatch.setattr(cli, "nonlocal_to_local_study", _must_not_run)
+        assert cli.main(["converge", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "time.T" in err
+        assert not (tmp_path / "out").exists()
+
     def test_2d_sweep(self, tmp_path):
         outs = [tmp_path / "a", tmp_path / "b"]
         for out in outs:
@@ -538,6 +547,26 @@ class TestConverge:
             assert rows[0][name] > rows[1][name] > rows[2][name]
         for name in ("report.csv", "estimates.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["converge", "verify-lemmas"])
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        # the coarsest grid, ceil(8 L / eps) cells, would have 1 cell
+        "grid.length = 0.1\nsweep.eps = 1.0, 0.5\n",
+        # parses at h = L / max_n, but the sweep caps its grids at
+        # (max_n // n0) n0 = 80 cells, too coarse for eps = 0.04
+        "sweep.eps = 0.2, 0.04\nsweep.max_n = 100\n",
+    ],
+    ids=["short-box", "capped-grid"],
+)
+def test_unusable_sweep_exits_2_without_output_dir(tmp_path, capsys, command, sweep):
+    cfg = write_config(tmp_path, sweep + f"output.dir = {tmp_path / 'out'}\n")
+    assert cli.main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestVerifyLemmas:
@@ -628,11 +657,13 @@ def _python_output(code, **env):
     return out.stdout.strip()
 
 
-def test_2d_outputs_do_not_depend_on_blas_threads(tmp_path):
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     # OpenBLAS splits a ddot of more than 10000 entries across its threads;
     # every pairing goes through fields.dot, whose order of summation is
     # fixed, so a 2D simulate on 128^2 cells and a 2D sweep whose finest
-    # grid has 160^2 cells write the same bytes under one BLAS thread and two
+    # grid has 160^2 cells write the same bytes under one BLAS thread and
+    # two; so does a 1D simulate on 160 cells, whose phase solves are
+    # products with a kept dense inverse
     steps = "time.dt = 0.01\ntime.T = 0.05\n"
     written = {}
     for threads in ("1", "2"):
@@ -642,6 +673,11 @@ def test_2d_outputs_do_not_depend_on_blas_threads(tmp_path):
             f"grid.dimension = 2\ngrid.n = 128\n{steps}output.dir = {out / 'sim'}\n",
             f"sim{threads}.cfg",
         )
+        sim_1d = write_config(
+            tmp_path,
+            f"grid.n = 160\ntime.T = 0.05\ntime.snapshots = 2\noutput.dir = {out / 'sim1d'}\n",
+            f"sim1d{threads}.cfg",
+        )
         sweep = write_config(
             tmp_path,
             "grid.dimension = 2\nsweep.eps = 0.2, 0.1, 0.05\nsweep.max_n = 160\n"
@@ -649,20 +685,23 @@ def test_2d_outputs_do_not_depend_on_blas_threads(tmp_path):
             f"sweep{threads}.cfg",
         )
         commands = [
-            ["simulate", "--config", sim, "--eps", "0.25"], ["converge", "--config", sweep]
+            ["simulate", "--config", sim, "--eps", "0.25"],
+            ["converge", "--config", sweep],
+            ["simulate", "--config", sim_1d, "--eps", "0.1"],
         ]
         code = (
             "from pfnl import cli\n"
             f"print([cli.main(argv) for argv in {commands!r}])\n"
         )
-        assert _python_output(code, OPENBLAS_NUM_THREADS=threads) == "[0, 0]"
+        assert _python_output(code, OPENBLAS_NUM_THREADS=threads) == "[0, 0, 0]"
         # manifest.json holds the wall time and the config's hash
         written[threads] = {
             path.relative_to(out): path.read_bytes()
             for path in sorted(out.rglob("*"))
             if path.is_file() and path.name != "manifest.json"
         }
-    assert len(written["1"]) == 15  # energy.csv, 12 snapshots and the sweep's 2
+    # each simulate's energy.csv and snapshots (12 in 2D, 6 in 1D), and the sweep's 2
+    assert len(written["1"]) == 22
     assert written["1"].keys() == written["2"].keys()
     for name, data in written["1"].items():
         assert data == written["2"][name], f"{name} depends on the BLAS thread count"

@@ -27,12 +27,13 @@ from pfnl.kernels import (
 )
 from pfnl.operators import (
     MAX_DIRECT_TAPS,
+    ConvolutionPlan,
+    NonlocalOperator,
     _fast_len,
     apply_B,
     apply_B_eps,
     bbm_bound_ratio,
     build_nonlocal_operator,
-    build_plan,
     dense_inverse,
     energy_double_sum,
     energy_local,
@@ -146,14 +147,18 @@ class TestConvolve:
         "n, eps, radius, direct",
         [(40, 0.2, 1.0, True), (16, 0.5, 3.0, True), (128, 0.5, 3.0, False)],
     )
-    def test_1d_path_follows_tap_count(self, n, eps, radius, direct, rng):
+    def test_1d_path_follows_tap_count(self, n, eps, radius, direct, rng, monkeypatch):
         grid = Grid.line(n)
         family = build_kernel_family(make_profile("polynomial-bump", radius), 1, 0.0)
         plan = build_nonlocal_operator(family, eps, grid).plan
         assert plan.direct == direct
-        assert (plan.kernel.values.size <= MAX_DIRECT_TAPS) == direct
-        # the other path gives the same convolution to roundoff
-        other = dataclasses.replace(plan, direct=not direct)
+        taps = plan.kernel.values.size
+        assert (taps <= MAX_DIRECT_TAPS) == direct
+        # the other path, by a cap that puts the window on its other side,
+        # gives the same convolution to roundoff
+        monkeypatch.setattr(operators, "MAX_DIRECT_TAPS", taps - 1 if direct else taps)
+        other = ConvolutionPlan(plan.kernel)
+        assert other.direct != direct
         u = rough_field(grid, rng).data
         scale = np.max(np.abs(plan.apply(u))) + 1.0
         assert np.max(np.abs(plan.apply(u) - other.apply(u))) <= 1e-12 * scale
@@ -171,7 +176,7 @@ class TestConvolve:
     def test_fft_plan_transforms_its_window_on_first_apply(self):
         grid = Grid.line(128)
         family = build_kernel_family(make_profile("polynomial-bump", 3.0), 1, 0.0)
-        plan = build_plan(tabulate_kernel(family, 0.5, grid))
+        plan = ConvolutionPlan(tabulate_kernel(family, 0.5, grid))
         assert not plan.direct and "kernel_hat" not in vars(plan)
         plan.apply(np.ones(grid.shape))
         assert vars(plan)["kernel_hat"].shape == (plan.padded_shape[0] // 2 + 1,)
@@ -217,6 +222,15 @@ class TestConvolve:
 
         targets = range(1, 20001)
         assert [_fast_len(t) for t in targets] == [next_fast_len(t) for t in targets]
+
+    @pytest.mark.parametrize("op", ["op32", "op2d"])
+    def test_plan_and_operator_store_only_their_inputs(self, op, request):
+        # everything else is derived, so nothing can disagree with the kernel
+        op = request.getfixturevalue(op)
+        assert [f.name for f in dataclasses.fields(ConvolutionPlan)] == ["kernel"]
+        assert [f.name for f in dataclasses.fields(NonlocalOperator)] == ["plan"]
+        assert op.grid is op.plan.kernel.grid
+        assert np.array_equal(op.a_eps.data, op.plan.apply(np.ones(op.grid.shape)))
 
     @pytest.mark.parametrize("op", ["op32", "op2d"])
     def test_a_eps_max_is_cached_max(self, op, request):
@@ -475,7 +489,7 @@ class TestOperatorConvergence:
     def test_plan_reproduces_a_eps_on_reference_grid(self, family1d):
         grid = Grid.line(32)
         kernel = tabulate_kernel(family1d, 0.25, grid)
-        plan = build_plan(kernel)
+        plan = ConvolutionPlan(kernel)
         direct = np.zeros(grid.shape)
         h = grid.spacing[0]
         for i in range(grid.n[0]):
