@@ -147,18 +147,25 @@ def probe_fields(dimension=1):
 # --- probe suites --------------------------------------------------------------------
 
 
-def _probe_suite(family, eps_list, length, dimension, max_n, fields, strict,
-                 evaluate, judge):
+def _default_grids(family):
+    """The grids of :data:`DEFAULT_EPS_SWEEP` in the dimension of ``family``."""
+    return sweep_grids(DEFAULT_EPS_SWEEP, dimension=family.dimension)
+
+
+def _probe_suite(family, grids, fields, strict, evaluate, judge):
     """Shared loop of the probe suites.
 
-    Each probe is evaluated coarse to fine on its width's sweep grid, with
-    an operator built for that (probe, width) pair: ``evaluate(probe, v,
-    op)`` returns the row's values for the probe ``v`` on that grid, and
-    ``judge(name, rows)`` the probe's violations.  With ``strict`` any
-    violation raises :class:`AnalysisError`.
+    ``grids`` maps each width to its sweep grid (:func:`sweep_grids`;
+    ``None`` is :data:`DEFAULT_EPS_SWEEP` in the family's dimension), and
+    ``fields`` holds the probes (``None`` is :func:`probe_fields` in the
+    family's dimension).  Each probe is evaluated coarse to fine on its
+    width's grid, with an operator built for that (probe, width) pair:
+    ``evaluate(probe, v, op)`` returns the row's values for the probe
+    ``v`` on that grid, and ``judge(name, rows)`` the probe's violations.
+    With ``strict`` any violation raises :class:`AnalysisError`.
     """
-    fields = fields if fields is not None else probe_fields(dimension)
-    grids = sweep_grids(eps_list, length, dimension, max_n)
+    grids = grids if grids is not None else _default_grids(family)
+    fields = fields if fields is not None else probe_fields(family.dimension)
     rows, violations = [], []
     for probe in fields:
         probe_rows = []
@@ -207,18 +214,14 @@ def _energy_verdict(name, rows):
     return out
 
 
-def gamma_convergence_suite(
-    family, eps_list=DEFAULT_EPS_SWEEP, length=1.0, dimension=1, max_n=512,
-    fields=None, strict=True,
-):
+def gamma_convergence_suite(family, grids=None, fields=None, strict=True):
     """Tabulate the kernel energy against the Dirichlet energy per width.
 
     Rows carry (field, eps, E_eps, E, gap); per field the gap must shrink
     monotonically along the sweep and end within 5% of the limit energy.
-    With ``strict`` a violated assertion raises :class:`AnalysisError`.
+    Arguments as for :func:`_probe_suite`.
     """
-    return _probe_suite(family, eps_list, length, dimension, max_n, fields, strict,
-                        _energy_row, _energy_verdict)
+    return _probe_suite(family, grids, fields, strict, _energy_row, _energy_verdict)
 
 
 def _operator_row(probe, v, op):
@@ -244,15 +247,11 @@ def _operator_verdict(name, rows):
     ]
 
 
-def operator_convergence_suite(
-    family, eps_list=DEFAULT_EPS_SWEEP, length=1.0, dimension=1, max_n=512,
-    fields=None, strict=True,
-):
+def operator_convergence_suite(family, grids=None, fields=None, strict=True):
     """Dual-norm and pairing gaps between the kernel operator and the
     Laplacian on smooth fields; the dual-norm gap must shrink along the
-    sweep."""
-    return _probe_suite(family, eps_list, length, dimension, max_n, fields, strict,
-                        _operator_row, _operator_verdict)
+    sweep.  Arguments as for :func:`_probe_suite`."""
+    return _probe_suite(family, grids, fields, strict, _operator_row, _operator_verdict)
 
 
 def _ratio_verdict(name, rows):
@@ -263,23 +262,25 @@ def _ratio_verdict(name, rows):
     return []
 
 
-def bbm_ratio_suite(family, eps_list=DEFAULT_EPS_SWEEP, length=1.0, dimension=1,
-                    max_n=512, fields=None, strict=True):
-    """Uniform boundedness of ``dual_norm(B_eps v)/sqrt(E_eps(v))`` per field."""
-    return _probe_suite(family, eps_list, length, dimension, max_n, fields, strict,
+def bbm_ratio_suite(family, grids=None, fields=None, strict=True):
+    """Uniform boundedness of ``dual_norm(B_eps v)/sqrt(E_eps(v))`` per field;
+    arguments as for :func:`_probe_suite`."""
+    return _probe_suite(family, grids, fields, strict,
                         lambda probe, v, op: {"ratio": bbm_bound_ratio(op, v)},
                         _ratio_verdict)
 
 
-def frechet_identity_suite(family, eps=0.25, n=32, dimension=1, trials=50, seed=0):
-    """Derivative-identity residuals on random field pairs.
+def frechet_identity_suite(family, eps=0.25, n=32, trials=50, seed=0):
+    """Derivative-identity residuals on random field pairs, on the unit box
+    with ``n`` cells per axis in the family's dimension.
 
     Checks the operator pairing against both the direct double sum
     (roundoff-level agreement expected) and the centered difference of
     the energy (exact for a quadratic functional up to 1/delta-amplified
-    roundoff).
+    roundoff).  The result names its setting: ``eps``, ``n``,
+    ``box_length`` and ``trials``.
     """
-    grid = Grid((1.0,) * dimension, (n,) * dimension)
+    grid = Grid((1.0,) * family.dimension, (n,) * family.dimension)
     op = build_nonlocal_operator(family, eps, grid)
     rng = np.random.default_rng(seed)
     max_double, max_fd_rel = 0.0, 0.0
@@ -296,10 +297,13 @@ def frechet_identity_suite(family, eps=0.25, n=32, dimension=1, trials=50, seed=
             frechet_fd_residual(op, u, v, pairing=pairing) / (1.0 + abs(pairing)),
         )
     return {
-        "trials": trials,
+        "pass": bool(max_double <= 1e-12 and max_fd_rel <= 1e-6),
         "max_double_sum_residual": max_double,
         "max_fd_relative_residual": max_fd_rel,
-        "pass": bool(max_double <= 1e-12 and max_fd_rel <= 1e-6),
+        "eps": eps,
+        "n": n,
+        "box_length": grid.lengths[0],
+        "trials": trials,
     }
 
 
@@ -361,27 +365,24 @@ def _snapshot_images(traj, potential):
 @dataclass(frozen=True)
 class SweepConfig:
     """Everything a limit study needs; data and source are closed-form
-    rules so every width can evaluate them on its own grid."""
+    rules so every width can evaluate them on its own grid.  ``grids``
+    maps each width to its grid (:func:`sweep_grids`; ``None`` is
+    :data:`DEFAULT_EPS_SWEEP` in the family's dimension)."""
 
     family: object
     potential: object
     scheme: SchemeConfig
-    eps_list: tuple = DEFAULT_EPS_SWEEP
-    length: float = 1.0
-    dimension: int = 1
-    max_n: int = 512
+    grids: dict = None
     c1_bound: float = 10.0
     rule: object = None
     source: object = None
     reference: str = "local-solve"
 
     def __post_init__(self):
-        eps = tuple(float(e) for e in self.eps_list)
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("eps list must be strictly decreasing")
+        if self.grids is None:
+            object.__setattr__(self, "grids", _default_grids(self.family))
         if self.reference not in ("local-solve", "finest-eps"):
             raise ValueError(f"unknown reference {self.reference!r}")
-        object.__setattr__(self, "eps_list", eps)
 
 
 @dataclass
@@ -471,16 +472,16 @@ def _solve(sweep, grid, coarse, op=None, monitor=False):
 def nonlocal_to_local_study(sweep):
     """Run the width sweep against the local reference and tabulate errors.
 
-    The reference is the Laplacian solve on the finest grid of the sweep
-    (or the finest-width kernel solve for self-convergence studies).
-    Runs go one at a time, widths coarse to fine, then the reference, and
+    Each width runs on its grid of ``sweep.grids``.  The reference is the
+    Laplacian solve on the finest grid (or the finest-width kernel solve
+    for self-convergence studies).  Runs go one at a time, widths coarse to fine, then the reference, and
     each is reduced to its images on the coarsest grid (cell-average
     restriction) and released as soon as its solve returns.  C0-in-time
     norms are maxima over the common snapshot times.  Monotonicity
     findings are recorded in ``violations`` rather than raised, so
     degenerate configurations stay inspectable.
     """
-    grids = sweep_grids(sweep.eps_list, sweep.length, sweep.dimension, sweep.max_n)
+    grids = sweep.grids
     ordered = sorted(grids, reverse=True)
     coarse = grids[ordered[0]]
     local = sweep.reference == "local-solve"
@@ -496,7 +497,7 @@ def nonlocal_to_local_study(sweep):
     }
     ref = _solve(sweep, grids[ordered[-1]], coarse) if local else runs[ordered[-1]]
 
-    probes = [p.on(coarse) for p in probe_fields(sweep.dimension)]
+    probes = [p.on(coarse) for p in probe_fields(sweep.family.dimension)]
     columns = {name: [] for name in REPORT_COLUMNS}
     estimates, rows_extra = {}, {}
     violations, notes = [], []

@@ -174,7 +174,9 @@ def cmd_converge(cfg):
     """Run the width sweep against the local reference.  The sweep starts
     every run from the closed-form default data, evaluated on that run's
     grid, so custom initial-data files are refused, and it compares
-    trajectories, so ``time.T = 0`` is refused too."""
+    trajectories, so ``time.T = 0`` is refused too, as is a single-width
+    ``finest-eps`` sweep.  The whole sweep is checked before ``output.dir``
+    is made."""
     started = time.time()
     if cfg.initial_kind == "custom":
         raise ConfigError(
@@ -183,21 +185,19 @@ def cmd_converge(cfg):
         )
     if cfg.time_T == 0:
         raise ConfigError(["converge needs time.T > 0: a 0-step sweep compares nothing"])
-    # a sweep whose grids cannot be picked fails before output.dir is made
-    sweep_grids(cfg.sweep_eps, cfg.grid_length, cfg.grid_dimension, cfg.sweep_max_n)
-    _prepare_outdir(cfg.output_dir)
+    grids = sweep_grids(cfg.sweep_eps, cfg.grid_length, cfg.grid_dimension, cfg.sweep_max_n)
+    if cfg.sweep_reference == "finest-eps" and len(grids) < 2:
+        raise ConfigError(["sweep.reference = finest-eps needs two or more sweep.eps values"])
     sweep = SweepConfig(
         family=cfg.make_family(),
         potential=_make_potential(cfg),
         scheme=cfg.make_scheme(),
-        eps_list=cfg.sweep_eps,
-        length=cfg.grid_length,
-        dimension=cfg.grid_dimension,
-        max_n=cfg.sweep_max_n,
+        grids=grids,
         c1_bound=cfg.initial_c1,
         source=cfg.make_source(),
         reference=cfg.sweep_reference,
     )
+    _prepare_outdir(cfg.output_dir)
     report = nonlocal_to_local_study(sweep)
     outputs = [
         ("report.csv", report_csv(report)), ("estimates.csv", estimates_csv(report))
@@ -230,31 +230,24 @@ def cmd_verify_kernel(cfg):
 
 
 def cmd_verify_lemmas(cfg):
-    """Run the analytic verification suites and emit pass/fail JSON."""
+    """Run the analytic verification suites and emit pass/fail JSON; the
+    Frechet suite's entry names its fixed setting."""
     started = time.time()
     # a sweep whose grids cannot be picked fails before output.dir is made
-    sweep_grids(cfg.sweep_eps, cfg.grid_length, cfg.grid_dimension, cfg.sweep_max_n)
+    grids = sweep_grids(cfg.sweep_eps, cfg.grid_length, cfg.grid_dimension, cfg.sweep_max_n)
     _prepare_outdir(cfg.output_dir)
     family = cfg.make_family()
-    dim = cfg.grid_dimension
     results = {}
     for name, suite in (
         ("gamma_convergence", gamma_convergence_suite),
         ("operator_convergence", operator_convergence_suite),
         ("bbm_ratio", bbm_ratio_suite),
     ):
-        _, violations = suite(
-            family, cfg.sweep_eps, cfg.grid_length, dim, cfg.sweep_max_n, strict=False
-        )
+        _, violations = suite(family, grids, strict=False)
         results[name] = {"pass": not violations, "violations": violations}
-    frechet = frechet_identity_suite(
-        family, n=32 if dim == 1 else 16, dimension=dim, seed=cfg.seed
+    results["frechet_identity"] = frechet_identity_suite(
+        family, n=32 if family.dimension == 1 else 16, seed=cfg.seed
     )
-    results["frechet_identity"] = {
-        "pass": frechet["pass"],
-        "max_double_sum_residual": frechet["max_double_sum_residual"],
-        "max_fd_relative_residual": frechet["max_fd_relative_residual"],
-    }
 
     outputs = [("lemmas.json", json.dumps(results, indent=2) + "\n")]
     _write_outputs(cfg, "verify-lemmas", started, outputs)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from .analysis import DEFAULT_EPS_SWEEP
 from .errors import ConfigError
 from .fields import Grid
 from .integrator import SchemeConfig
@@ -76,7 +77,7 @@ class RunConfig:
     initial_c1: float = _key("initial.c1", float, _positive, 10.0, "> 0")
     source_kind: str = _key("source.kind", str, lambda s: s in ("none", "cosine-decay"), "none", "none or cosine-decay")
     source_amplitude: float = _key("source.amplitude", float, lambda x: True, 1.0, "any real")
-    sweep_eps: tuple = _key("sweep.eps", _parse_eps_list, lambda v: all(0.0 < e <= 1.0 for e in v) and all(a > b for a, b in zip(v, v[1:])), (0.2, 0.1, 0.05, 0.025), "strictly decreasing values in (0, 1]")
+    sweep_eps: tuple = _key("sweep.eps", _parse_eps_list, lambda v: all(0.0 < e <= 1.0 for e in v) and all(a > b for a, b in zip(v, v[1:])), DEFAULT_EPS_SWEEP, "strictly decreasing values in (0, 1]")
     sweep_max_n: int = _key("sweep.max_n", int, lambda n: n >= 4, 512, ">= 4")
     sweep_reference: str = _key("sweep.reference", str, lambda s: s in ("local-solve", "finest-eps"), "local-solve", "local-solve or finest-eps")
     output_dir: str = _key("output.dir", str, lambda s: bool(s), "out", "non-empty path")

@@ -50,7 +50,7 @@ def small_study(family):
         family=family,
         potential=make_double_well(),
         scheme=SchemeConfig(dt=2e-3, T=0.2, snapshots=10),
-        eps_list=(0.2, 0.1, 0.05),
+        grids=sweep_grids((0.2, 0.1, 0.05)),
     )
     return nonlocal_to_local_study(sweep)
 
@@ -111,7 +111,7 @@ class TestGammaSuite:
     def test_2d_passes(self, family2d):
         # the 5% endpoint needs the sweep to reach a reasonably small width
         rows, violations = gamma_convergence_suite(
-            family2d, eps_list=(0.2, 0.1, 0.05), dimension=2, max_n=160
+            family2d, grids=sweep_grids((0.2, 0.1, 0.05), dimension=2, max_n=160)
         )
         assert violations == []
 
@@ -123,7 +123,7 @@ class TestGammaSuite:
 
     def test_under_resolved_raises(self, family):
         with pytest.raises(ResolutionError):
-            gamma_convergence_suite(family, eps_list=(0.2, 0.01), max_n=64)
+            gamma_convergence_suite(family, grids=sweep_grids((0.2, 0.01), max_n=64))
 
 
 class TestOperatorSuite:
@@ -155,6 +155,13 @@ class TestBBMSuite:
         assert violations == []
         assert all(r["ratio"] > 0 for r in rows)
 
+    def test_2d_family_default_grids(self, family2d):
+        # without grids the suite runs the default widths in the family's
+        # own dimension
+        rows, violations = bbm_ratio_suite(family2d, fields=probe_fields(2)[:1])
+        assert violations == []
+        assert [r["eps"] for r in rows] == list(analysis.DEFAULT_EPS_SWEEP)
+
 
 class TestFrechetSuite:
     def test_one_pairing_apply_per_trial(self, family, monkeypatch):
@@ -170,6 +177,14 @@ class TestFrechetSuite:
         # per trial: the pairing, then the two energies of the difference
         assert len(calls) == 3 * 5
         assert result["pass"]
+
+    def test_setting_in_family_dimension(self, family2d):
+        # the grid is the unit box in the family's dimension, and the
+        # result names the setting it ran on
+        result = frechet_identity_suite(family2d, n=16, trials=2)
+        assert result["pass"]
+        setting = {k: result[k] for k in ("eps", "n", "box_length", "trials")}
+        assert setting == {"eps": 0.25, "n": 16, "box_length": 1.0, "trials": 2}
 
 
 class TestEstimateMonitor:
@@ -268,7 +283,7 @@ class TestStudy:
             family=family,
             potential=make_double_well(),
             scheme=SchemeConfig(dt=4e-3, T=0.1, snapshots=5),
-            eps_list=(0.2,),
+            grids=sweep_grids((0.2,)),
         )
         rep = nonlocal_to_local_study(sweep)
         assert any("skipped" in n for n in rep.notes)
@@ -284,7 +299,7 @@ class TestStudy:
             family=family,
             potential=make_linear_potential(0.0),
             scheme=SchemeConfig(dt=1e-4, T=0.05, snapshots=5),
-            eps_list=(0.2, 0.1),
+            grids=sweep_grids((0.2, 0.1)),
             rule=rule,
         )
         rep = nonlocal_to_local_study(sweep)
@@ -296,21 +311,12 @@ class TestStudy:
             family=family,
             potential=make_double_well(),
             scheme=SchemeConfig(dt=2e-3, T=0.1, snapshots=5),
-            eps_list=(0.2, 0.1, 0.05),
+            grids=sweep_grids((0.2, 0.1, 0.05)),
             reference="finest-eps",
         )
         rep = nonlocal_to_local_study(sweep)
         assert rep.eps_list == (0.2, 0.1)
         assert all(v > 0 for v in rep.columns["err_phi_C0H"])
-
-    def test_eps_list_must_decrease(self, family):
-        with pytest.raises(ValueError):
-            SweepConfig(
-                family=family,
-                potential=make_double_well(),
-                scheme=SchemeConfig(dt=1e-3, T=0.1),
-                eps_list=(0.1, 0.2),
-            )
 
     def test_one_operator_build_per_width(self, family, monkeypatch):
         # each width's operator serves both its a5 monitor and its solve;
@@ -327,7 +333,7 @@ class TestStudy:
             family=family,
             potential=make_double_well(),
             scheme=SchemeConfig(dt=4e-3, T=0.02, snapshots=5),
-            eps_list=(0.2, 0.1),
+            grids=sweep_grids((0.2, 0.1)),
         )
         nonlocal_to_local_study(sweep)
         assert sorted(built) == [0.1, 0.2]
@@ -344,7 +350,7 @@ class TestStudy:
             family=family,
             potential=make_double_well(),
             scheme=SchemeConfig(dt=2e-3, T=0.02, snapshots=5),
-            eps_list=(0.2, 0.1, 0.05),
+            grids=sweep_grids((0.2, 0.1, 0.05)),
             c1_bound=1e9,
             rule=rule,
         )
@@ -388,7 +394,7 @@ class TestStudy:
             family=family,
             potential=sweep_pot,
             scheme=SchemeConfig(dt=4e-3, T=0.02, snapshots=5),
-            eps_list=(0.2, 0.1),
+            grids=sweep_grids((0.2, 0.1)),
         )
         nonlocal_to_local_study(sweep)
         snapshots = 1 + 5  # the initial state and five snapshots per run
@@ -414,7 +420,7 @@ class TestStudy:
             family=family,
             potential=make_double_well(),
             scheme=SchemeConfig(dt=4e-3, T=0.02, snapshots=5),
-            eps_list=(0.2, 0.1),
+            grids=sweep_grids((0.2, 0.1)),
             reference=reference,
         )
         nonlocal_to_local_study(sweep)
@@ -431,7 +437,7 @@ class TestStudy:
                 family=family,
                 potential=make_double_well(),
                 scheme=SchemeConfig(dt=dt, T=0.2, snapshots=10),
-                eps_list=(0.2, 0.1),
+                grids=sweep_grids((0.2, 0.1)),
             )
             rep = nonlocal_to_local_study(sweep)
             errs[dt] = rep.columns["err_theta_C0H"][0]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pfnl
-from pfnl import cli
+from pfnl import analysis, cli
 from pfnl.analysis import sweep_grids
 from pfnl.config import SCHEMA, default_config, parse_config_text
 from pfnl.errors import ConfigError
@@ -298,7 +298,7 @@ class TestSimulate:
         assert cli.main([command[0], "--config", cfg, *command[1:]]) == 2
         err = capsys.readouterr().err
         assert "growth" in err and "Traceback" not in err
-        assert not any((tmp_path / "out").glob("*.csv"))
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "line", ["potential.pi_slope = -1e300", "potential.power = 5"]
@@ -533,6 +533,30 @@ class TestConverge:
         assert err.startswith("configuration error:") and "time.T" in err
         assert not (tmp_path / "out").exists()
 
+    def test_single_width_finest_eps_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a finest-eps sweep compares every width but its finest, so a
+        # single width leaves nothing to compare
+        cfg = write_config(
+            tmp_path,
+            "sweep.reference = finest-eps\nsweep.eps = 0.2\ntime.T = 0.01\n"
+            f"output.dir = {tmp_path / 'out'}\n",
+        )
+        monkeypatch.setattr(cli, "nonlocal_to_local_study", _must_not_run)
+        assert cli.main(["converge", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "finest-eps" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_two_width_finest_eps_runs(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "sweep.reference = finest-eps\nsweep.eps = 0.2, 0.1\ntime.T = 0.01\n"
+            f"output.dir = {tmp_path / 'out'}\n",
+        )
+        assert cli.main(["converge", "--config", cfg]) == 0
+        report = (tmp_path / "out" / "report.csv").read_text().strip().split("\n")
+        assert len(report) == 2  # header + the coarser width
+
     def test_2d_sweep(self, tmp_path):
         outs = [tmp_path / "a", tmp_path / "b"]
         for out in outs:
@@ -569,6 +593,27 @@ def test_unusable_sweep_exits_2_without_output_dir(tmp_path, capsys, command, sw
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [("converge", SMALL_SWEEP),
+     ("verify-lemmas", "sweep.eps = 0.2, 0.1\noutput.dir = {out}\n")],
+    ids=["converge", "verify-lemmas"],
+)
+def test_sweep_grids_picked_once(tmp_path, monkeypatch, command, text):
+    # the command picks its sweep grids once and passes them down
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sweep_grids(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sweep_grids", counting)
+    monkeypatch.setattr(analysis, "sweep_grids", counting)
+    cfg = write_config(tmp_path, text.format(out=tmp_path / "out"))
+    assert cli.main([command, "--config", cfg]) == 0
+    assert len(calls) == 1
+
+
 class TestVerifyLemmas:
     def test_all_suites_pass(self, tmp_path, capsys):
         cfg = write_config(
@@ -585,6 +630,20 @@ class TestVerifyLemmas:
             "frechet_identity",
         ):
             assert results[name]["pass"], name
+
+    def test_frechet_setting_named(self, tmp_path):
+        # the Frechet suite runs on its own unit box and width, whatever
+        # grid.length and sweep.eps say, and lemmas.json names that setting
+        cfg = write_config(
+            tmp_path,
+            f"grid.length = 2.0\nsweep.eps = 0.4\noutput.dir = {tmp_path}/out\n",
+        )
+        # the probe suites' verdicts on this box do not matter here
+        cli.main(["verify-lemmas", "--config", cfg])
+        results = json.loads((tmp_path / "out" / "lemmas.json").read_text())
+        frechet = results["frechet_identity"]
+        setting = {k: frechet[k] for k in ("eps", "n", "box_length", "trials")}
+        assert setting == {"eps": 0.25, "n": 32, "box_length": 1.0, "trials": 50}
 
 
 class TestOutputWrites:
