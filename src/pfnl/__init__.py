@@ -43,7 +43,6 @@ from .integrator import (  # noqa: F401
     SchemeConfig,
     State,
     Trajectory,
-    energy_balance_residual,
     solve_trajectory,
     step_local,
     step_nonlocal,

@@ -89,14 +89,17 @@ def sweep_grids(eps_list, length=1.0, dimension=1, max_n=512, cells_per_eps=8):
 
 @dataclass(frozen=True)
 class ProbeField:
-    """Closed-form smooth field, evaluable on any grid of the sweep."""
+    """Closed-form smooth field in box units, evaluable on any grid of the
+    sweep: :meth:`on` samples ``fn`` at ``x_i / L_i``."""
 
     name: str
     fn: callable
     exact_energy: callable = None  # lengths tuple -> float, when known
 
     def on(self, grid):
-        return field_from_function(grid, self.fn)
+        return field_from_function(
+            grid, lambda *x: self.fn(*(xi / L for xi, L in zip(x, grid.lengths)))
+        )
 
 
 def _cos_mode(k):
@@ -104,7 +107,7 @@ def _cos_mode(k):
 
 
 def probe_fields(dimension=1):
-    """Five smooth fields with vanishing normal derivative on the unit box.
+    """Five smooth fields with vanishing normal derivative on any box.
 
     Flat boundary behaviour keeps the kernel operator's boundary layer
     quadratically small, so the norm-convergence diagnostics are not
@@ -123,14 +126,14 @@ def probe_fields(dimension=1):
             ProbeField(
                 "cubic-ramp",
                 lambda *x: x[0] ** 2 * (3.0 - 2.0 * x[0]),
-                lambda L: 0.6 / L[0] if abs(L[0] - 1.0) < 1e-12 else None,
+                lambda L: 0.6 / L[0],
             ),
         )
     return (
         ProbeField(
             "cos1-cos1",
             lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y),
-            lambda L: math.pi**2 / 4.0 if L == (1.0, 1.0) else None,
+            lambda L: math.pi**2 / 8.0 * (L[1] / L[0] + L[0] / L[1]),
         ),
         ProbeField("cos1-flat", lambda x, y: np.cos(np.pi * x)),
         ProbeField("flat-cos2", lambda x, y: np.cos(2.0 * np.pi * y)),

@@ -189,6 +189,13 @@ class Field:
         if not np.isfinite(self.data).all():
             raise ValueError("field contains non-finite entries")
 
+    @classmethod
+    def unchecked(cls, grid, data):
+        """A field on a float64 array of the grid's shape, not checked."""
+        u = object.__new__(cls)
+        u.grid, u.data = grid, data
+        return u
+
     def copy(self):
         return Field(self.grid, self.data.copy())
 
@@ -227,7 +234,8 @@ def dot(a, b):
     """``sum(a * b)`` over all entries of two arrays of one size, as a float,
     summed in an order that does not depend on the BLAS thread count.
 
-    Every pairing in the package goes through here.  Up to
+    Every pairing in the package goes through here, or through
+    :func:`dots` for stacked rows.  Up to
     :data:`DOT_BLOCK` entries this is ``np.vdot``, one single-threaded
     ``ddot``.  A longer array is cut into whole blocks of
     :data:`DOT_BLOCK` entries and a shorter tail; each block is one
@@ -245,6 +253,18 @@ def dot(a, b):
     ).ravel().tolist()
     blocks.append(float(np.vdot(a[m:], b[m:])))
     return math.fsum(blocks)
+
+
+def dots(a, b):
+    """``dot(a[i], b[i])`` for each row ``i`` of two arrays of one shape
+    ``(K, ...)``, as a float array.  Rows of at most :data:`DOT_BLOCK`
+    entries are one stacked ``np.matmul``, a ``ddot`` per row as in
+    ``np.vdot``; longer rows go through :func:`dot` one at a time."""
+    rows = a.shape[0]
+    n = a.size // rows
+    if n > DOT_BLOCK:
+        return np.array([dot(x, y) for x, y in zip(a, b)])
+    return np.matmul(a.reshape(rows, 1, n), b.reshape(rows, n, 1)).reshape(rows)
 
 
 def inner_product(space, u1, u2):

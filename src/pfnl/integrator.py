@@ -39,20 +39,21 @@ The first step seeds the three-level phase stencil with
 ``(v^{n+1} - v^n)/dt`` with ``v^{n+1} = (phi^{n+1} - phi^n)/dt``, so the
 velocity enters the scheme exactly as prescribed by the data.
 
-Each step also evaluates the discrete energy balance: the change of
+Each step's energy record holds the terms of the discrete energy balance:
+the change of
 
     1/2|theta|_H^2 + 1/2|phi|_H^2 + 1/2|v|_H^2 + E(phi) + int beta_hat(phi)
 
 plus the dissipation ``dt (|grad theta|^2 + |v|^2)`` must match the work
 ``dt ((f, theta) + (phi - pi(phi), v))`` up to O(dt^2) per step.
-:func:`solve_trajectory` evaluates every term of the balance once per step,
-in one pass over the new state, and carries the previous step's total
-forward.  ``E(phi) = 1/2 (B phi, phi)_H`` reuses the ``B phi`` of the
-phase Newton's final residual, for the kernel operator and the Laplacian
-alike; the record's ``pi(phi)`` is carried into the next step's
-right-hand side, so ``pi`` is evaluated once per step.
-:func:`total_energy` and :func:`energy_balance_residual` recompute the
-same quantities from two states alone.
+:func:`solve_trajectory` keeps the arrays each step makes for a block of
+:data:`BLOCK_BYTES` per array (:class:`_Books`).  At the end of a block
+each pairing and sum is one stacked call over all its steps, and the
+records' and ``aux`` sums' scalar arithmetic then runs step by step, so
+they are those of a step-by-step evaluation to the bit.
+``E(phi) = 1/2 (B phi, phi)_H`` reuses the ``B phi`` of the phase
+Newton's final residual, and each step's ``pi(phi)`` also serves the next
+step's right-hand side.
 
 ``B`` is applied to the phase CG's directions (none on the series) and to
 each Newton trial, and otherwise only for the initial record and step 1's
@@ -64,10 +65,10 @@ application.  The ``int_laptheta_sq`` monitor reads
 ``lap theta = (theta - rhs)/dt`` from the temperature solve, with no
 Laplacian of its own.
 
-Inside a step the phase Newton, its CG and the record work on bare
-arrays, and every H pairing is one :func:`~pfnl.fields.dot`; a
-:class:`~pfnl.fields.Field` (which validates its data) is built only for
-the components of each new :class:`State`.
+Inside a step every H pairing is one :func:`~pfnl.fields.dot` on bare
+arrays, and the new :class:`State` wraps its arrays in unchecked
+:class:`~pfnl.fields.Field` objects: the block's checks catch a
+non-finite state.
 """
 
 from __future__ import annotations
@@ -77,14 +78,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import SolverError
-from .fields import Field, cg, dot, grad_inner, inner_product, neumann_solve
-from .operators import (
-    apply_B_array,
-    dense_inverse,
-    energy_from_applied,
-    shifted_matvec,
-)
+from .errors import DegenerateFieldError, SolverError
+from .fields import Field, cg, dot, dots, neumann_solve
+from .operators import apply_B_array, dense_inverse, energy_floor, shifted_matvec
+from .physics import sample
 
 # The phase Newton's residual floor relative to 1 + |b|_H: below it the
 # residual evaluation is at its cancellation level.
@@ -104,8 +101,8 @@ class State:
     ``lap theta``, or ``None``.  A step sets ``B_phi`` (a direct
     application, for the energy record and the next step's predictor
     image), ``B_phi_prev`` (the previous state's ``B_phi``, cleared by the
-    next step once read) and ``lap_theta``; in :func:`solve_trajectory`
-    the record sets ``pi_phi`` for the next step's right-hand side.  Stored
+    next step once read) and ``lap_theta``; :func:`solve_trajectory` sets
+    ``pi_phi`` for the record and the next step's right-hand side.  Stored
     snapshots carry none of them.
     """
 
@@ -380,9 +377,9 @@ def _theta_update(state, v_new, f_next, cfg):
 
 def _advance(state, op, potential, f_next, cfg):
     """One semi-implicit step of the system ``op`` selects; the new state's
-    fields are the only ones the step builds.  It carries ``B phi`` and the
-    previous ``B phi`` for its energy record and the next predictor, and
-    ``lap theta`` from the temperature solve."""
+    (unchecked) fields are the only ones the step builds.  It carries
+    ``B phi`` and the previous ``B phi`` for its energy record and the next
+    predictor, and ``lap theta`` from the temperature solve."""
     phi, v, _, B_phi = _phi_update(state, op, potential, cfg)
     theta, lap_theta = _theta_update(
         state, v, None if f_next is None else f_next.data, cfg
@@ -390,9 +387,9 @@ def _advance(state, op, potential, f_next, cfg):
     grid = state.phi.grid
     return State(
         state.t + cfg.dt,
-        Field(grid, theta),
-        Field(grid, phi),
-        Field(grid, v),
+        Field.unchecked(grid, theta),
+        Field.unchecked(grid, phi),
+        Field.unchecked(grid, v),
         B_phi=B_phi,
         B_phi_prev=state.B_phi,
         lap_theta=lap_theta,
@@ -415,73 +412,116 @@ def step_local(state, potential, f_next, cfg):
 
 # --- energy bookkeeping ---------------------------------------------------------
 
-
-def total_energy(state, energy_fn, potential):
-    beta_hat = np.asarray(potential.beta_hat(state.phi.data), dtype=np.float64)
-    return (
-        0.5 * inner_product("H", state.theta, state.theta)
-        + 0.5 * inner_product("H", state.phi, state.phi)
-        + 0.5 * inner_product("H", state.v, state.v)
-        + energy_fn(state.phi)
-        + state.phi.grid.cell_volume * float(np.sum(beta_hat))
-    )
+# Each per-step array a block keeps takes about this many bytes: a block
+# holds BLOCK_BYTES // (8 N) steps of an N-cell grid, and at least one.
+BLOCK_BYTES = 16 * 1024
 
 
-def energy_balance_residual(prev, nxt, energy_fn, potential, f_next, dt):
-    """One-step residual of the discrete energy balance.
+class _Books:
+    """The records and ``aux`` sums of one trajectory.  ``block`` keeps
+    ``(step, t, arrays)``, the arrays being ``theta, phi, v, B phi`` and,
+    after step 0, ``pi(phi)``, ``lap theta``, the previous ``theta`` and
+    any source field.  :meth:`close` stacks them once (one step is a view)
+    and takes each pairing and sum for all steps in one call; the scalar
+    arithmetic then runs step by step, as it would with no block.  It
+    raises :class:`DegenerateFieldError` for the first step with ``E(phi)``
+    below :func:`~pfnl.operators.energy_floor`, :class:`SolverError` for
+    one with a non-finite energy."""
 
-    Evaluates ``E_total(n+1) - E_total(n) + dt (|grad theta|^2 + |v|^2)
-    - dt ((f, theta) + (phi - pi(phi), v))`` with all rate terms at the
-    new time level; O(dt^2) per step along the scheme's trajectories.
-    """
-    diss = grad_inner(nxt.theta, nxt.theta) + inner_product("H", nxt.v, nxt.v)
-    pi_term = Field(nxt.phi.grid, np.asarray(potential.pi(nxt.phi.data), dtype=np.float64))
-    work = inner_product("H", f_next, nxt.theta) + inner_product(
-        "H", nxt.phi - pi_term, nxt.v
-    )
-    delta = total_energy(nxt, energy_fn, potential) - total_energy(
-        prev, energy_fn, potential
-    )
-    return abs(delta + dt * diss - dt * work)
+    def __init__(self, op, potential, dt, state):
+        grid = state.phi.grid
+        self.beta_hat, self.dt, self.vol = potential.beta_hat, dt, grid.cell_volume
+        self.floor, self.faces = energy_floor(op, grid), grid.faces
+        self.size = max(1, BLOCK_BYTES // (8 * grid.num_cells))
+        self.records, self.aux = [], dict.fromkeys(
+            ("int_thetat_sq", "int_laptheta_sq", "int_gradtheta_sq", "int_v_sq",
+             "max_mass_residual", "max_step_residual"), 0.0)
+        # the previous step's total energy and mass sum(theta + phi)
+        self.total = self.mass = None
+        arrays = (state.theta.data, state.phi.data, state.v.data, state.B_phi)
+        self.block = [(0, state.t, arrays)]
+        self.close()
 
+    def add(self, k, state, prev, f):
+        """Keep step ``k``, which made ``state`` from ``prev`` under the
+        source field ``f`` (or ``None``)."""
+        arrays = (state.theta.data, state.phi.data, state.v.data, state.B_phi,
+                  state.pi_phi, state.lap_theta, prev.theta.data)
+        self.block.append((k, state.t, arrays if f is None else (*arrays, f.data)))
+        if len(self.block) >= self.size:
+            self.close()
 
-def _record(t, state, energy_phi, potential, f_next=None, dt=None, prev_total=None):
-    """Energy record of ``state`` with each balance term evaluated once, by
-    the arithmetic of :func:`total_energy` and :func:`energy_balance_residual`
-    given ``energy_phi = E(phi)`` and the previous record's ``prev_total``
-    (residual 0 without one).  With ``prev_total``, the work term's
-    ``pi(phi)`` is stored on ``state.pi_phi`` for the next step; a source
-    field ``f_next`` of ``None`` does no work.  Also returns
-    ``|grad theta|^2`` and ``|v|^2``."""
-    vol = state.phi.grid.cell_volume
-    theta, phi, v = state.theta.data, state.phi.data, state.v.data
-    theta_sq = vol * dot(theta, theta)
-    grad_sq = grad_inner(state.theta, state.theta)
-    phi_sq = vol * dot(phi, phi)
-    v_sq = vol * dot(v, v)
-    int_beta_hat = vol * float(
-        np.asarray(potential.beta_hat(phi), dtype=np.float64).sum()
-    )
-    total = 0.5 * theta_sq + 0.5 * phi_sq + 0.5 * v_sq + energy_phi + int_beta_hat
-    residual = 0.0
-    if prev_total is not None:
-        state.pi_phi = np.asarray(potential.pi(phi), dtype=np.float64)
-        work = vol * dot(phi - state.pi_phi, v)
-        if f_next is not None:
-            work = vol * dot(f_next.data, theta) + work
-        residual = abs(total - prev_total + dt * (grad_sq + v_sq) - dt * work)
-    record = EnergyRecord(
-        t=t,
-        norm_theta_H=math.sqrt(max(theta_sq, 0.0)),
-        norm_grad_theta_H=math.sqrt(max(grad_sq, 0.0)),
-        norm_phi_H=math.sqrt(max(phi_sq, 0.0)),
-        norm_v_H=math.sqrt(max(v_sq, 0.0)),
-        energy_phi=energy_phi,
-        int_beta_hat=int_beta_hat,
-        residual_a1=residual,
-        total_energy=total,
-    )
-    return record, grad_sq, v_sq
+    def close(self):
+        """Record the kept steps."""
+        if not self.block:
+            return
+        steps, times, arrays = zip(*self.block)
+        self.block = []
+        rows, vol, dt = len(steps), self.vol, self.dt
+        if rows == 1:
+            quantities = [a[None] for a in arrays[0]]
+        else:
+            # quantity by quantity, so that each is one contiguous (K, ...) array
+            stacked = np.concatenate([a for column in zip(*arrays) for a in column])
+            quantities = stacked.reshape(len(arrays[0]), rows, *arrays[0][0].shape)
+
+        def row_sums(a):
+            return a.reshape(rows, -1).sum(axis=1)
+
+        theta, phi, v, B_phi = quantities[:4]
+        grad_sq = 0.0
+        for lo, hi, h_sq in self.faces:
+            d = theta[(...,) + hi] - theta[(...,) + lo]
+            grad_sq = grad_sq + vol / h_sq * dots(d, d)
+        columns = [dots(theta, theta), grad_sq, dots(phi, phi), dots(v, v),
+                   dots(B_phi, phi), row_sums(sample(self.beta_hat, phi)),
+                   row_sums(theta + phi)]
+        if len(quantities) > 4:
+            pi_phi, lap, theta_prev, *f = quantities[4:]
+            thetat = theta - theta_prev
+            thetat /= dt
+            columns += [dots(phi - pi_phi, v), dots(thetat, thetat), dots(lap, lap)]
+            if f:
+                columns += [dots(f[0], theta), row_sums(f[0])]
+
+        aux = self.aux
+        for k, t, theta_sq, grad_sq, phi_sq, v_sq, energy, beta_hat, mass, *terms in zip(
+            steps, times, *(c.tolist() for c in columns)
+        ):
+            energy = 0.5 * vol * energy
+            if energy < self.floor:
+                raise DegenerateFieldError(
+                    f"step {k} (t={t:.6g}): energy 1/2 (B phi, phi)_H came out "
+                    f"negative: {energy}"
+                )
+            energy = max(energy, 0.0)
+            theta_sq, phi_sq, v_sq = vol * theta_sq, vol * phi_sq, vol * v_sq
+            int_beta_hat = vol * beta_hat
+            total = 0.5 * theta_sq + 0.5 * phi_sq + 0.5 * v_sq + energy + int_beta_hat
+            if not math.isfinite(total):
+                raise SolverError(f"step {k} (t={t:.6g}): the state is not finite")
+            residual = 0.0
+            if terms:
+                work, thetat_sq, lap_sq, *source = terms
+                work = vol * work
+                source_mass = 0.0
+                if source:
+                    work = vol * source[0] + work
+                    source_mass = vol * source[1]
+                residual = abs(total - self.total + dt * (grad_sq + v_sq) - dt * work)
+                aux["int_thetat_sq"] += dt * vol * thetat_sq
+                aux["int_laptheta_sq"] += dt * (vol * lap_sq)
+                aux["int_gradtheta_sq"] += dt * grad_sq
+                aux["int_v_sq"] += dt * v_sq
+                aux["max_step_residual"] = max(aux["max_step_residual"], residual)
+                mass_rate = (mass - self.mass) * vol / dt
+                aux["max_mass_residual"] = max(aux["max_mass_residual"],
+                                               abs(mass_rate - source_mass))
+            self.total, self.mass = total, mass
+            norms = (math.sqrt(max(x, 0.0)) for x in (theta_sq, grad_sq, phi_sq, v_sq))
+            self.records.append(
+                EnergyRecord(t, *norms, energy, int_beta_hat, residual, total)
+            )
 
 
 # --- trajectory driver -----------------------------------------------------------
@@ -495,40 +535,29 @@ def solve_trajectory(op, data, potential, cfg, source=None):
     initial triple.
     Snapshots are stored at roughly ``cfg.snapshots`` evenly spaced steps
     plus the initial and final states; an energy record is emitted every
-    step.  Solver failures abort with the step index in the message.
+    step, a block of steps at a time (:class:`_Books`).  Solver failures,
+    and states that come out non-finite, abort with the step index in the
+    message.
     """
     grid = data.grid
-    vol = grid.cell_volume
     dt = cfg.dt
     state = State(0.0, data.theta0.copy(), data.phi0.copy(), data.v0.copy())
     n_steps = cfg.num_steps
     stride = max(1, n_steps // max(cfg.snapshots, 1)) if n_steps else 1
 
-    mass = float((state.theta.data + state.phi.data).sum())
     # snapshots share the running state's fields: a step builds new ones
     # and nothing modifies a field's data in place
     states = [State(0.0, state.theta, state.phi, state.v)]
     phi_tt_snaps = [None]
     # B phi^0 serves the initial record and, with B phi^1, step 2's predictor
     state.B_phi = apply_B_array(op, grid, state.phi.data)
-    energy0 = energy_from_applied(op, state.phi, state.B_phi)
-    records = [_record(0.0, state, energy0, potential)[0]]
-    aux = {
-        "int_thetat_sq": 0.0,
-        "int_laptheta_sq": 0.0,
-        "int_gradtheta_sq": 0.0,
-        "int_v_sq": 0.0,
-        "max_mass_residual": 0.0,
-        "max_step_residual": 0.0,
-    }
+    books = _Books(op, potential, dt, state)
 
     f_next = None
-    source_mass = 0.0  # h^d sum(f), fixed at 0 without a source
     for k in range(1, n_steps + 1):
         t_next = k * dt
         if source is not None:
             f_next = source(grid, t_next)
-            source_mass = vol * float(f_next.data.sum())
         try:
             prev = state
             if op is None:
@@ -537,32 +566,15 @@ def solve_trajectory(op, data, potential, cfg, source=None):
                 state = step_nonlocal(prev, op, potential, f_next, cfg)
             state.t = t_next
         except SolverError as err:
+            books.close()  # a failed check of an earlier step comes first
             raise SolverError(f"step {k} (t={t_next:.6g}): {err}") from err
-
-        record, grad_sq, v_sq = _record(
-            t_next, state, energy_from_applied(op, state.phi, state.B_phi),
-            potential, f_next, dt,
-            records[-1].total_energy,
-        )
-        records.append(record)
-
-        thetat = (state.theta.data - prev.theta.data) / dt
-        lap, state.lap_theta = state.lap_theta, None
-        aux["int_thetat_sq"] += dt * vol * dot(thetat, thetat)
-        aux["int_laptheta_sq"] += dt * (vol * dot(lap, lap))
-        aux["int_gradtheta_sq"] += dt * grad_sq
-        aux["int_v_sq"] += dt * v_sq
-        aux["max_step_residual"] = max(aux["max_step_residual"], record.residual_a1)
-        prev_mass, mass = mass, float((state.theta.data + state.phi.data).sum())
-        mass_rate = (mass - prev_mass) * vol / dt
-        aux["max_mass_residual"] = max(
-            aux["max_mass_residual"],
-            abs(mass_rate - source_mass),
-        )
+        state.pi_phi = sample(potential.pi, state.phi.data)
+        books.add(k, state, prev, f_next)
 
         if k % stride == 0 or k == n_steps:
             states.append(State(t_next, state.theta, state.phi, state.v))
-            phi_tt_snaps.append(Field(grid, (state.v.data - prev.v.data) / dt))
+            phi_tt_snaps.append(Field.unchecked(grid, (state.v.data - prev.v.data) / dt))
 
-    return Trajectory(op=op, states=states, records=records,
-                      phi_tt_snapshots=phi_tt_snaps, aux=aux)
+    books.close()
+    return Trajectory(op=op, states=states, records=books.records,
+                      phi_tt_snapshots=phi_tt_snaps, aux=books.aux)

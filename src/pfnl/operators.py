@@ -349,17 +349,19 @@ def energy_from_applied(op, u, Bu):
     """``1/2 (B u, u)_H`` from the array ``Bu = B u`` already at hand, where
     ``B`` is ``B_eps`` of ``op``, or ``-lap_N`` when ``op`` is ``None``.
 
-    Negative roundoff is clamped; a value below ``-1e-14`` times the largest
-    diagonal entry of ``B`` (at least 1) raises.
+    Negative roundoff is clamped; a value below :func:`energy_floor` raises.
     """
     val = 0.5 * u.grid.cell_volume * dot(Bu, u.data)
-    if op is None:
-        diagonal = sum(2.0 / (h * h) for h in u.grid.spacing)
-    else:
-        diagonal = op.a_eps_max
-    if val < -1e-14 * max(1.0, diagonal):
+    if val < energy_floor(op, u.grid):
         raise DegenerateFieldError(f"energy 1/2 (B u, u)_H came out negative: {val}")
     return max(val, 0.0)
+
+
+def energy_floor(op, grid):
+    """The least ``1/2 (B u, u)_H`` roundoff may give on ``grid``: ``-1e-14``
+    times the largest diagonal entry of ``B`` (at least 1)."""
+    diagonal = sum(2.0 / (h * h) for h in grid.spacing) if op is None else op.a_eps_max
+    return -1e-14 * max(1.0, diagonal)
 
 
 def energy_double_sum(op, u):

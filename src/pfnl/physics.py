@@ -90,7 +90,8 @@ def make_linear_potential(pi_slope=0.0):
 def sample(fn, r):
     """``fn(r)`` as a float array of ``r``'s shape; a scalar value, such as
     the linear potential's ``0.0``, is broadcast (read-only, no copy)."""
-    return np.broadcast_to(np.asarray(fn(r), dtype=np.float64), np.shape(r))
+    value = np.asarray(fn(r), dtype=np.float64)
+    return value if value.shape == np.shape(r) else np.broadcast_to(value, np.shape(r))
 
 
 _LATTICE = np.linspace(-5.0, 5.0, 10_000)

@@ -101,6 +101,30 @@ class TestProbeFields:
             assert abs(u[-1] - u[-2]) <= 100.0 * h * h * max(1.0, np.max(np.abs(u)))
 
 
+    @pytest.mark.parametrize("lengths", [(2.0,), (2.0, 1.5)], ids=["1d", "2d"])
+    def test_box_units(self, lengths):
+        # each probe is the unit-box probe stretched over the box: its exact
+        # energy matches the fine-grid quadrature, and it stays flat at x = L
+        grid = Grid(lengths, (4096,) if len(lengths) == 1 else (512, 512))
+        h = grid.spacing[0]
+        for probe in probe_fields(len(lengths)):
+            u = probe.on(grid)
+            if probe.exact_energy is not None:
+                exact = probe.exact_energy(grid.lengths)
+                assert energy_local(u) == pytest.approx(exact, rel=1e-4), probe.name
+            edge = np.abs(u.data[-1] - u.data[-2])
+            assert np.max(edge) <= 100.0 * h * h * max(1.0, np.max(np.abs(u.data)))
+
+    def test_gamma_suite_off_the_unit_box(self, family):
+        rows, violations = gamma_convergence_suite(
+            family, grids=sweep_grids((0.2, 0.1), length=2.0)
+        )
+        assert violations == []
+        final = {r["field"]: r for r in rows if r["eps"] == 0.1}
+        assert final["cos1"]["gap"] / final["cos1"]["energy_local"] <= 0.05
+        assert final["cubic-ramp"]["energy_local"] == 0.3
+
+
 class TestGammaSuite:
     def test_default_passes(self, family):
         rows, violations = gamma_convergence_suite(family)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pfnl
-from pfnl import analysis, cli
+from pfnl import analysis, cli, integrator
 from pfnl.analysis import sweep_grids
 from pfnl.config import SCHEMA, default_config, parse_config_text
 from pfnl.errors import ConfigError
@@ -263,6 +263,25 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "step 1" in err and "overflowed" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out" / "energy.csv").exists()
+
+    def test_non_finite_state_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a temperature solve that returns NaN at step 5 of 10, inside the
+        # first block of records, fails the run with exit 1 and no traceback
+        theta_update = integrator._theta_update
+        calls = [0]
+
+        def nan_at_step_5(*args):
+            theta, lap = theta_update(*args)
+            calls[0] += 1
+            return (np.full_like(theta, np.nan) if calls[0] == 5 else theta), lap
+
+        monkeypatch.setattr(integrator, "_theta_update", nan_at_step_5)
+        cfg = write_config(tmp_path, SMALL_SIM.format(out=tmp_path / "out"))
+        assert cli.main(["simulate", "--config", cfg, "--eps", "0.25"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: step 5 (t=0.01): ")
+        assert "not finite" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "energy.csv").exists()
 
     @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from pfnl.fields import (
     cg,
     cosine_plan,
     dot,
+    dots,
     dual_norm,
     field_from_function,
     grad_inner,
@@ -169,6 +170,15 @@ class TestDot:
         bound = n * np.finfo(float).eps * math.fsum(np.abs(products))
         assert abs(dot(a, b) - exact) <= bound
         assert dot(a.reshape(-1, 1), b.reshape(-1, 1)) == dot(a, b)
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 40), (51, 40), (6, 320), (3, 12, 17), (2, 128, 128)]
+    )
+    def test_dots_is_dot_per_row(self, shape, rng):
+        # stacked rows keep each row's dot bits, either side of DOT_BLOCK
+        a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+        assert dots(a, b).tolist() == [dot(x, y) for x, y in zip(a, b)]
+        assert dots(a[:, ::-1], a[:, ::-1]).tolist() == [dot(x, x) for x in a[:, ::-1]]
 
 
 class TestLaplacian:

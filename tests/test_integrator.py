@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 from conftest import rough_field, smooth_field
 from pfnl import fields, integrator, operators
-from pfnl.errors import SolverError
+from pfnl.errors import DegenerateFieldError, SolverError
 from pfnl.fields import (
     MAX_DENSE_CELLS,
     Field,
@@ -41,10 +41,8 @@ from pfnl.integrator import (
     State,
     _phi_update,
     _series_solve,
-    energy_balance_residual,
     solve_trajectory,
     step_local,
-    total_energy,
 )
 
 ODE_MATRIX = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [1.0, 0.0, -1.0]])
@@ -59,6 +57,35 @@ def ode_exact(y0, t):
 @pytest.fixture(scope="module")
 def family():
     return build_kernel_family(make_profile("polynomial-bump"), 1, 0.0)
+
+
+def total_energy(state, energy_fn, potential):
+    """The total energy of ``state``, recomputed from its fields: the
+    oracle of the records' ``total_energy``."""
+    beta_hat = np.asarray(potential.beta_hat(state.phi.data), dtype=np.float64)
+    return (
+        0.5 * inner_product("H", state.theta, state.theta)
+        + 0.5 * inner_product("H", state.phi, state.phi)
+        + 0.5 * inner_product("H", state.v, state.v)
+        + energy_fn(state.phi)
+        + state.phi.grid.cell_volume * float(np.sum(beta_hat))
+    )
+
+
+def energy_balance_residual(prev, nxt, energy_fn, potential, f_next, dt):
+    """One-step residual of the discrete energy balance, recomputed from two
+    states: ``E_total(n+1) - E_total(n) + dt (|grad theta|^2 + |v|^2)
+    - dt ((f, theta) + (phi - pi(phi), v))`` with all rate terms at the new
+    time level, the oracle of the records' ``residual_a1``."""
+    diss = grad_inner(nxt.theta, nxt.theta) + inner_product("H", nxt.v, nxt.v)
+    pi_term = Field(nxt.phi.grid, np.asarray(potential.pi(nxt.phi.data), dtype=np.float64))
+    work = inner_product("H", f_next, nxt.theta) + inner_product(
+        "H", nxt.phi - pi_term, nxt.v
+    )
+    delta = total_energy(nxt, energy_fn, potential) - total_energy(
+        prev, energy_fn, potential
+    )
+    return abs(delta + dt * diss - dt * work)
 
 
 def constant_data(grid, potential, y0, op=None):
@@ -351,6 +378,142 @@ class TestSinglePassRecords:
         expected["max_mass_residual"] = max(mass)
         for key, value in expected.items():
             assert close(traj.aux[key], value), key
+
+
+class TestBlocks:
+    """``solve_trajectory`` records a block of steps at a time.  The block
+    length, set here by patching ``BLOCK_BYTES``, changes no bit of the
+    records, the ``aux`` sums or the snapshots, and a failed check names
+    its step wherever the step falls in its block."""
+
+    STEPS = 10
+
+    @pytest.fixture(scope="class")
+    def family2d(self):
+        return build_kernel_family(make_profile("polynomial-bump"), 2, 0.0)
+
+    def problem(self, fam, dimension, problem):
+        grid = Grid.line(40) if dimension == 1 else Grid.box(16)
+        eps = 0.2 if dimension == 1 else 0.25
+        op = build_nonlocal_operator(fam, eps, grid) if problem == "nonlocal" else None
+        pot = make_double_well()
+        return grid, op, pot, build_initial_data(op, grid, pot)
+
+    def run(self, monkeypatch, grid, op, pot, data, length):
+        """A 10-step run with blocks of ``length`` steps, and the number of
+        blocks it recorded, the initial record's included."""
+        monkeypatch.setattr(integrator, "BLOCK_BYTES", length * 8 * grid.num_cells)
+        blocks = [0]
+        close = integrator._Books.close
+
+        def counted_close(books):
+            blocks[0] += bool(books.block)
+            close(books)
+
+        monkeypatch.setattr(integrator._Books, "close", counted_close)
+        cfg = SchemeConfig(dt=1e-3, T=self.STEPS * 1e-3, snapshots=self.STEPS)
+        traj = solve_trajectory(
+            op, data, pot, cfg, source=make_source("cosine-decay", 1.0)
+        )
+        return traj, blocks[0]
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("problem", ["nonlocal", "local"])
+    def test_block_length_changes_no_bit(self, family, family2d, monkeypatch,
+                                         dimension, problem):
+        fam = family if dimension == 1 else family2d
+        grid, op, pot, data = self.problem(fam, dimension, problem)
+        runs = {}
+        for length in (1, 3, self.STEPS + 2):
+            traj, blocks = self.run(monkeypatch, grid, op, pot, data, length)
+            assert blocks == 1 + -(-self.STEPS // length)
+            runs[length] = traj
+        ref = runs[1]
+        assert len(ref.records) == len(ref.states) == self.STEPS + 1
+        for traj in runs.values():
+            assert traj.records == ref.records
+            assert traj.aux == ref.aux
+            assert list(traj.aux) == list(ref.aux)
+            for a, b in zip(traj.states, ref.states):
+                assert a.t == b.t
+                for name in ("theta", "phi", "v"):
+                    assert np.array_equal(getattr(a, name).data, getattr(b, name).data)
+            for a, b in zip(traj.phi_tt_snapshots[1:], ref.phi_tt_snapshots[1:]):
+                assert np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_records_are_stepwise_dot_sums(self, family, family2d, monkeypatch, dimension):
+        # bit for bit the step-by-step arithmetic: each pairing one dot, each
+        # term grouped as written here, each running sum in step order
+        fam = family if dimension == 1 else family2d
+        grid, op, pot, data = self.problem(fam, dimension, "nonlocal")
+        traj, _ = self.run(monkeypatch, grid, op, pot, data, 3)
+        source = make_source("cosine-decay", 1.0)
+        vol, dt = grid.cell_volume, 1e-3
+        aux = dict.fromkeys(("int_thetat_sq", "int_gradtheta_sq", "int_v_sq"), 0.0)
+        aux.update(max_step_residual=0.0, max_mass_residual=0.0)
+        for k, (st, rec) in enumerate(zip(traj.states, traj.records)):
+            theta, phi, v = st.theta.data, st.phi.data, st.v.data
+            theta_sq, grad_sq = vol * fields.dot(theta, theta), grad_inner(st.theta, st.theta)
+            phi_sq, v_sq = vol * fields.dot(phi, phi), vol * fields.dot(v, v)
+            energy = max(0.5 * vol * fields.dot(apply_B_array(op, grid, phi), phi), 0.0)
+            beta_hat = vol * float(np.sum(pot.beta_hat(phi)))
+            total = 0.5 * theta_sq + 0.5 * phi_sq + 0.5 * v_sq + energy + beta_hat
+            mass, residual = float(np.sum(theta + phi)), 0.0
+            if k:
+                f = source(grid, st.t).data
+                work = vol * fields.dot(phi - pot.pi(phi), v)
+                work = vol * fields.dot(f, theta) + work
+                residual = abs(total - prev[0] + dt * (grad_sq + v_sq) - dt * work)
+                thetat = (theta - prev[1]) / dt
+                aux["int_thetat_sq"] += dt * vol * fields.dot(thetat, thetat)
+                aux["int_gradtheta_sq"] += dt * grad_sq
+                aux["int_v_sq"] += dt * v_sq
+                aux["max_step_residual"] = max(aux["max_step_residual"], residual)
+                rate = (mass - prev[2]) * vol / dt
+                gap = abs(rate - vol * float(np.sum(f)))
+                aux["max_mass_residual"] = max(aux["max_mass_residual"], gap)
+            norms = [math.sqrt(x) for x in (theta_sq, grad_sq, phi_sq, v_sq)]
+            assert rec == integrator.EnergyRecord(
+                st.t, *norms, energy, beta_hat, residual, total
+            ), k
+            prev = total, theta, mass
+        assert {key: traj.aux[key] for key in aux} == aux
+
+    @pytest.mark.parametrize("length", [1, 3, 32])
+    def test_non_finite_state_names_its_step(self, family, monkeypatch, length):
+        # theta comes out NaN at step 5, the middle of a block of 3 or 32;
+        # step 6's Newton fails on it, but the check of step 5 comes first
+        grid, op, pot, data = self.problem(family, 1, "nonlocal")
+        theta_update = integrator._theta_update
+        calls = [0]
+
+        def nan_at_step_5(*args):
+            theta, lap = theta_update(*args)
+            calls[0] += 1
+            if calls[0] == 5:
+                theta = np.full_like(theta, np.nan)
+            return theta, lap
+
+        monkeypatch.setattr(integrator, "_theta_update", nan_at_step_5)
+        with pytest.raises(SolverError, match=r"^step 5 \(t=0\.005\): .*not finite"):
+            self.run(monkeypatch, grid, op, pot, data, length)
+
+    @pytest.mark.parametrize("problem", ["nonlocal", "local"])
+    def test_negative_energy_names_its_step(self, family, monkeypatch, problem):
+        # B phi negated at step 3 makes E(phi) = 1/2 (B phi, phi)_H negative
+        grid, op, pot, data = self.problem(family, 1, problem)
+        phi_update = integrator._phi_update
+        calls = [0]
+
+        def negated_at_step_3(*args):
+            phi, v, iters, B_phi = phi_update(*args)
+            calls[0] += 1
+            return phi, v, iters, -B_phi if calls[0] == 3 else B_phi
+
+        monkeypatch.setattr(integrator, "_phi_update", negated_at_step_3)
+        with pytest.raises(DegenerateFieldError, match=r"^step 3 \(t=0\.003\): .*negative"):
+            self.run(monkeypatch, grid, op, pot, data, 32)
 
 
 class TestStepCost:
