@@ -518,9 +518,11 @@ def cg(matvec, b, rtol, maxiter, callback=None):
     Starts from ``x = 0`` and stops once ``|r|_2 < rtol |b|_2``, tested
     before each iteration.  ``matvec``'s result is scaled in place and then
     holds ``alpha p`` for the update of ``x``, so the loop itself
-    allocates nothing per iteration; it must be a new array that the
-    caller does not read again.  Calls
-    ``callback(x)`` once per iteration.
+    allocates nothing per iteration.  The result must be an array that
+    nothing else reads meanwhile: a new one, or one kept by ``matvec``
+    and overwritten by every call (as
+    :func:`pfnl.operators.shifted_matvec` does for the kernel operator).
+    Calls ``callback(x)`` once per iteration.
     Returns ``(x, 0)`` on convergence, or ``(x, maxiter)`` with the last
     iterate when the budget runs out.
     """

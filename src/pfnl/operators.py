@@ -16,14 +16,19 @@ convolution; since the integrand vanishes outside the box this is exact
 for the restricted integral up to the shared midpoint quadrature.  The
 kernel is stored and padded by its compact support, not by the box: the
 ``(2w+1)^d`` window is wrapped onto a lattice of ``n + w`` cells per axis
-(rounded up to a fast FFT size), so the cost of an application depends
-on ``n + w`` rather than ``2n - 1``.  The plan derives all of this from
-the tabulated kernel, its one field; the window's transform is one
-``rfftn``, and an application's transforms are numpy's, taken one axis
-at a time in work arrays that the plan keeps (see
-:meth:`ConvolutionPlan.apply`).  In 1D a window of at most
-``MAX_DIRECT_TAPS`` (129) taps skips the FFT: ``np.convolve`` sums the
-``2w + 1`` taps directly, and the plan never transforms its window.  A
+(rounded up to a 7-smooth size, :func:`_fast_len`), so the cost of an
+application depends on ``n + w`` rather than ``2n - 1``.  The plan
+derives all of this from the tabulated kernel, its one field; the
+window's transform is one ``rfftn``, and an application's transforms are
+numpy's, taken one axis at a time in work arrays that the plan keeps,
+the input copied into a kept zero-padded real lattice (see
+:meth:`ConvolutionPlan.apply`).  :func:`apply_B_eps` can write into a
+given array, and the kernel operator keeps the one array that its CG
+products (:func:`shifted_matvec`) are written into, so neither an
+application nor a CG iteration needs a fresh lattice-sized array.  In
+1D a window of at most ``MAX_DIRECT_TAPS`` (129) taps skips the FFT:
+``np.convolve`` sums the ``2w + 1`` taps directly, and the plan never
+transforms its window.  A
 sweep with ``h`` proportional to ``eps`` keeps ``w`` fixed (17 taps at the
 default widths), where direct taps are several times faster than the
 FFT.  One quadrature (cell centers, with the origin cell of the kernel
@@ -67,18 +72,22 @@ from .fields import (
 from .kernels import EvaluatedKernel, tabulate_kernel
 
 # 1D windows of at most this many taps are convolved directly.  Against the
-# padded FFT (numpy 2.4, one core), direct taps won at 129 taps for
-# n = 512 ... 32768 and lost at 257 taps for n = 4096 and at 513 taps.
+# padded FFT on 7-smooth sizes (numpy 2.4, one core, best of 7, two runs),
+# the FFT took 1.14-1.87 times as long as direct taps at 129 taps for
+# n = 512 ... 32768 (one run gave 0.93 at n = 2048), and 0.56-0.91 times
+# at 257 taps for n = 1024 ... 16384 (about 1.0 at 512 and 32768).
 MAX_DIRECT_TAPS = 129
 
 
 def _fast_len(target):
-    """Smallest 11-smooth size ``>= target`` (no prime factor above 11),
-    the value ``scipy.fft.next_fast_len`` returns for real transforms."""
+    """Smallest 7-smooth size ``>= target`` (no prime factor above 7).
+    On the default 2D run's lattice that is 336 = 2^4*3*7, where the
+    11-smooth rule gave 330 = 2*3*5*11, whose row and column transforms
+    took about 5% and 10% longer (numpy 2.4, one core)."""
     size = target
     while True:
         rest = size
-        for p in (2, 3, 5, 7, 11):
+        for p in (2, 3, 5, 7):
             while rest % p == 0:
                 rest //= p
         if rest == 1:
@@ -142,8 +151,10 @@ class ConvolutionPlan:
         return np.empty((*rows, last // 2 + 1), dtype=complex)
 
     @cached_property
-    def _rows(self):
-        """The FFT path's real work array: the lattice rows holding the box."""
+    def _lattice(self):
+        """The FFT path's real work array: the lattice rows holding the box.
+        An application copies its input in, zero-padded along the last
+        axis, and gets its output back in the same array."""
         return np.empty(self.grid.n[:-1] + self.padded_shape[-1:])
 
     def apply(self, data):
@@ -151,35 +162,39 @@ class ConvolutionPlan:
         truncated to the box: direct taps for a ``direct`` plan, otherwise
         the circular product on the padded lattice.
 
-        The FFT path transforms one axis at a time, in place in work
-        arrays that the plan keeps, so an application allocates only its
-        output; it never forms the padded lattice, and the transform
-        skips its all-zero rows.  One plan must therefore not be applied
-        from two threads at once.
+        The FFT path copies ``data`` into the zero-padded lattice rows
+        that the plan keeps and transforms one axis at a time, in place
+        in the plan's work arrays, so an application allocates only its
+        output; it never forms the whole padded lattice, and the
+        transform skips its all-zero rows.  One plan must therefore not
+        be applied from two threads at once.
         """
         conv = self._convolution(data)
         return conv if self.direct else conv.copy()
 
     def _convolution(self, data):
-        """:meth:`apply`'s result; on the FFT path a view of :attr:`_rows`,
+        """:meth:`apply`'s result; on the FFT path a view of :attr:`_lattice`,
         which the plan's next application overwrites."""
         if self.direct:
             return np.convolve(data, self.weights)[self._taps]
         n, last = self.grid.n, self.padded_shape[-1]
         kernel_hat = self.kernel_hat  # computed in the work array: before its use
-        spectrum = self._spectrum
+        spectrum, lattice = self._spectrum, self._lattice
         rows = tuple(slice(0, m) for m in n[:-1])  # the lattice rows holding the box
         if rows:
             # lattice rows past the box hold zeros, and so does their transform
             spectrum[n[0] :] = 0.0
-        np.fft.rfft(data, n=last, out=spectrum[rows])
+        # past the box the last application left its circular product
+        lattice[..., : n[-1]] = data
+        lattice[..., n[-1] :] = 0.0
+        np.fft.rfft(lattice, out=spectrum[rows])
         for axis in range(len(n) - 1):
             np.fft.fft(spectrum, axis=axis, out=spectrum)
         spectrum *= kernel_hat
         for axis in range(len(n) - 1):
             np.fft.ifft(spectrum, axis=axis, out=spectrum)
-        np.fft.irfft(spectrum[rows], n=last, out=self._rows)
-        return self._rows[..., : n[-1]]
+        np.fft.irfft(spectrum[rows], n=last, out=lattice)
+        return lattice[..., : n[-1]]
 
 
 @dataclass(frozen=True)
@@ -220,6 +235,13 @@ class NonlocalOperator:
         return J
 
     @cached_property
+    def _product(self):
+        """The array every :func:`shifted_matvec` product of this operator
+        is written into, kept so that a phase CG allocates no product; one
+        operator must therefore not run two such solves at once."""
+        return np.empty(self.grid.shape)
+
+    @cached_property
     def dense_inverses(self):
         """The read-only matrices ``(a I + B_eps)^{-1}`` by shift ``a``, kept
         by :func:`dense_inverse`."""
@@ -232,18 +254,21 @@ def build_nonlocal_operator(family, eps, grid):
     return op
 
 
-def apply_B_eps(op, a, diagonal=None):
+def apply_B_eps(op, a, diagonal=None, out=None):
     """Apply the nonlocal operator to the array ``a`` of the operator
     grid's shape and return the array ``B_eps a``; annihilates constants
     exactly, since ``a_eps`` is the same plan applied to ones.  Every
-    ``B_eps`` application goes through here; it allocates only its
-    result.
+    ``B_eps`` application goes through here.  It allocates only its
+    result; with ``out`` (an array of the grid's shape, which may be
+    ``a`` itself) the result is written there, and the FFT path
+    allocates nothing of the lattice's size.
 
     With ``diagonal`` (an array of the grid's shape, or a scalar) in
     place of ``a_eps``, it returns ``diagonal a - J_eps * a``, that is
     ``B_eps a + (diagonal - a_eps) a``, at the cost of one application."""
-    out = (op.a_eps.data if diagonal is None else diagonal) * a
-    out -= op.plan._convolution(a)
+    conv = op.plan._convolution(a)  # first: ``out`` may be ``a``
+    out = np.multiply(op.a_eps.data if diagonal is None else diagonal, a, out=out)
+    out -= conv
     return out
 
 
@@ -262,12 +287,15 @@ def shifted_matvec(op, grid, shift, scratch):
     the grid's shape, or a scalar) folded in once.
 
     For the kernel operator ``a_eps + shift`` is formed here, once, and
-    each product is one :func:`apply_B_eps` with that diagonal:
-    ``(a_eps + shift) x - J_eps * x``.  For the Laplacian each product
-    subtracts :func:`~pfnl.fields.laplacian` from ``shift x``, formed in
+    each product is one :func:`apply_B_eps` with that diagonal,
+    ``(a_eps + shift) x - J_eps * x``, written into the one array the
+    operator keeps for it (``NonlocalOperator._product``): each product
+    overwrites the last.  For the Laplacian each product subtracts
+    :func:`~pfnl.fields.laplacian` from ``shift x``, formed in
     ``scratch`` (an array of the grid's shape that the caller does not
-    read meanwhile), in the Laplacian's own output array.  Each product
-    is a new array.
+    read meanwhile), in the Laplacian's own output array, a new array
+    per product.  Either way the caller may overwrite a product, as
+    :func:`~pfnl.fields.cg` does.
     """
     if op is None:
 
@@ -277,7 +305,7 @@ def shifted_matvec(op, grid, shift, scratch):
 
         return matvec
     diagonal = op.a_eps.data + shift
-    return lambda x: apply_B_eps(op, x, diagonal)
+    return lambda x: apply_B_eps(op, x, diagonal, out=op._product)
 
 
 def dense_inverse(op, grid, a):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,3 +33,15 @@ def ones(grid):
 def rough_field(grid, rng, amplitude=1.0):
     """Independent normal samples per cell."""
     return Field(grid, amplitude * rng.normal(size=grid.shape))
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the peak of the memory that
+    ``tracemalloc`` saw allocated during the call, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak

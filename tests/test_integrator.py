@@ -576,9 +576,9 @@ class TestAppliedOnlyToNewDirections:
         calls = {"B": 0, "beta": 0, "cg_iters": 0}
 
         def counted(fn, key):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[key] += 1
-                return fn(*args)
+                return fn(*args, **kwargs)
 
             return wrapper
 

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ones, rough_field, smooth_field
+from conftest import ones, rough_field, smooth_field, traced_peak
 from pfnl import operators
 from pfnl.errors import DegenerateFieldError
 from pfnl.fields import (
     MAX_DENSE_CELLS,
     Field,
     Grid,
+    cg,
     dual_norm,
     field_from_function,
     grad_inner,
@@ -182,16 +183,20 @@ class TestConvolve:
         assert vars(plan)["kernel_hat"].shape == (plan.padded_shape[0] // 2 + 1,)
 
     @pytest.mark.parametrize(
-        "grid, eps, radius",
+        "grid, eps, radius, padded",
         [
-            (Grid.line(128), 0.5, 3.0),
-            (Grid.box(24), 0.25, 1.0),
-            (Grid((1.0, 2.0), (16, 30)), 0.3, 1.0),
-            (Grid((2.0, 1.0), (30, 16)), 0.3, 1.0),
+            (Grid.line(128), 0.5, 3.0, None),
+            (Grid.box(24), 0.25, 1.0, None),
+            (Grid((1.0, 2.0), (16, 30)), 0.3, 1.0, None),
+            (Grid((2.0, 1.0), (30, 16)), 0.3, 1.0, None),
+            # n + w = 44 = 4 * 11 pads to 45 = 3^2 * 5
+            (Grid.box(36), 0.2, 1.0, 45),
+            # 155 taps, n + w = 231 = 3 * 7 * 11 pads to 240
+            (Grid.line(154), 0.5, 1.0, 240),
         ],
-        ids=["1d", "square", "wide", "tall"],
+        ids=["1d", "square", "wide", "tall", "2d-n+w-44", "1d-n+w-231"],
     )
-    def test_fft_path_matches_dense_sum(self, grid, eps, radius, rng):
+    def test_fft_path_matches_dense_sum(self, grid, eps, radius, padded, rng):
         # the axis-by-axis transform in the plan's work array, with the
         # window's transform stored real, against h^d sum_j J(x_i - x_j) u_j
         profile = make_profile("polynomial-bump", radius)
@@ -199,6 +204,8 @@ class TestConvolve:
         op = build_nonlocal_operator(family, eps, grid)
         plan = op.plan
         assert not plan.direct
+        if padded is not None:
+            assert set(plan.padded_shape) == {padded}
         u, v = rough_field(grid, rng).data, rough_field(grid, rng).data
         first = plan.apply(u)
         second = plan.apply(v)
@@ -217,11 +224,19 @@ class TestConvolve:
             _fast_len(m + k) for m, k in zip(plan.grid.n, plan.kernel.halfwidth)
         )
 
-    def test_fast_len_matches_scipy(self):
-        from scipy.fft import next_fast_len
-
+    def test_fast_len_is_least_7_smooth_size(self):
+        # every 2^a 3^b 5^c 7^d up to 2^15, the first above 20000
+        smooth = sorted(
+            2**a * 3**b * 5**c * 7**d
+            for a in range(16)
+            for b in range(10)
+            for c in range(7)
+            for d in range(6)
+            if 2**a * 3**b * 5**c * 7**d <= 2**15
+        )
         targets = range(1, 20001)
-        assert [_fast_len(t) for t in targets] == [next_fast_len(t) for t in targets]
+        expected = [next(m for m in smooth if m >= t) for t in targets]
+        assert [_fast_len(t) for t in targets] == expected
 
     @pytest.mark.parametrize("op", ["op32", "op2d"])
     def test_plan_and_operator_store_only_their_inputs(self, op, request):
@@ -376,6 +391,57 @@ class TestShiftedMatvec:
         got = shifted_matvec(op, grid, diagonal, np.empty(grid.shape))(x)
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
         assert np.array_equal(diagonal, kept)
+
+
+class TestKeptArrays:
+    """The 2D FFT path and the kernel operator's CG products reuse the
+    arrays the plan and the operator keep, so they allocate nothing of the
+    lattice's size."""
+
+    def test_apply_into_out_allocates_no_lattice(self, op2d, rng):
+        a = rough_field(op2d.grid, rng).data
+        expected = apply_B_eps(op2d, a)
+        buf = np.empty(op2d.grid.shape)
+        result, peak = traced_peak(apply_B_eps, op2d, a, out=buf)
+        assert result is buf
+        assert np.array_equal(buf, expected)
+        assert peak < 64 * 1024
+        # the result may overwrite the input
+        assert np.array_equal(apply_B_eps(op2d, a, out=a), expected)
+
+    def test_products_share_one_array(self, op2d, rng):
+        grid = op2d.grid
+        diagonal = 110.0 + 3.0 * rng.random(grid.shape)
+        matvec = shifted_matvec(op2d, grid, diagonal, np.empty(grid.shape))
+        x, y = rough_field(grid, rng).data, rough_field(grid, rng).data
+        first = matvec(x)
+        kept = first.copy()
+        assert matvec(y) is first
+        assert np.array_equal(kept, apply_B_eps(op2d, x, op2d.a_eps.data + diagonal))
+
+    @pytest.mark.parametrize("dimension", [1, 2], ids=["1d-320", "2d"])
+    def test_cg_matches_fresh_products(self, op2d, family1d, dimension, rng):
+        # the phase Newton's system at dt = 0.1, solved by CG with the kept
+        # product and with a product allocated per call: the same bits,
+        # and one array less at the peak
+        op = op2d if dimension == 2 else build_nonlocal_operator(
+            family1d, 0.025, Grid.line(320)
+        )
+        grid = op.grid
+        diagonal = 110.0 + 3.0 * rng.random(grid.shape)
+        b = rough_field(grid, rng).data
+        kept = shifted_matvec(op, grid, diagonal, np.empty(grid.shape))
+        kept(b)  # the operator makes its kept array on first use
+        full = op.a_eps.data + diagonal
+
+        def fresh(x):
+            return apply_B_eps(op, x, full)
+
+        (x, info), peak = traced_peak(cg, kept, b, 1e-12, 1000)
+        (x_fresh, info_fresh), peak_fresh = traced_peak(cg, fresh, b, 1e-12, 1000)
+        assert info == info_fresh == 0
+        assert np.array_equal(x, x_fresh)
+        assert peak <= peak_fresh - b.nbytes
 
 
 class TestDenseInverse:
