@@ -34,7 +34,8 @@ Snapshots go through :func:`write_field`.  Its CSV values carry the bytes
 of Python's ``'%.17g'`` but are formatted in NumPy, a block of cells at a
 time: the 17 digits come from a double-double product with a power of
 ten (:func:`_significands`), the few cells it cannot decide are handed to
-``'%.17g'`` itself, and the rows are gathered from a byte matrix.
+``'%.17g'`` itself, and each block's text is a matrix of words with NUL
+in place of the dropped bytes, which one ``bytes.translate`` deletes.
 """
 
 from __future__ import annotations
@@ -153,10 +154,12 @@ class Grid:
         NUL bytes dropped, is the ``"i[,j],"`` prefix of cell ``c`` of the
         raveled data (last axis fastest, like ``ravel``).  Each index is
         written right-aligned in its axis's width, NUL in place of its
-        leading zeros.  Built from per-axis digit columns by broadcasting
-        and cached on the instance, so only the values are formatted per
-        file."""
-        parts = []
+        leading zeros, and leading NULs pad ``width`` to a multiple of 8,
+        so a row is whole 8-byte words.  Built from per-axis digit columns
+        by broadcasting and cached on the instance, so only the values are
+        formatted per file."""
+        pad = -sum(len(str(m - 1)) + 1 for m in self.n) % 8
+        parts = [np.broadcast_to(np.zeros(pad, dtype=np.uint8), self.n + (pad,))]
         for axis, m in enumerate(self.n):
             width = len(str(m - 1))
             place = 10 ** np.arange(width - 1, -1, -1)
@@ -622,7 +625,7 @@ def write_field(u, path, fmt="csv"):
     ``'%.17g'``: the digits come from a double-double product off the exact
     one by less than ``2^-47``, and a cell whose rounding fraction lies
     within ``2^-30`` of ``1/2`` is formatted by ``'%.17g'`` itself (see
-    :func:`_significands`)."""
+    :func:`_significands` and :func:`_printf_row`)."""
     if fmt == "csv":
         atomic_write(path, _csv_blocks(u))
     elif fmt == "binary":
@@ -633,36 +636,34 @@ def write_field(u, path, fmt="csv"):
 
 # --- snapshot CSV formatting -------------------------------------------------
 
-# cells per block of a snapshot CSV file; the largest temporary of a block
-# is the index array of its gather, 8 bytes per byte written
+# cells per block of a snapshot CSV file
 _CSV_BLOCK_CELLS = 4096
 
 # the fast path takes |x| in [1e-280, 1e280], so that no product below
-# overflows or underflows; it scales by 10^p for p = 16 - k, k within one
-# of floor(log10 |x|)
+# overflows or underflows; there k, within one of floor(log10 |x|), lies
+# in [_K_MIN, _K_MAX], and the path scales by 10^(16 - k)
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
-_POW_MIN, _POW_MAX = -265, 298
+_K_MIN, _K_MAX = -282, 281
 
-# one value's columns: sign, the "0.000" that fixed notation puts before
-# the digits of |x| < 1, the digits d_0 ... d_16 with a decimal point
-# after each of d_0 ... d_15, and the exponent "e+ddd"; a value keeps a
-# subset of them in order
-_VALUE_TEMPLATE = b"-0.000" + b"0." * 16 + b"0" + b"e+000"
-_LEAD = 6  # column of d_0
-_EXP = _LEAD + 33  # column of the "e"
+# a value's row is six 8-byte words.  Words 0 to 4 hold the sign, the
+# "0.000" that fixed notation puts before the digits of |x| < 1, and the
+# digits d_0 ... d_16, each followed by a point; a value keeps a subset of
+# their bytes, in order, and NUL replaces the rest.  Word 5 holds the
+# exponent "e+dd" or "e+ddd", if any, and the newline
 _LAYOUTS = 23  # fixed point for k = -4 ... 16, then "e+dd" and "e+ddd"
 
 
 @functools.cache
 def _powers_of_ten():
-    """Columns ``hi, lo, hi_big, hi_small`` for ``p = _POW_MIN ... _POW_MAX``.
-    ``hi`` is the double nearest ``10^p`` and ``lo`` the double nearest
-    ``10^p - hi``, both from exact integer arithmetic (CPython rounds
-    ``int / int`` and ``float(int)`` correctly), so ``hi + lo`` is ``10^p``
-    to within ``2^-106`` relative.  ``hi_big + hi_small == hi`` is
-    Veltkamp's split of ``hi``."""
+    """Rows ``hi, lo, hi_big, hi_small``, whose column ``e`` is for
+    ``10^p``, ``p = 16 - k``, ``k = _K_MIN + e``.  ``hi`` is the double
+    nearest ``10^p`` and ``lo`` the double nearest ``10^p - hi``, both
+    from exact integer arithmetic (CPython rounds ``int / int`` and
+    ``float(int)`` correctly), so ``hi + lo`` is ``10^p`` to within
+    ``2^-106`` relative.  ``hi_big + hi_small == hi`` is Veltkamp's split
+    of ``hi``."""
     rows = []
-    for p in range(_POW_MIN, _POW_MAX + 1):
+    for p in range(16 - _K_MIN, 15 - _K_MAX, -1):
         if p >= 0:
             hi = float(10**p)
             lo = float(10**p - int(hi))
@@ -673,7 +674,24 @@ def _powers_of_ten():
             lo = (den - num * q) / (den * q)
         rows.append((hi, lo))
     hi, lo = np.array(rows).T
-    return (hi, lo, *_veltkamp_split(hi))
+    return np.stack((hi, lo, *_veltkamp_split(hi)))
+
+
+@functools.cache
+def _exponent_words():
+    """``(codes, tails)``, whose entry ``e`` is for the decimal exponent
+    ``k = _K_MIN + e``: ``codes[e]`` is ``36 * layout`` (see
+    :func:`_value_masks`), and ``tails[e]`` is word 5 of the value's row:
+    ``"e+dd"`` or ``"e+ddd"`` in exponential notation, nothing in fixed,
+    then the newline."""
+    k = np.arange(_K_MIN, _K_MAX + 1)
+    fixed = (k >= -4) & (k <= 16)
+    tails = b"".join(
+        (b"\n" if f else b"e%+03d\n" % j).ljust(8, b"\0")
+        for j, f in zip(k.tolist(), fixed.tolist())
+    )
+    codes = 36 * np.where(fixed, k + 4, 21 + (np.abs(k) >= 100))
+    return codes, np.frombuffer(tails, np.uint64)
 
 
 def _veltkamp_split(a):
@@ -685,22 +703,27 @@ def _veltkamp_split(a):
 
 
 @functools.cache
-def _digit_groups():
-    """``(text, last)`` for ``g = 0 ... 9999``: ``text[g]`` is a ``uint32``
-    whose four bytes are the ASCII digits of ``g`` with leading zeros, and
-    ``last[g]`` the place (1 ... 4) of its last nonzero digit, or -99 for
-    ``g = 0``."""
+def _digit_words():
+    """``(words, last)``.  ``words[g]``, for ``g = 0 ... 9999``, is the
+    word ``"a.b.c.d."`` of the four digits of ``g`` with leading zeros,
+    and ``words[10^4 + d]``, for ``d = 0 ... 9``, is word 0, ``"-0.000d."``.
+    ``last[g]`` (``int8``) is twice the place (1 ... 4) of the last nonzero
+    digit of ``g``, or -24 for ``g = 0``."""
     g = np.arange(10000)
-    digits = (ord("0") + g[:, None] // [1000, 100, 10, 1] % 10).astype(np.uint8)
+    digits = ord("0") + g[:, None] // [1000, 100, 10, 1] % 10
+    words = np.full((10010, 8), ord("."), dtype=np.uint8)
+    words[:10000, ::2] = digits
+    words[10000:, :6] = np.frombuffer(b"-0.000", np.uint8)
+    words[10000:, 6] = ord("0") + np.arange(10)
     last = 4 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
-    return digits.view(np.uint32).ravel(), np.where(g > 0, last, -99).astype(np.int16)
+    return words.view(np.uint64).ravel(), np.where(g > 0, 2 * last, -24).astype(np.int8)
 
 
 @functools.cache
 def _value_masks():
-    """Which :data:`_VALUE_TEMPLATE` columns a value keeps, by the ``%g``
-    rules, one row per ``(layout * 18 + s) * 2 + negative``; each row is
-    one void item, so a gather copies whole rows.
+    """Which bytes of words 0 to 4 a value keeps, by the ``%g`` rules:
+    column ``(layout * 18 + s) * 2 + negative`` of five rows, one per
+    word, each byte ``0xFF`` (kept) or 0.
 
     Layouts ``0 ... 20`` are fixed point with decimal exponent
     ``k = layout - 4``: integer digits ``d_0 ... d_k`` (kept even when
@@ -720,26 +743,22 @@ def _value_masks():
     s = np.where(fixed & (k >= 0), np.maximum(s, k + 1), s)
     point = np.where(fixed, np.where(k >= 0, k, -1), 0)  # digit before the point
     i = np.arange(17)
-    keep = np.zeros((layout.size, len(_VALUE_TEMPLATE)), dtype=bool)
+    keep = np.zeros((layout.size, 40), dtype=bool)
     keep[:, 0] = neg
     keep[:, 1:3] = small[:, None]
-    keep[:, 3:_LEAD] = small[:, None] & (i[:3] < (-k - 1)[:, None])
-    keep[:, _LEAD:_EXP:2] = i < s[:, None]
-    keep[:, _LEAD + 1 : _EXP : 2] = (i[:16] == point[:, None]) & (
-        i[:16] + 1 < s[:, None]
-    )
-    keep[:, _EXP : _EXP + 2] = ~fixed[:, None]
-    keep[:, _EXP + 2] = layout == 22
-    keep[:, _EXP + 3 :] = ~fixed[:, None]
-    return keep.view(np.dtype((np.void, keep.shape[1]))).ravel()
+    keep[:, 3:6] = small[:, None] & (i[:3] < (-k - 1)[:, None])
+    keep[:, 6::2] = i < s[:, None]
+    keep[:, 7::2] = (i == point[:, None]) & (i + 1 < s[:, None])
+    return (keep * np.uint8(0xFF)).view(np.uint64).T.copy()
 
 
 def _significands(x):
-    """``(n, k, decided)``: the 17 significant digits ``'%.17g'`` prints
+    """``(n, e, decided)``: the 17 significant digits ``'%.17g'`` prints
     for each float64 in ``x``, as the integer ``n = round(|x| 10^(16-k))``
-    in ``[10^16, 10^17)``, and its decimal exponent ``k``, where
-    ``decided`` holds; elsewhere ``n = k = 0``, which is the text of
-    ``+-0.0``.
+    in ``[10^16, 10^17)``, and the index ``e = k - _K_MIN`` of its
+    decimal exponent ``k`` (into :func:`_powers_of_ten` and
+    :func:`_exponent_words`), where ``decided`` holds; elsewhere ``n = 0``
+    and ``k = 0``, which is the text of ``+-0.0``.
 
     With ``k = floor(log10 |x|)``, ``|x| 10^(16-k)`` comes as ``P + r``
     (see :func:`_times_power_of_ten`), ``P`` an integer and ``|r| < 20``,
@@ -752,28 +771,33 @@ def _significands(x):
     where the products could overflow or underflow.
     """
     a = np.abs(x)
-    inside = (a >= _FAST_MIN) & (a <= _FAST_MAX)
-    a[~inside] = 1.0
-    k = np.floor(np.log10(a)).astype(np.int64)
-    whole, rest = _times_power_of_ten(a, 16 - k)
+    # |x| outside the fast range (zeros and non-finite values too) is
+    # moved to the nearer end and left undecided
+    c = np.fmin(np.fmax(a, _FAST_MIN), _FAST_MAX)
+    inside = c == a
+    e = np.floor(np.log10(c)).astype(np.intp)
+    e -= _K_MIN
+    whole, rest = _times_power_of_ten(c, e)
     floor = np.floor(rest)
     rest -= floor  # now the fraction
     n = whole.astype(np.int64) + floor.astype(np.int64)
     decided = inside & (n >= 10**16) & (np.abs(rest - 0.5) > 2.0**-30)
     n += rest > 0.5
     decided &= n < 10**17
-    return np.where(decided, n, 0), np.where(decided, k, 0), decided
+    n *= decided
+    return n, np.where(decided, e, -_K_MIN), decided
 
 
-def _times_power_of_ten(a, p):
-    """``a 10^p`` for ``1e-280 <= a <= 1e280`` and ``a 10^p`` in about
-    ``[10^16, 10^17]``, as a double-double ``(P, r)``: Dekker's product
-    (Numer. Math. 18, 1971) gives ``a hi`` exactly as ``P + e`` (``P``
-    exceeds ``2^53``, so it is an integer), and ``r = e + a lo``.  The
-    error is below ``2^-47``: the ``2^-106`` relative error of ``hi + lo``,
-    one rounding of ``a lo`` and one of the sum, each at most ``2^-49``
-    since ``P < 10^17 < 2^57`` and ``|r| < 20``."""
-    hi, lo, hi_big, hi_small = (t.take(p - _POW_MIN) for t in _powers_of_ten())
+def _times_power_of_ten(a, e):
+    """``a 10^p``, ``p = 16 - k`` for ``k = _K_MIN + e``, for
+    ``1e-280 <= a <= 1e280`` and ``a 10^p`` in about ``[10^16, 10^17]``,
+    as a double-double ``(P, r)``: Dekker's product (Numer. Math. 18,
+    1971) gives ``a hi`` exactly as ``P + t`` (``P`` exceeds ``2^53``, so
+    it is an integer), and ``r = t + a lo``.  The error is below
+    ``2^-47``: the ``2^-106`` relative error of ``hi + lo``, one rounding
+    of ``a lo`` and one of the sum, each at most ``2^-49`` since
+    ``P < 10^17 < 2^57`` and ``|r| < 20``."""
+    hi, lo, hi_big, hi_small = _powers_of_ten().take(e, axis=1)
     big, small = _veltkamp_split(a)
     whole = a * hi
     rest = (
@@ -783,66 +807,68 @@ def _times_power_of_ten(a, p):
     return whole, rest
 
 
-def _format_values(x, value, keep):
-    """Write the ``'%.17g'`` text of each float64 in ``x`` into the rows
-    of ``value`` (preset to :data:`_VALUE_TEMPLATE`) and the columns it
-    keeps into ``keep``.
+def _format_values(x, out):
+    """Write the ``'%.17g'`` text of each float64 in ``x`` and a newline
+    into the rows of ``out``, six ``uint64`` words each, NUL in place of
+    the bytes the text drops, so that a row's bytes with the NULs deleted
+    are the text.
 
-    The digits come from :func:`_significands`.  The cells it leaves
-    undecided, other than ``+-0.0``, are formatted by Python's
-    ``'%.17g'`` and spliced in, so every finite value gets the bytes of
-    ``'%.17g'``.
+    The digits come from :func:`_significands`, in five groups that index
+    a table of words (:func:`_digit_words`), and one ``and`` with the
+    words' masks (:func:`_value_masks`) applies the ``%g`` rules.  The
+    cells :func:`_significands` leaves undecided, other than ``+-0.0``,
+    are formatted by Python's ``'%.17g'`` and written over their rows, so
+    every finite value gets the bytes of ``'%.17g'``.
     """
-    text, last = _digit_groups()
-    n, k, decided = _significands(x)
-    # d_0 as the group "000d", then d_1 ... d_16 as four groups; s counts
-    # the digits up to the last nonzero one (1 for zero)
-    quads = np.empty((x.size, 5), dtype=np.uint32)
-    quads[:, 0] = text.take(n // 10**16)
-    s = np.ones(x.size, dtype=np.int16)
-    for j, scale in enumerate((10**12, 10**8, 10**4, 1)):
-        g = n // scale % 10**4
-        quads[:, j + 1] = text.take(g)
-        s = np.maximum(s, 4 * j + 1 + last.take(g))
-    value[:, _LEAD:_EXP:2] = quads.view(np.uint8)[:, 3:]
-    # the exponent's digits as "0ddd", whose "0" the sign overwrites
-    value[:, _EXP + 1 :] = text.take(np.abs(k)).view(np.uint8).reshape(-1, 4)
-    value[:, _EXP + 1] = np.where(k < 0, ord("-"), ord("+"))
-    exponential = (k < -4) | (k >= 17)
-    layout = np.where(exponential, 21 + (np.abs(k) >= 100), k + 4)
-    code = (layout * 18 + s) * 2 + np.signbit(x)
-    keep[:] = _value_masks().take(code).view(bool).reshape(keep.shape)
-
+    words, last = _digit_words()
+    codes, tails = _exponent_words()
+    n, e, decided = _significands(x)
+    # word 0's index 10^4 + d_0, then the groups d_1 ... d_4 to d_13 ... d_16
+    groups = np.empty((5, x.size), dtype=np.intp)
+    high = n // 10**8
+    low = n - high * 10**8
+    np.floor_divide(high, 10**8, out=groups[0])
+    high -= groups[0] * 10**8
+    np.floor_divide(high, 10**4, out=groups[1])
+    np.subtract(high, groups[1] * 10**4, out=groups[2])
+    np.floor_divide(low, 10**4, out=groups[3])
+    np.subtract(low, groups[3] * 10**4, out=groups[4])
+    groups[0] += 10**4
+    # 2 s, for s the count of digits up to the last nonzero one, at least 1
+    q = last.take(groups[1:])
+    s2 = np.maximum(np.maximum(q[0] + 2, q[1] + 10), np.maximum(q[2] + 18, q[3] + 26))
+    text = words.take(groups)
+    text &= _value_masks().take(codes.take(e) + s2 + np.signbit(x), axis=1)
+    out[:, :5] = text.T
+    out[:, 5] = tails.take(e)
     for c in np.flatnonzero(~decided & (x != 0.0)):
-        line = b"%.17g" % float(x[c])
-        value[c, : len(line)] = np.frombuffer(line, np.uint8)
-        keep[c] = False
-        keep[c, : len(line)] = True
+        out[c] = _printf_row(x[c])
+
+
+def _printf_row(v):
+    """The six words of ``'%.17g' % v`` and a newline, NUL after them."""
+    return np.frombuffer((b"%.17g\n" % float(v)).ljust(48, b"\0"), np.uint64)
 
 
 def _csv_blocks(u):
     """The bytes of ``u``'s snapshot CSV, one chunk per block of
-    :data:`_CSV_BLOCK_CELLS` cells.  A block is a ``uint8`` matrix with
-    one row per cell (its :attr:`Grid.csv_prefixes` row, its value
-    columns from :func:`_format_values` and a newline) and a ``bool``
-    matrix of the bytes kept, which one ``np.compress`` gathers; so
-    temporaries stay within a few hundred bytes per cell of a block."""
-    text = u.grid.csv_prefixes
+    :data:`_CSV_BLOCK_CELLS` cells.  A block is a matrix of ``uint64``
+    words with one row per cell: its :attr:`Grid.csv_prefixes` row, then
+    its six value words from :func:`_format_values`, NUL in place of each
+    byte the text drops.  Deleting the NULs (one ``bytes.translate``)
+    leaves the block's text.  The matrix is kept from block to block and
+    every word of a row is rewritten, so a block's temporaries stay within
+    a few hundred bytes per cell."""
+    prefixes = u.grid.csv_prefixes.view(np.uint64)
     flat = u.data.ravel()
-    width = text.shape[1]
-    rows = np.empty(
-        (min(_CSV_BLOCK_CELLS, flat.size), width + len(_VALUE_TEMPLATE) + 1), np.uint8
-    )
-    take = np.empty(rows.shape, dtype=bool)
-    rows[:, -1], take[:, -1] = ord("\n"), True
+    width = prefixes.shape[1]
+    rows = np.empty((min(_CSV_BLOCK_CELLS, flat.size), width + 6), np.uint64)
     for start in range(0, flat.size, _CSV_BLOCK_CELLS):
         stop = min(start + _CSV_BLOCK_CELLS, flat.size)
-        block, mask = rows[: stop - start], take[: stop - start]
-        block[:, :width] = text[start:stop]
-        np.not_equal(block[:, :width], 0, out=mask[:, :width])
-        block[:, width:-1] = np.frombuffer(_VALUE_TEMPLATE, np.uint8)
-        _format_values(flat[start:stop], block[:, width:-1], mask[:, width:-1])
-        yield np.compress(mask.ravel(), block.ravel()).tobytes()
+        block = rows[: stop - start]
+        block[:, :width] = prefixes[start:stop]
+        _format_values(flat[start:stop], block[:, width:])
+        yield block.tobytes().translate(None, b"\0")
 
 
 def read_field(grid, path, fmt="csv"):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ones, rough_field, smooth_field
+from conftest import ones, rough_field, smooth_field, traced_peak
 from pfnl import fields as fields_module
 from pfnl.errors import ConfigError, GridMismatchError
 from pfnl.fields import (
@@ -560,8 +560,9 @@ class TestRestrictionAndIO:
             Grid((1.0, 2.0), (4, 7)),
             Grid((3.0, 1.0), (11, 5)),
             Grid((1.0, 2.0), (100, 90)),
+            Grid((1.0, 1.0), (1000, 7)),
         ],
-        ids=["square", "wide", "tall", "several-blocks"],
+        ids=["square", "wide", "tall", "several-blocks", "ragged-prefixes"],
     )
     def test_2d_csv_streams_in_blocks(self, grid, tmp_path, rng, monkeypatch):
         u = rough_field(grid, rng)
@@ -627,6 +628,20 @@ def _csv_bytes(values):
         write_field(Field(Grid.line(len(values)), np.asarray(values)), path)
         with open(path, "rb") as fh:
             return fh.read()
+
+
+@pytest.fixture
+def printf_cells(monkeypatch):
+    """The values that the writer hands to Python's ``'%.17g'``."""
+    seen = []
+    real = fields_module._printf_row
+
+    def counting(v):
+        seen.append(float(v))
+        return real(v)
+
+    monkeypatch.setattr(fields_module, "_printf_row", counting)
+    return seen
 
 
 class TestCsvValues:
@@ -711,6 +726,45 @@ class TestCsvValues:
         values = values[np.isfinite(values)]
         if values.size >= 4:
             assert _csv_bytes(values) == _csv_oracle(values)
+
+    # two cells that the fast path leaves to '%.17g': a tie at 17 digits
+    # and a subnormal
+    PRINTF = (1171187299615171.25, 5e-324)
+
+    def test_block_buffer_reuse_1d(self, rng, printf_cells):
+        # the first block's rows 3 and 5 go through '%.17g'; the same rows
+        # of the later blocks, the partial last one included, hold
+        # ordinary values
+        block = fields_module._CSV_BLOCK_CELLS
+        values = rng.normal(size=2 * block + 7)
+        values[[3, 5]] = self.PRINTF
+        assert _csv_bytes(values) == _csv_oracle(values)
+        assert printf_cells == list(self.PRINTF)
+
+    def test_block_buffer_reuse_2d(self, tmp_path, rng, printf_cells):
+        grid = Grid((1.0, 2.0), (100, 90))  # two blocks and 808 cells
+        assert 2 * fields_module._CSV_BLOCK_CELLS < grid.num_cells
+        u = rough_field(grid, rng)
+        u.data.ravel()[[3, 5]] = self.PRINTF
+        path = tmp_path / "u.csv"
+        write_field(u, path)
+        assert path.read_bytes() == "".join(
+            f"{i},{j},{u.data[i, j]:.17g}\n" for i, j in np.ndindex(grid.shape)
+        ).encode()
+        assert printf_cells == list(self.PRINTF)
+
+    def test_snapshot_range_values_stay_on_the_fast_path(self, rng, printf_cells):
+        values = rng.normal(size=10**5) * 10.0 ** rng.uniform(-8.0, 8.0, 10**5)
+        assert _csv_bytes(values) == _csv_oracle(values)
+        assert printf_cells == []
+
+    def test_warm_write_stays_small(self, tmp_path, rng):
+        # a second write on a 320^2 grid, its row prefixes built; the
+        # masked-gather writer that this replaced peaked at 1.58 MB here
+        u = rough_field(Grid.box(320), rng)
+        write_field(u, tmp_path / "u.csv")
+        _, peak = traced_peak(write_field, u, tmp_path / "u.csv")
+        assert peak <= 1.6e6
 
     def test_first_write_on_a_fresh_grid_stays_small(self, tmp_path, rng):
         # the first write on a 320^2 grid builds the row prefixes; the
