@@ -27,8 +27,8 @@ from .errors import AnalysisError, GridMismatchError, ResolutionError
 from .fields import (
     Field,
     Grid,
+    box_field,
     dual_norm,
-    field_from_function,
     grad_inner,
     inner_product,
     norm,
@@ -46,7 +46,7 @@ from .operators import (
     frechet_fd_residual,
     frechet_identity_residual,
 )
-from .physics import build_initial_data, sample
+from .physics import build_initial_data
 
 DEFAULT_EPS_SWEEP = (0.2, 0.1, 0.05, 0.025)
 
@@ -90,16 +90,15 @@ def sweep_grids(eps_list, length=1.0, dimension=1, max_n=512, cells_per_eps=8):
 @dataclass(frozen=True)
 class ProbeField:
     """Closed-form smooth field in box units, evaluable on any grid of the
-    sweep: :meth:`on` samples ``fn`` at ``x_i / L_i``."""
+    sweep: :meth:`on` samples ``fn`` at ``x_i / L_i``
+    (:func:`~pfnl.fields.box_field`)."""
 
     name: str
     fn: callable
     exact_energy: callable = None  # lengths tuple -> float, when known
 
     def on(self, grid):
-        return field_from_function(
-            grid, lambda *x: self.fn(*(xi / L for xi, L in zip(x, grid.lengths)))
-        )
+        return box_field(grid, self.fn)
 
 
 def _cos_mode(k):
@@ -228,10 +227,7 @@ def gamma_convergence_suite(family, grids=None, fields=None, strict=True):
 
 
 def _operator_row(probe, v, op):
-    grid = v.grid
-    w = field_from_function(
-        grid, lambda *x: np.cos(2.0 * np.pi * x[0] / grid.lengths[0])
-    )
+    w = box_field(v.grid, lambda *x: np.cos(2.0 * np.pi * x[0]))
     b_nl = apply_B(op, v)
     return {
         "dual_gap": dual_norm(b_nl - apply_B(None, v)),
@@ -358,7 +354,7 @@ def _snapshot_images(traj, potential):
     states = traj.states
     return (
         [apply_B(traj.op, s.phi) for s in states],
-        [sample(potential.beta, s.phi.data) for s in states],
+        [potential.beta(s.phi.data) for s in states],
     )
 
 
@@ -417,37 +413,16 @@ class ReducedRun:
     """A finished run reduced to what the sweep report reads: ``images``
     maps theta, phi, v, ``B phi`` and ``beta(phi)`` to their restrictions
     onto the comparison grid, one per snapshot, and ``energy`` holds the
-    run's energy ``1/2 (B phi, phi)_H`` at each snapshot.  A compared width also carries its
-    :func:`estimate_monitor` values, the uniform-bound monitor ``a5`` of
-    its initial data, and that data's flags."""
+    run's energy ``1/2 (B phi, phi)_H`` at each snapshot.  ``a5`` is the
+    uniform-bound monitor of the run's initial data and ``flags`` that
+    data's flags; a compared width also carries its
+    :func:`estimate_monitor` values."""
 
     images: dict
     energy: list
-    estimates: dict = None
-    a5: float = None
-    flags: tuple = ()
-
-
-def _reduce_run(traj, coarse, applied, estimates=None, a5=None, flags=()):
-    """Reduce ``traj`` onto the grid ``coarse``, with ``applied`` the
-    per-snapshot ``(B phi, beta(phi))`` of :func:`_snapshot_images`, whose
-    ``B phi`` also gives each snapshot's energy; ``estimates``, ``a5`` and
-    ``flags`` are kept as given."""
-    states = traj.states
-    B_phi, beta = applied
-    return ReducedRun(
-        images={
-            "theta": [restrict(s.theta, coarse) for s in states],
-            "phi": [restrict(s.phi, coarse) for s in states],
-            "v": [restrict(s.v, coarse) for s in states],
-            "B": [restrict(b, coarse) for b in B_phi],
-            "beta": [restrict(Field(traj.grid, b), coarse) for b in beta],
-        },
-        energy=[energy_from_applied(traj.op, s.phi, b.data) for s, b in zip(states, B_phi)],
-        estimates=estimates,
-        a5=a5,
-        flags=flags,
-    )
+    estimates: dict
+    a5: float
+    flags: list
 
 
 def _solve(sweep, grid, coarse, op=None, monitor=False):
@@ -457,19 +432,32 @@ def _solve(sweep, grid, coarse, op=None, monitor=False):
     ``None``.  ``op`` goes unchanged to :func:`build_initial_data`, whose
     uniform-bound monitor ``a5`` uses that run's own ``B``, and to
     :func:`solve_trajectory`, which keeps it as ``traj.op``.  With
-    ``monitor`` the run keeps its estimates, ``a5`` and flags.  ``B phi``
-    and ``beta(phi)`` are taken once per snapshot, for the estimates and
-    the images alike."""
+    ``monitor`` the run keeps its estimates.  ``B phi``
+    and ``beta(phi)`` are taken once per snapshot (:func:`_snapshot_images`),
+    for the estimates, the images and each snapshot's energy alike."""
     data = build_initial_data(
         op, grid, sweep.potential, c1_bound=sweep.c1_bound, rule=sweep.rule
     )
     traj = solve_trajectory(op, data, sweep.potential, sweep.scheme,
                             source=sweep.source)
-    applied = _snapshot_images(traj, sweep.potential)
-    if monitor:
-        estimates = estimate_monitor(traj, sweep.potential, applied)
-        return _reduce_run(traj, coarse, applied, estimates, data.a5, data.flags)
-    return _reduce_run(traj, coarse, applied)
+    applied = B_phi, beta = _snapshot_images(traj, sweep.potential)
+    # the estimates before the restrictions, whose images would otherwise
+    # be held through the estimates' dual norms
+    estimates = estimate_monitor(traj, sweep.potential, applied) if monitor else None
+    states = traj.states
+    return ReducedRun(
+        images={
+            "theta": [restrict(s.theta, coarse) for s in states],
+            "phi": [restrict(s.phi, coarse) for s in states],
+            "v": [restrict(s.v, coarse) for s in states],
+            "B": [restrict(b, coarse) for b in B_phi],
+            "beta": [restrict(Field(grid, b), coarse) for b in beta],
+        },
+        energy=[energy_from_applied(op, s.phi, b.data) for s, b in zip(states, B_phi)],
+        estimates=estimates,
+        a5=data.a5,
+        flags=data.flags,
+    )
 
 
 def nonlocal_to_local_study(sweep):

@@ -202,10 +202,6 @@ class Field:
     def copy(self):
         return Field(self.grid, self.data.copy())
 
-    def __add__(self, other):
-        _require_same_grid(self, other)
-        return Field(self.grid, self.data + other.data)
-
     def __sub__(self, other):
         _require_same_grid(self, other)
         return Field(self.grid, self.data - other.data)
@@ -214,9 +210,6 @@ class Field:
         return Field(self.grid, self.data * float(scalar))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return Field(self.grid, -self.data)
 
 
 def _require_same_grid(u, w):
@@ -231,6 +224,15 @@ def zeros(grid):
 def field_from_function(grid, fn):
     """Sample ``fn(x1[, x2])`` at the cell centers."""
     return Field(grid, np.asarray(fn(*grid.meshgrid()), dtype=np.float64))
+
+
+def box_field(grid, fn):
+    """Sample ``fn(x1[, x2])`` at the cell centers in box units ``x_i / L_i``,
+    so that a closed-form rule has the same profile on every box; on the
+    unit box it is :func:`field_from_function` to the bit.  Each axis's
+    centers are divided before the mesh is formed."""
+    axes = [grid.axis_centers(k) / L for k, L in enumerate(grid.lengths)]
+    return Field(grid, np.asarray(fn(*np.meshgrid(*axes, indexing="ij")), dtype=np.float64))
 
 
 def dot(a, b):

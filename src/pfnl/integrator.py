@@ -81,7 +81,6 @@ import numpy as np
 from .errors import DegenerateFieldError, SolverError
 from .fields import Field, cg, dot, dots, neumann_solve
 from .operators import apply_B_array, dense_inverse, energy_floor, shifted_matvec
-from .physics import sample
 
 # The phase Newton's residual floor relative to 1 + |b|_H: below it the
 # residual evaluation is at its cancellation level.
@@ -249,7 +248,7 @@ def _phi_update(state, op, potential, cfg):
     phi_n, v_n = state.phi.data, state.v.data
     pi_term = state.pi_phi
     if pi_term is None:
-        pi_term = np.asarray(potential.pi(phi_n), dtype=np.float64)
+        pi_term = potential.pi(phi_n)
     # one transient product at a time, kept for the solve: dt v^n and
     # dt^2 (theta^n - pi) for b, then (1+dt) phi or D x
     scratch = np.multiply(v_n, dt)
@@ -474,7 +473,7 @@ class _Books:
             d = theta[(...,) + hi] - theta[(...,) + lo]
             grad_sq = grad_sq + vol / h_sq * dots(d, d)
         columns = [dots(theta, theta), grad_sq, dots(phi, phi), dots(v, v),
-                   dots(B_phi, phi), row_sums(sample(self.beta_hat, phi)),
+                   dots(B_phi, phi), row_sums(self.beta_hat(phi)),
                    row_sums(theta + phi)]
         if len(quantities) > 4:
             pi_phi, lap, theta_prev, *f = quantities[4:]
@@ -568,7 +567,7 @@ def solve_trajectory(op, data, potential, cfg, source=None):
         except SolverError as err:
             books.close()  # a failed check of an earlier step comes first
             raise SolverError(f"step {k} (t={t_next:.6g}): {err}") from err
-        state.pi_phi = sample(potential.pi, state.phi.data)
+        state.pi_phi = potential.pi(state.phi.data)
         books.add(k, state, prev, f_next)
 
         if k % stride == 0 or k == n_steps:

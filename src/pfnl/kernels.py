@@ -290,21 +290,19 @@ def kernel_value(family, eps, z):
     if not 0.0 < eps <= 1.0:
         raise KernelError(f"eps must lie in (0, 1], got {eps}")
     r = float(np.linalg.norm(np.atleast_1d(np.asarray(z, dtype=np.float64))))
-    if r >= eps * family.profile.support_radius:
-        return 0.0
     if r == 0.0 and family.alpha > 0.0:
         if float(family.rho(0.0)) == 0.0:
             return 0.0
         raise SingularKernelError(
             "kernel is singular at z=0 for alpha > 0 with rho(0) != 0"
         )
-    scale = eps ** (2.0 - family.alpha)
-    denom = scale * r**family.alpha if family.alpha > 0.0 else scale
-    return float(family.rho_eps(eps, r)) / denom
+    return float(_radial_values(family, eps, np.array([r]))[0])
 
 
 def _radial_values(family, eps, r):
-    """Vectorized ``J_eps`` on an array of radii (no r=0 entries)."""
+    """Vectorized ``J_eps`` on an array of radii (no r=0 entries when
+    alpha > 0), zero from the scaled support radius ``eps R`` on: the one
+    place where ``rho_eps / (eps^(2-alpha) r^alpha)`` is written."""
     r = np.asarray(r, dtype=np.float64)
     out = np.zeros_like(r)
     inside = r < eps * family.profile.support_radius

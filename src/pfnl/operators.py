@@ -392,30 +392,33 @@ def energy_floor(op, grid):
     return -1e-14 * max(1.0, diagonal)
 
 
-def energy_double_sum(op, u):
-    """Direct quartic double sum for the nonlocal energy (O(N^2) check)."""
+def _double_sum(op, u, v):
+    """``h^d sum_ij J_ij (u_i - u_j)(v_i - v_j)`` over the operator's
+    :attr:`~NonlocalOperator.kernel_matrix` ``J_ij = h^d J_eps(x_i - x_j)``:
+    the direct O(N^2) route that the double-sum oracles take."""
     J = op.kernel_matrix
-    uu = u.data.ravel()
-    diff = uu[:, None] - uu[None, :]
-    return 0.25 * op.grid.cell_volume * float(np.sum(J * diff * diff))
+    uu, vv = u.data.ravel(), v.data.ravel()
+    return op.grid.cell_volume * float(
+        np.sum(J * (uu[:, None] - uu[None, :]) * (vv[:, None] - vv[None, :]))
+    )
+
+
+def energy_double_sum(op, u):
+    """Nonlocal energy as a quarter of the direct double sum (O(N^2) check)."""
+    return 0.25 * _double_sum(op, u, u)
 
 
 def frechet_identity_residual(op, u, v, pairing=None):
-    """Gap between the operator pairing and the direct double sum.
+    """Gap between the operator pairing and half the direct double sum.
 
-    Evaluates ``|(B_eps u, v)_H - 1/2 sum_ij J_ij (u_i-u_j)(v_i-v_j) h^{2d}|``
-    with the double sum formed pairwise; both routes share the plan's
-    weights ``h^d J``, so agreement is a pure algebra/roundoff statement.
-    ``pairing``, when given, is ``(B_eps u, v)_H`` already at hand.
+    Evaluates ``|(B_eps u, v)_H - 1/2 sum_ij J_ij (u_i-u_j)(v_i-v_j) h^{2d}|``;
+    both routes share the plan's weights ``h^d J``, so agreement is a pure
+    algebra/roundoff statement.  ``pairing``, when given, is
+    ``(B_eps u, v)_H`` already at hand.
     """
     if pairing is None:
         pairing = inner_product("H", apply_B(op, u), v)
-    J = op.kernel_matrix
-    uu, vv = u.data.ravel(), v.data.ravel()
-    double = 0.5 * op.grid.cell_volume * float(
-        np.sum(J * (uu[:, None] - uu[None, :]) * (vv[:, None] - vv[None, :]))
-    )
-    return abs(pairing - double)
+    return abs(pairing - 0.5 * _double_sum(op, u, v))
 
 
 def frechet_fd_residual(op, u, v, delta=1e-6, pairing=None):

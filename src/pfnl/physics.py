@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .fields import Field, field_from_function, inner_product
+from .fields import Field, box_field, inner_product
 from .operators import apply_B_array, energy_from_applied
 
 
@@ -35,10 +35,11 @@ from .operators import apply_B_array, energy_from_applied
 class PotentialSpec:
     """Monotone/Lipschitz splitting of the potential derivative.
 
-    ``beta``, ``beta_hat``, ``pi`` are vectorized scalar maps, whose value
-    may also be a scalar that broadcasts against the argument (see
-    :func:`sample`); ``q`` and ``c_beta`` calibrate the growth inequality;
-    ``beta_prime``, the derivative of ``beta``, feeds the Newton Jacobian.
+    ``beta``, ``beta_hat``, ``pi`` and ``beta_prime`` (the derivative of
+    ``beta``, which feeds the Newton Jacobian) are array maps: each takes a
+    float64 array of any shape, such as a field's data or a stack of them,
+    and returns a float64 array of that shape, which callers use as it is.
+    ``q`` and ``c_beta`` calibrate the growth inequality.
     """
 
     beta: callable
@@ -67,31 +68,24 @@ def make_double_well():
     )
 
 
-def _zero(r):
-    return 0.0
+def _zeros(r):
+    return np.zeros_like(r, dtype=np.float64)
 
 
 def make_linear_potential(pi_slope=0.0):
     """Degenerate spec with ``beta = 0`` and linear ``pi``; used by the
     linear/constant-data scenarios.  ``beta``, ``beta_hat`` and
-    ``beta_prime`` return the scalar ``0.0``, which broadcasts against any
-    field, so no zero array is allocated or summed per call."""
+    ``beta_prime`` return zero arrays of the argument's shape, like every
+    other potential's maps."""
     return PotentialSpec(
-        beta=_zero,
-        beta_hat=_zero,
+        beta=_zeros,
+        beta_hat=_zeros,
         pi=lambda r: pi_slope * r,
         q=2.0,
         c_beta=1.0,
         pi_lipschitz=abs(pi_slope),
-        beta_prime=_zero,
+        beta_prime=_zeros,
     )
-
-
-def sample(fn, r):
-    """``fn(r)`` as a float array of ``r``'s shape; a scalar value, such as
-    the linear potential's ``0.0``, is broadcast (read-only, no copy)."""
-    value = np.asarray(fn(r), dtype=np.float64)
-    return value if value.shape == np.shape(r) else np.broadcast_to(value, np.shape(r))
 
 
 _LATTICE = np.linspace(-5.0, 5.0, 10_000)
@@ -105,15 +99,15 @@ def validate_potential(spec, d=None):
     """
     out = []
     r = _LATTICE
-    b = sample(spec.beta, r)
-    bh = sample(spec.beta_hat, r)
+    b = spec.beta(r)
+    bh = spec.beta_hat(r)
 
     steps = np.diff(b)
     if np.min(steps) < -1e-10:
         k = int(np.argmin(steps))
         out.append(f"monotonicity: beta decreases near r={r[k]:.3f}")
 
-    b0 = float(sample(spec.beta_hat, np.zeros(1))[0])
+    b0 = float(spec.beta_hat(np.zeros(1))[0])
     if abs(b0) > 1e-12:
         out.append(f"primitive origin: beta_hat(0) = {b0:g} != 0")
     if np.min(bh) < -1e-12:
@@ -125,7 +119,7 @@ def validate_potential(spec, d=None):
         out.append(f"convexity: beta_hat second difference negative near r={r[k + 1]:.3f}")
 
     dr = 1e-4
-    fd = (sample(spec.beta_hat, r + dr) - sample(spec.beta_hat, r - dr)) / (2.0 * dr)
+    fd = (spec.beta_hat(r + dr) - spec.beta_hat(r - dr)) / (2.0 * dr)
     scale = np.max(np.abs(b))
     smooth = np.abs(b) >= 1e-3 * max(scale, 1e-12)
     if scale > 0 and np.any(smooth):
@@ -139,7 +133,7 @@ def validate_potential(spec, d=None):
         k = int(np.argmax(growth))
         out.append(f"growth: |beta|^q exceeds c_beta(1+beta_hat) at r={r[k]:.3f}")
 
-    p = sample(spec.pi, r)
+    p = spec.pi(r)
     lip = np.abs(np.diff(p)) / np.diff(r)
     if np.max(lip) > spec.pi_lipschitz * (1.0 + 1e-10) + 1e-12:
         out.append(f"lipschitz: pi slope {np.max(lip):.6g} exceeds declared {spec.pi_lipschitz:g}")
@@ -156,14 +150,14 @@ def validate_potential(spec, d=None):
 
 def make_source(kind, amplitude=1.0):
     """Time-dependent source for the temperature equation: ``cosine-decay``
-    gives ``A cos(pi x_1) exp(-t)``.  ``source.kind = none`` builds no
+    gives ``A cos(pi x_1) exp(-t)``, with ``x_1`` in box units
+    (:func:`~pfnl.fields.box_field`).  ``source.kind = none`` builds no
     source; the run gets ``source=None``.
     """
     if kind == "cosine-decay":
 
         def f(grid, t):
-            x1 = grid.meshgrid()[0]
-            return Field(grid, amplitude * np.cos(np.pi * x1 / grid.lengths[0]) * math.exp(-t))
+            return box_field(grid, lambda *x: amplitude * np.cos(np.pi * x[0]) * math.exp(-t))
 
         return f
     raise ConfigError(f"unknown source kind {kind!r}")
@@ -174,7 +168,9 @@ def make_source(kind, amplitude=1.0):
 
 @dataclass(frozen=True)
 class InitialDataRule:
-    """Closed-form initial data, evaluated on whatever grid a run uses."""
+    """Closed-form initial data, evaluated on whatever grid a run uses, in
+    box units (:func:`~pfnl.fields.box_field`): ``x_i`` runs over
+    ``[0, 1]`` whatever the box's lengths."""
 
     theta0: callable
     phi0: callable
@@ -211,7 +207,8 @@ def build_initial_data(op, grid, potential, c1_bound=10.0, rule=None, custom=Non
     ``custom={"theta0": ..., "phi0": ..., "v0": ...}`` takes explicit
     fields; otherwise ``rule`` (by default :func:`smooth_default_rule`,
     eps-independent cosine profiles with zero velocity) is evaluated on
-    ``grid``.  The monitor's energy uses the run's own ``B``: ``B_eps`` of
+    ``grid`` in box units, so ``cos(pi x_1)`` is flat at both walls of
+    any box.  The monitor's energy uses the run's own ``B``: ``B_eps`` of
     ``op``, or ``-lap_N`` when ``op`` is ``None``, as in
     :func:`pfnl.integrator.solve_trajectory`.  A monitor above
     ``c1_bound`` raises :class:`ConfigError` for custom data and is
@@ -221,9 +218,9 @@ def build_initial_data(op, grid, potential, c1_bound=10.0, rule=None, custom=Non
         theta0, phi0, v0 = custom["theta0"], custom["phi0"], custom["v0"]
     else:
         rule = rule or smooth_default_rule()
-        theta0 = field_from_function(grid, rule.theta0)
-        phi0 = field_from_function(grid, rule.phi0)
-        v0 = field_from_function(grid, rule.v0)
+        theta0 = box_field(grid, rule.theta0)
+        phi0 = box_field(grid, rule.phi0)
+        v0 = box_field(grid, rule.v0)
 
     a5 = (
         inner_product("V", theta0, theta0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pfnl import analysis, operators
-from pfnl.errors import ResolutionError
+from pfnl.errors import AnalysisError, ResolutionError
 from pfnl.fields import Field, Grid, dual_norm, field_from_function
 from pfnl.integrator import SchemeConfig, solve_trajectory
 from pfnl.kernels import build_kernel_family, make_profile
@@ -185,6 +185,62 @@ class TestBBMSuite:
         rows, violations = bbm_ratio_suite(family2d, fields=probe_fields(2)[:1])
         assert violations == []
         assert [r["eps"] for r in rows] == list(analysis.DEFAULT_EPS_SWEEP)
+
+
+class TestVerdicts:
+    """Each probe verdict on hand-made rows, and the raise of a strict suite."""
+
+    def test_energy_gap_must_fall_and_end_small(self):
+        rows = [
+            {"gap": 0.1, "energy_local": 1.0},
+            {"gap": 0.05, "energy_local": 1.0},
+            {"gap": 0.08, "energy_local": 1.0},
+        ]
+        assert analysis._energy_verdict("p", rows) == [
+            "p: energy gap fails to decrease (0.05 -> 0.08)",
+            "p: final relative gap 0.08 exceeds 5%",
+        ]
+        # a falling gap that ends at 5% of the limit passes
+        assert analysis._energy_verdict("p", rows[:2]) == []
+
+    def test_flat_field_energies_must_vanish(self):
+        rows = [{"gap": 1e-13, "energy_local": 0.0}, {"gap": 2e-12, "energy_local": 1e-15}]
+        assert analysis._energy_verdict("flat", rows) == [
+            "flat: flat field should have zero energies"
+        ]
+        assert analysis._energy_verdict("flat", rows[:1]) == []
+
+    def test_dual_gap_must_fall(self):
+        rows = [{"dual_gap": g} for g in (0.4, 0.2, 0.3, 0.1)]
+        assert analysis._operator_verdict("p", rows) == [
+            "p: dual-norm gap fails to decrease (0.2 -> 0.3)"
+        ]
+        # an operator that vanishes on the probe has no gap to shrink
+        flat = [{"dual_gap": g} for g in (1e-13, 5e-13)]
+        assert analysis._operator_verdict("p", flat) == []
+
+    def test_ratio_spread_at_most_two(self):
+        rows = [{"ratio": r} for r in (1.0, 2.5, 1.5)]
+        assert analysis._ratio_verdict("p", rows) == ["p: ratio spread 2.5 exceeds factor 2"]
+        assert analysis._ratio_verdict("p", [{"ratio": r} for r in (1.0, 2.0)]) == []
+
+    def test_strict_suite_raises_on_a_wrong_exact_energy(self, family):
+        # twice cos1's Dirichlet energy: the kernel energies converge to
+        # the true one, so the gap ends near 50% of the stated limit
+        wrong = (
+            ProbeField(
+                "cos1-doubled",
+                lambda *x: np.cos(np.pi * x[0]),
+                lambda L: math.pi**2 / (2.0 * L[0]),
+            ),
+        )
+        grids = sweep_grids((0.2, 0.1))
+        with pytest.raises(AnalysisError) as err:
+            gamma_convergence_suite(family, grids=grids, fields=wrong, strict=True)
+        _, violations = gamma_convergence_suite(family, grids=grids, fields=wrong, strict=False)
+        assert err.value.violations == violations
+        assert any(v.startswith("cos1-doubled: final relative gap") for v in violations)
+        assert str(err.value) == "; ".join(violations)
 
 
 class TestFrechetSuite:

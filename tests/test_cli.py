@@ -11,7 +11,7 @@ import pfnl
 from pfnl import analysis, cli, integrator
 from pfnl.analysis import sweep_grids
 from pfnl.config import SCHEMA, default_config, parse_config_text
-from pfnl.errors import ConfigError
+from pfnl.errors import ConfigError, DegenerateFieldError
 from pfnl.fields import Field, Grid, write_field, zeros
 from pfnl.integrator import CSV_COLUMNS
 from pfnl.kernels import tabulate_kernel
@@ -74,6 +74,16 @@ class TestParseConfig:
             parse_config_text("grid.n = 2\n")
         with pytest.raises(ConfigError):
             parse_config_text("solver.newton_tol = 0.5\n")
+
+    def test_line_without_equals_names_the_line(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("grid.n = 64\n\ngrid.dimension 2\n", origin="run.cfg")
+        assert str(err.value) == "run.cfg:3: expected 'key = value', got 'grid.dimension 2'"
+
+    def test_step_above_final_time(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("time.T = 0.1\ntime.dt = 0.5\n")
+        assert str(err.value) == "time.dt = 0.5 exceeds time.T = 0.1"
 
     def test_custom_initial_needs_files(self):
         with pytest.raises(ConfigError) as err:
@@ -243,6 +253,39 @@ class TestSimulate:
         assert code == 2
         assert "eps >= 4h" in capsys.readouterr().err
 
+    def test_width_above_one_exits_2_without_output_dir(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, SMALL_SIM.format(out=out))
+        assert cli.main(["simulate", "--config", cfg, "--eps", "1.5"]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: --eps must lie in (0, 1], got 1.5\n"
+        )
+        assert not out.exists()
+
+    def test_stalled_newton_exits_1(self, tmp_path, capsys):
+        # one Newton iteration cannot meet the tolerance on step 1
+        cfg = write_config(
+            tmp_path,
+            "grid.n = 32\ntime.dt = 0.01\ntime.T = 0.01\nsolver.newton_max_iter = 1\n"
+            f"output.dir = {tmp_path / 'out'}\n",
+        )
+        assert cli.main(["simulate", "--config", cfg, "--eps", "0.25"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: step 1 (t=0.01): phase Newton stalled")
+        assert not (tmp_path / "out" / "energy.csv").exists()
+
+    def test_degenerate_field_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a package error outside the named classes is a run failure too
+        def degenerate(*args, **kwargs):
+            raise DegenerateFieldError("energy 1/2 (B u, u)_H came out negative: -1")
+
+        monkeypatch.setattr(cli, "solve_trajectory", degenerate)
+        cfg = write_config(tmp_path, SMALL_SIM.format(out=tmp_path / "out"))
+        assert cli.main(["simulate", "--config", cfg, "--eps", "0.25"]) == 1
+        assert capsys.readouterr().err == (
+            "error: energy 1/2 (B u, u)_H came out negative: -1\n"
+        )
+
     def test_needs_problem_choice(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_SIM.format(out=tmp_path / "out"))
         assert cli.main(["simulate", "--config", cfg]) == 2
@@ -377,6 +420,27 @@ class TestSimulate:
         assert summary["mean_residual"] == expected
         if steps:
             assert expected > 0.0
+
+    def test_energy_report_without_energy_file_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL_SIM.format(out=tmp_path / "out"))
+        run = tmp_path / "run"
+        run.mkdir()
+        code = cli.main(["energy-report", "--config", cfg, "--run", str(run)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot read")
+        assert "energy.csv" in err and "Traceback" not in err
+
+    def test_energy_report_without_residual_column_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL_SIM.format(out=tmp_path / "out"))
+        run = tmp_path / "run"
+        run.mkdir()
+        columns = [c for c in CSV_COLUMNS if c != "residual_a1"]
+        row = ",".join(["0"] * len(columns))
+        (run / "energy.csv").write_text(",".join(columns) + f"\n{row}\n{row}\n")
+        code = cli.main(["energy-report", "--config", cfg, "--run", str(run)])
+        assert code == 2
+        assert "does not look like an energy record file" in capsys.readouterr().err
 
     def test_energy_report_without_records_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_SIM.format(out=tmp_path / "out"))
@@ -532,6 +596,21 @@ class TestConverge:
         assert "initial.kind = custom" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_unbounded_initial_data_noted_per_width(self, tmp_path, capsys):
+        # a declared bound below the default data's monitor is a note of
+        # each compared width, not a failure
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, SMALL_SWEEP.format(out=out) + "initial.c1 = 0.1\n")
+        assert cli.main(["converge", "--config", cfg]) == 0
+        notes = json.loads((out / "manifest.json").read_text())["notes"]
+        flagged = [n for n in notes if "uniform bound violated" in n]
+        assert [n.split(":")[0] for n in flagged] == ["eps=0.2", "eps=0.1", "eps=0.05"]
+        assert all(n.endswith("> declared 0.1") for n in flagged)
+        printed = capsys.readouterr().out.splitlines()
+        assert [line for line in printed if "uniform bound violated" in line] == [
+            f"note: {n}" for n in flagged
+        ]
+
     def test_deterministic_reports(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         cfg_a = write_config(tmp_path, SMALL_SWEEP.format(out=out_a), "a.cfg")
@@ -649,6 +728,21 @@ class TestVerifyLemmas:
             "frechet_identity",
         ):
             assert results[name]["pass"], name
+
+    def test_failed_verdict_exits_1_and_writes_results(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            analysis, "_ratio_verdict", lambda name, rows: [f"{name}: forced failure"]
+        )
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, f"sweep.eps = 0.2, 0.1\noutput.dir = {out}\n")
+        assert cli.main(["verify-lemmas", "--config", cfg]) == 1
+        results = json.loads((out / "lemmas.json").read_text())
+        assert results["bbm_ratio"] == {
+            "pass": False,
+            "violations": [f"{p.name}: forced failure" for p in analysis.probe_fields(1)],
+        }
+        assert all(results[k]["pass"] for k in results if k != "bbm_ratio")
+        assert (out / "manifest.json").is_file()
 
     def test_frechet_setting_named(self, tmp_path):
         # the Frechet suite runs on its own unit box and width, whatever

@@ -60,6 +60,30 @@ class TestDoubleWell:
         assert validate_potential(make_linear_potential(-2.0)) == []
 
 
+def _buildable_potentials():
+    """Every potential the config can build, and the test-only linear one."""
+    custom = "potential.kind = custom-polynomial\npotential.power = {}\n"
+    yield "double-well", parse_config_text("").make_potential()
+    for p in (1, 3, 5):
+        yield f"power-{p}", parse_config_text(custom.format(p)).make_potential()
+    yield "linear", make_linear_potential(-2.0)
+
+
+@pytest.mark.parametrize(
+    "spec", [pytest.param(spec, id=name) for name, spec in _buildable_potentials()]
+)
+@pytest.mark.parametrize(
+    "shape", [(16,), (4, 5), (3, 16), (3, 4, 5)], ids=["1d", "2d", "stacked-1d", "stacked-2d"]
+)
+def test_potential_maps_return_float64_arrays_of_the_argument_shape(spec, shape):
+    # callers use the maps' values as they are: no broadcast, no conversion
+    r = np.random.default_rng(0).uniform(-2.0, 2.0, size=shape)
+    for map_name in ("beta", "beta_hat", "beta_prime", "pi"):
+        out = getattr(spec, map_name)(r)
+        assert isinstance(out, np.ndarray), map_name
+        assert out.dtype == np.float64 and out.shape == shape, map_name
+
+
 class TestValidatePotential:
     def test_decreasing_beta_flagged(self):
         spec = PotentialSpec(
@@ -230,6 +254,21 @@ class TestInitialData:
         traj = solve_trajectory(op, data, pot, SchemeConfig(dt=1e-3, T=2e-3))
         assert np.array_equal(traj.states[0].phi.data, data.phi0.data)
         assert len(traj.records) == 3  # the initial record and two steps
+
+    def test_default_data_in_box_units(self):
+        # the rule is sampled at x / L, so a longer box stretches the unit
+        # box's data: phi0 = cos(pi x / L) is flat at the far wall
+        pot = make_double_well()
+        unit = build_initial_data(None, Grid((1.0,), (64,)), pot)
+        long = build_initial_data(None, Grid((1.5,), (64,)), pot)
+        for name in ("theta0", "phi0", "v0"):
+            a, b = getattr(unit, name).data, getattr(long, name).data
+            np.testing.assert_allclose(b, a, rtol=0.0, atol=1e-15, err_msg=name)
+
+    def test_source_in_box_units(self):
+        f = make_source("cosine-decay", amplitude=2.0)
+        unit, long = f(Grid((1.0,), (64,)), 0.5), f(Grid((1.5,), (64,)), 0.5)
+        np.testing.assert_allclose(long.data, unit.data, rtol=0.0, atol=1e-15)
 
     def test_default_rule_values(self):
         rule = smooth_default_rule()
