@@ -27,8 +27,8 @@ from .errors import AnalysisError, GridMismatchError, ResolutionError
 from .fields import (
     Field,
     Grid,
-    box_field,
     dual_norm,
+    field_from_function,
     grad_inner,
     inner_product,
     norm,
@@ -91,14 +91,14 @@ def sweep_grids(eps_list, length=1.0, dimension=1, max_n=512, cells_per_eps=8):
 class ProbeField:
     """Closed-form smooth field in box units, evaluable on any grid of the
     sweep: :meth:`on` samples ``fn`` at ``x_i / L_i``
-    (:func:`~pfnl.fields.box_field`)."""
+    (:func:`~pfnl.fields.field_from_function`)."""
 
     name: str
     fn: callable
     exact_energy: callable = None  # lengths tuple -> float, when known
 
     def on(self, grid):
-        return box_field(grid, self.fn)
+        return field_from_function(grid, self.fn)
 
 
 def _cos_mode(k):
@@ -227,7 +227,7 @@ def gamma_convergence_suite(family, grids=None, fields=None, strict=True):
 
 
 def _operator_row(probe, v, op):
-    w = box_field(v.grid, lambda *x: np.cos(2.0 * np.pi * x[0]))
+    w = field_from_function(v.grid, lambda *x: np.cos(2.0 * np.pi * x[0]))
     b_nl = apply_B(op, v)
     return {
         "dual_gap": dual_norm(b_nl - apply_B(None, v)),

@@ -222,17 +222,15 @@ def zeros(grid):
 
 
 def field_from_function(grid, fn):
-    """Sample ``fn(x1[, x2])`` at the cell centers."""
-    return Field(grid, np.asarray(fn(*grid.meshgrid()), dtype=np.float64))
-
-
-def box_field(grid, fn):
     """Sample ``fn(x1[, x2])`` at the cell centers in box units ``x_i / L_i``,
-    so that a closed-form rule has the same profile on every box; on the
-    unit box it is :func:`field_from_function` to the bit.  Each axis's
-    centers are divided before the mesh is formed."""
+    so that a closed-form rule has the same profile on every box: the
+    initial data, the probes and the ``cosine-decay`` source.  On the unit
+    box the arguments are the cell centers to the bit.  Each axis's
+    centers are divided before the mesh is formed, which keeps the
+    division off the per-step source's cost."""
     axes = [grid.axis_centers(k) / L for k, L in enumerate(grid.lengths)]
-    return Field(grid, np.asarray(fn(*np.meshgrid(*axes, indexing="ij")), dtype=np.float64))
+    x = np.meshgrid(*axes, indexing="ij")
+    return Field(grid, np.asarray(fn(*x), dtype=np.float64))
 
 
 def dot(a, b):

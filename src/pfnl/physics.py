@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .fields import Field, box_field, inner_product
+from .fields import Field, field_from_function, inner_product
 from .operators import apply_B_array, energy_from_applied
 
 
@@ -151,13 +151,15 @@ def validate_potential(spec, d=None):
 def make_source(kind, amplitude=1.0):
     """Time-dependent source for the temperature equation: ``cosine-decay``
     gives ``A cos(pi x_1) exp(-t)``, with ``x_1`` in box units
-    (:func:`~pfnl.fields.box_field`).  ``source.kind = none`` builds no
-    source; the run gets ``source=None``.
+    (:func:`~pfnl.fields.field_from_function`).  ``source.kind = none``
+    builds no source; the run gets ``source=None``.
     """
     if kind == "cosine-decay":
 
         def f(grid, t):
-            return box_field(grid, lambda *x: amplitude * np.cos(np.pi * x[0]) * math.exp(-t))
+            return field_from_function(
+                grid, lambda *x: amplitude * np.cos(np.pi * x[0]) * math.exp(-t)
+            )
 
         return f
     raise ConfigError(f"unknown source kind {kind!r}")
@@ -169,7 +171,7 @@ def make_source(kind, amplitude=1.0):
 @dataclass(frozen=True)
 class InitialDataRule:
     """Closed-form initial data, evaluated on whatever grid a run uses, in
-    box units (:func:`~pfnl.fields.box_field`): ``x_i`` runs over
+    box units (:func:`~pfnl.fields.field_from_function`): ``x_i`` runs over
     ``[0, 1]`` whatever the box's lengths."""
 
     theta0: callable
@@ -218,9 +220,9 @@ def build_initial_data(op, grid, potential, c1_bound=10.0, rule=None, custom=Non
         theta0, phi0, v0 = custom["theta0"], custom["phi0"], custom["v0"]
     else:
         rule = rule or smooth_default_rule()
-        theta0 = box_field(grid, rule.theta0)
-        phi0 = box_field(grid, rule.phi0)
-        v0 = box_field(grid, rule.v0)
+        theta0 = field_from_function(grid, rule.theta0)
+        phi0 = field_from_function(grid, rule.phi0)
+        v0 = field_from_function(grid, rule.v0)
 
     a5 = (
         inner_product("V", theta0, theta0)

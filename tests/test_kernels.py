@@ -155,6 +155,21 @@ class TestKernelValue:
         expected = eps ** (-3.0) * float(fam.rho(z / eps))
         assert kernel_value(fam, eps, [z]) == pytest.approx(expected, rel=1e-13)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_scaled_point_value_singular(self, alpha):
+        # d=2, polynomial bump on [0, 1]: rho = c_2 (1 - s^2)^2 / M with
+        # M = int_0^1 (1 - s^2)^2 s^(3-alpha) ds = 1/a - 2/(a+2) + 1/(a+4),
+        # a = 4 - alpha, and J_eps(z) = eps^-2 rho(r/eps) / (eps^(2-alpha) r^alpha).
+        # The family's M is an adaptive quadrature to 1e-12, hence rel=1e-10.
+        fam = bump_family(2, alpha)
+        a = 4.0 - alpha
+        rho0 = (2.0 / math.pi) / (1.0 / a - 2.0 / (a + 2.0) + 1.0 / (a + 4.0))
+        for eps, z in [(0.5, (0.1, 0.2)), (0.25, (-0.05, 0.03)), (1.0, (0.0, 0.9))]:
+            r = math.hypot(*z)
+            rho = rho0 * (1.0 - (r / eps) ** 2) ** 2
+            expected = rho / eps**2 / (eps ** (2.0 - alpha) * r**alpha)
+            assert kernel_value(fam, eps, list(z)) == pytest.approx(expected, rel=1e-10)
+
     def test_singular_origin(self):
         fam = bump_family(2, 1.0)
         with pytest.raises(SingularKernelError):
