@@ -15,7 +15,7 @@ import numpy as np
 from .analysis import DEFAULT_EPS_SWEEP
 from .errors import ConfigError
 from .fields import Grid
-from .integrator import SchemeConfig
+from .integrator import SchemeConfig, usable_dt
 from .kernels import PROFILE_SHAPES, build_kernel_family, is_resolved, make_profile
 from .physics import PotentialSpec, make_double_well, make_source
 
@@ -60,7 +60,7 @@ class RunConfig:
     grid_length: float = _key("grid.length", float, _positive, 1.0, "> 0")
     grid_n: int = _key("grid.n", int, lambda n: n >= 4, 512, ">= 4")
     time_T: float = _key("time.T", float, _nonnegative, 0.5, ">= 0")
-    time_dt: float = _key("time.dt", float, _positive, 1e-3, "> 0")
+    time_dt: float = _key("time.dt", float, usable_dt, 1e-3, "> 0 with (1 + dt)/dt^2 finite: dt above about 7.5e-155")
     time_snapshots: int = _key("time.snapshots", int, lambda n: n >= 1, 20, ">= 1")
     newton_tol: float = _key("solver.newton_tol", float, _tolerance, 1e-10, "in (0, 1e-6]")
     newton_max_iter: int = _key("solver.newton_max_iter", int, lambda n: n >= 1, 25, ">= 1")

@@ -115,6 +115,17 @@ class State:
     lap_theta: np.ndarray = None
 
 
+def usable_dt(dt):
+    """Whether the phase step can run with time step ``dt``: ``dt > 0``
+    and its diagonal ``D0 = (1 + dt)/dt^2`` (see :func:`_phi_update`) a
+    finite float.  Below about 7.5e-155 ``dt^2`` underflows or ``D0``
+    overflows, and no run with that step could finish."""
+    if not dt > 0.0:
+        return False
+    dt_sq = dt * dt
+    return dt_sq > 0.0 and math.isfinite((1.0 + dt) / dt_sq)
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     dt: float
@@ -125,9 +136,10 @@ class SchemeConfig:
     snapshots: int = 20
 
     def __post_init__(self):
-        if not self.dt > 0.0 or (self.T > 0.0 and self.dt > self.T):
+        if not usable_dt(self.dt) or (self.T > 0.0 and self.dt > self.T):
             raise ValueError(
-                f"need dt > 0, and dt <= T when T > 0; got dt={self.dt}, T={self.T}"
+                "need dt > 0 with (1 + dt)/dt^2 finite, and dt <= T when T > 0; "
+                f"got dt={self.dt}, T={self.T}"
             )
         for tol in (self.phi_solver_tol, self.newton_tol):
             if not 0.0 < tol <= 1e-6:

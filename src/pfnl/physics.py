@@ -127,9 +127,15 @@ def validate_potential(spec, d=None):
         if np.max(rel) > 1e-6:
             out.append("primitive derivative: beta_hat' deviates from beta")
 
-    growth = np.abs(b) ** spec.q - spec.c_beta * (1.0 + bh)
-    tol = 1e-9 * np.maximum(1.0, spec.c_beta * (1.0 + bh))
-    if np.any(growth > tol):
+    # A huge q or c_beta overflows a side to inf: an infinite |beta|^q
+    # violates the bound whatever the bound, and an infinite bound holds
+    # for any finite |beta|^q.
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = np.abs(b) ** spec.q
+        bound = spec.c_beta * (1.0 + bh)
+        growth = power - bound
+        tol = 1e-9 * np.maximum(1.0, bound)
+    if np.any((growth > tol) | np.isinf(power)):
         k = int(np.argmax(growth))
         out.append(f"growth: |beta|^q exceeds c_beta(1+beta_hat) at r={r[k]:.3f}")
 
@@ -151,15 +157,22 @@ def validate_potential(spec, d=None):
 def make_source(kind, amplitude=1.0):
     """Time-dependent source for the temperature equation: ``cosine-decay``
     gives ``A cos(pi x_1) exp(-t)``, with ``x_1`` in box units
-    (:func:`~pfnl.fields.field_from_function`).  ``source.kind = none``
-    builds no source; the run gets ``source=None``.
+    (:func:`~pfnl.fields.field_from_function`).  The source samples the
+    profile ``A cos(pi x_1)`` once per grid it is called on and scales it
+    by ``exp(-t)`` per call: the same two products in the same order as
+    sampling the whole rule.  ``source.kind = none`` builds no source; the
+    run gets ``source=None``.
     """
     if kind == "cosine-decay":
+        profiles = {}  # grid -> A cos(pi x_1) on it
 
         def f(grid, t):
-            return field_from_function(
-                grid, lambda *x: amplitude * np.cos(np.pi * x[0]) * math.exp(-t)
-            )
+            profile = profiles.get(grid)
+            if profile is None:
+                profile = profiles[grid] = field_from_function(
+                    grid, lambda *x: amplitude * np.cos(np.pi * x[0])
+                ).data
+            return Field(grid, profile * math.exp(-t))
 
         return f
     raise ConfigError(f"unknown source kind {kind!r}")

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,11 +9,11 @@ import numpy as np
 import pytest
 
 import pfnl
-from pfnl import analysis, cli, integrator
+from pfnl import analysis, cli, config, integrator
 from pfnl.analysis import sweep_grids
 from pfnl.config import SCHEMA, default_config, parse_config_text
 from pfnl.errors import ConfigError, DegenerateFieldError
-from pfnl.fields import Field, Grid, write_field, zeros
+from pfnl.fields import Field, Grid, field_from_function, write_field, zeros
 from pfnl.integrator import CSV_COLUMNS
 from pfnl.kernels import tabulate_kernel
 
@@ -84,6 +85,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config_text("time.T = 0.1\ntime.dt = 0.5\n")
         assert str(err.value) == "time.dt = 0.5 exceeds time.T = 0.1"
+
+    @pytest.mark.parametrize("dt", ["1e-300", "1e-160"])
+    def test_dt_the_phase_step_cannot_use_exits_2(self, tmp_path, capsys, dt):
+        # dt^2 underflows to 0 at 1e-300, and (1 + dt)/dt^2 overflows to
+        # inf at 1e-160: the phase step could not run or never finish
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path,
+            f"time.T = 0.01\ngrid.n = 16\ntime.dt = {dt}\noutput.dir = {out}\n",
+        )
+        assert cli.main(["simulate", "--config", cfg, "--eps", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert f"time.dt = {dt} out of range" in err
+        assert "(1 + dt)/dt^2 finite" in err
+        assert not out.exists()
+
+    def test_small_step_parses(self):
+        assert parse_config_text("time.dt = 1e-6\n").time_dt == 1e-6
 
     def test_custom_initial_needs_files(self):
         with pytest.raises(ConfigError) as err:
@@ -160,6 +179,37 @@ class TestSimulate:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["command"] == "simulate"
         assert "config_sha256" in manifest
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_cosine_decay_run_matches_sampling_the_rule(
+        self, tmp_path, monkeypatch, dimension
+    ):
+        # the source keeps its profile per grid; a run writes the bytes of a
+        # source that samples A cos(pi x_1) exp(-t) whole at every step
+        text = (
+            SMALL_SIM + f"grid.dimension = {dimension}\ngrid.n = 32\n"
+            "source.kind = cosine-decay\nsource.amplitude = 1.7\n"
+        ).replace("grid.n = 64\n", "")
+        kept = write_config(tmp_path, text.format(out=tmp_path / "kept"), "kept.cfg")
+        assert cli.main(["simulate", "--config", kept, "--eps", "0.25"]) == 0
+
+        def sampled(grid, t):
+            return field_from_function(
+                grid, lambda *x: 1.7 * np.cos(np.pi * x[0]) * math.exp(-t)
+            )
+
+        monkeypatch.setattr(config, "make_source", lambda kind, amplitude: sampled)
+        whole = write_config(tmp_path, text.format(out=tmp_path / "whole"), "whole.cfg")
+        assert cli.main(["simulate", "--config", whole, "--eps", "0.25"]) == 0
+        files = [
+            path.relative_to(tmp_path / "kept")
+            for path in sorted((tmp_path / "kept").rglob("*"))
+            if path.is_file() and path.name != "manifest.json"
+        ]
+        assert len(files) == 1 + 2 * 6  # energy.csv and 6 snapshots each of theta and phi
+        for name in files:
+            kept_bytes = (tmp_path / "kept" / name).read_bytes()
+            assert kept_bytes == (tmp_path / "whole" / name).read_bytes(), name
 
     def test_manifest_reports_mass_residual(self, tmp_path):
         # h^d sum(theta + phi) changes by exactly the source's mass each step
@@ -361,6 +411,19 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "growth" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_overflowing_growth_exponent_exits_2(self, tmp_path, capsys):
+        # q = 1e300 overflows |beta|^q on the validation lattice: that is
+        # the growth violation, reported without numpy's overflow warning
+        cfg = write_config(
+            tmp_path,
+            SMALL_SIM.format(out=tmp_path / "out")
+            + "potential.kind = custom-polynomial\npotential.q = 1e300\n",
+        )
+        assert cli.main(["simulate", "--config", cfg, "--eps", "0.2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: potential: growth:")
+        assert "RuntimeWarning" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "line", ["potential.pi_slope = -1e300", "potential.power = 5"]
@@ -827,6 +890,64 @@ def _python_output(code, **env):
         env=dict(os.environ, PYTHONPATH=src, **env),
     )
     return out.stdout.strip()
+
+
+def _cli_process(argv):
+    """Run ``pfnl`` with ``argv`` in a fresh interpreter whose first atexit
+    handler, so the last to run, prints whether the garbage collector's
+    permanent generation holds objects, after a line with ``main``'s
+    status and the freeze count when it returned."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pfnl.__file__)))
+    code = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('frozen at exit', gc.get_freeze_count() > 0))\n"
+        "from pfnl import cli\n"
+        f"status = cli.main({argv!r})\n"
+        "print('main returned', status, gc.get_freeze_count())\n"
+        "sys.exit(status)\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
+class TestExit:
+    """A CLI process freezes the garbage collector's objects only once
+    ``main`` has returned, so that its exit skips the final collections;
+    statuses and outputs stay as before."""
+
+    def test_verify_kernel_writes_its_files(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, f"output.dir = {out}\n")
+        proc = _cli_process(["verify-kernel", "--config", cfg])
+        assert proc.returncode == 0, proc.stderr
+        printed = proc.stdout.splitlines()
+        assert printed[-2:] == ["main returned 0 0", "frozen at exit True"]
+        assert (out / "kernel.csv").read_text().splitlines() == printed[:-2]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "verify-kernel"
+        assert proc.stderr == ""
+
+    def test_bad_key_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path, "grid.m = 10\n")
+        proc = _cli_process(["verify-kernel", "--config", cfg])
+        assert proc.returncode == 2
+        assert proc.stdout.splitlines() == ["main returned 2 0", "frozen at exit True"]
+        assert proc.stderr.startswith("configuration error:")
+        assert "unknown key 'grid.m'" in proc.stderr
+
+    def test_stalled_newton_exits_1(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "grid.n = 32\ntime.dt = 0.01\ntime.T = 0.01\nsolver.newton_max_iter = 1\n"
+            f"output.dir = {tmp_path / 'out'}\n",
+        )
+        proc = _cli_process(["simulate", "--config", cfg, "--eps", "0.25"])
+        assert proc.returncode == 1
+        assert proc.stdout.splitlines() == ["main returned 1 0", "frozen at exit True"]
+        assert proc.stderr.startswith("run failed: step 1 (t=0.01): phase Newton stalled")
+        assert not (tmp_path / "out" / "energy.csv").exists()
 
 
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):

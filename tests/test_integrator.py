@@ -866,6 +866,12 @@ class TestSchemeConfig:
         with pytest.raises(ValueError):
             SchemeConfig(dt=dt, T=0.0)
 
+    @pytest.mark.parametrize("dt", [1e-300, 1e-160])
+    def test_dt_the_phase_step_cannot_use_rejected(self, dt):
+        # (1 + dt)/dt^2 divides by an underflowed 0 at 1e-300 and is inf at 1e-160
+        with pytest.raises(ValueError, match=r"\(1 \+ dt\)/dt\^2 finite"):
+            SchemeConfig(dt=dt, T=0.01)
+
     def test_num_steps(self):
         assert SchemeConfig(dt=1e-3, T=0.5).num_steps == 500
         assert SchemeConfig(dt=1e-3, T=0.0).num_steps == 0

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,6 +139,21 @@ class TestValidatePotential:
         issues = validate_potential(spec)
         assert any(v.startswith("lipschitz") for v in issues)
 
+    @pytest.mark.parametrize(
+        "q, c_beta, flagged",
+        [(1e300, 4.0, True), (1e300, 1e308, True), (4.0 / 3.0, 1e308, False)],
+        ids=["huge-q", "huge-q-and-c_beta", "huge-c_beta"],
+    )
+    def test_overflowing_growth_sides(self, q, c_beta, flagged):
+        # |beta|^q or c_beta (1 + beta_hat) overflows to inf on the lattice
+        # without a warning (the suite turns RuntimeWarning into an error):
+        # an infinite |beta|^q is the growth violation, and an infinite
+        # bound holds for any finite |beta|^q
+        spec = replace(make_double_well(), q=q, c_beta=c_beta)
+        issues = validate_potential(spec)
+        assert any(v.startswith("growth") for v in issues) == flagged
+        assert all(v.startswith("growth") for v in issues)
+
     def test_d3_exponent_floor(self):
         spec = PotentialSpec(
             beta=lambda r: r,
@@ -165,6 +181,24 @@ class TestSource:
         fld = f(g, 1.0)
         x = g.axis_centers(0)
         assert np.allclose(fld.data, 2.0 * np.cos(np.pi * x) * math.exp(-1.0))
+
+    @pytest.mark.parametrize(
+        "grid",
+        [Grid.line(320), Grid.box(320), Grid((1.5,), (64,))],
+        ids=["line", "box", "long-line"],
+    )
+    def test_cosine_decay_bits(self, grid):
+        # the profile is sampled once per grid and scaled per call, with the
+        # products of sampling the whole rule in the same order; the times
+        # revisit the grid after another grid was sampled
+        amplitude = -2.7
+        f = make_source("cosine-decay", amplitude=amplitude)
+        for t in (0.0, 1e-3, 0.37, 2.5, 0.37):
+            f(Grid.line(16), t)
+            want = field_from_function(
+                grid, lambda *x: amplitude * np.cos(np.pi * x[0]) * math.exp(-t)
+            )
+            assert np.array_equal(f(grid, t).data, want.data), t
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
